@@ -18,10 +18,6 @@ from spans import Tracer
 MAIN_OPS = ("conv2d", "conv1x1", "elu", "tanh", "avg_pool2", "upsample_nearest2",
             "fully_connected", "l1_mean")
 
-# layers that run in a timed phase; "bench" is time in no traced call
-LAYERS = ("cli", "pipeline", "training", "model", "autodiff", "generation",
-          "evaluation", "pca", "geometry", "io", "parallel", "bench")
-
 
 def _ms(span_name):
     return (f"{span_name}_ms", "ms", "lower", lambda st: st.total_ms(span_name))
@@ -106,11 +102,6 @@ _SPEC = {
 
 PER_LAYER = [(name, unit, better, fn, home)
              for home, rows in _SPEC.items() for name, unit, better, fn in rows]
-PER_LAYER += [
-    (f"layer.{layer}.phase_ms", "ms", "lower",
-     lambda st, layer=layer: 1e3 * st.layer_times.get(layer, 0.0), None)
-    for layer in LAYERS
-]
 PER_LAYER.append(("trace.overhead_share", "share", "lower",
                   lambda st: st.overhead_share, None))
 

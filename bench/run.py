@@ -2,9 +2,11 @@
 
     python3 bench/run.py --workload {prep,train,infer} --seed N --seconds S --trace {0,1}
 
-With ``--trace 0`` set-up runs several times (its median is ``setup_s``),
-then the workload's timed CLI sequence repeats until ``--seconds`` have
-passed (its median wall time is ``phase_s``). With ``--trace 1`` set-up and
+With ``--trace 0`` set-up runs several times, each in a forked child
+process (its median is ``setup_s``). Then the workload's timed CLI sequence
+repeats in this process until ``--seconds`` have passed (its median wall
+time is ``phase_s``, and this process's peak RSS is ``peak_rss_mb``: the
+timed phase's, without set-up's). With ``--trace 1`` set-up and
 one pass of the sequence run with every public facegan3d function wrapped
 in a span, and the per-layer metrics come from those spans.
 
@@ -20,6 +22,7 @@ import argparse
 import contextlib
 import gc
 import json
+import multiprocessing
 import os
 import resource
 import shutil
@@ -40,8 +43,6 @@ def _parse(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--spans", default=None,
-                   help="with --trace 1, also write every span to this JSON-lines file")
     return p.parse_args(argv)
 
 
@@ -54,6 +55,37 @@ def _limit_threads():
 
 def _metric(value, unit):
     return {"value": value, "unit": unit}
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def _setup_child(wl, d: Path, seed: int, conn):
+    from workloads import Ops
+    ops = Ops()
+    t0 = time.perf_counter()
+    wl.setup(ops, d, seed)
+    conn.send((time.perf_counter() - t0, _peak_rss_mb(), ops.attempted, ops.failures))
+    conn.close()
+
+
+def _setup_in_child(wl, ops, d: Path, seed: int) -> tuple[float, float]:
+    """Run set-up in a forked child, so that its memory peak stays out of
+    this process's. Returns set-up seconds and the child's peak RSS in MB;
+    the child's operations go into ``ops``."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_setup_child, args=(wl, d, seed, send))
+    child.start()
+    send.close()
+    try:
+        seconds, rss_mb, attempted, failures = recv.recv()
+    finally:
+        child.join()
+    ops.attempted += attempted
+    ops.failures += failures
+    return seconds, rss_mb
 
 
 def _check(wl, ops, inputs: Path, out: Path) -> dict:
@@ -79,12 +111,11 @@ def _timed_phase(wl, ops, inputs: Path, out: Path, seed: int) -> dict:
 
 
 def run_untraced(wl, ops, work: Path, seed: int, seconds: float) -> tuple[dict, dict]:
-    setup_times = []
+    setup_times, setup_rss = [], []
     for k in range(SETUP_REPS):
-        gc.collect()
-        t0 = time.perf_counter()
-        wl.setup(ops, work / f"setup{k}", seed)
-        setup_times.append(time.perf_counter() - t0)
+        setup_s, setup_mb = _setup_in_child(wl, ops, work / f"setup{k}", seed)
+        setup_times.append(setup_s)
+        setup_rss.append(setup_mb)
         if k:
             shutil.rmtree(work / f"setup{k}")
     inputs = work / "setup0"
@@ -96,7 +127,7 @@ def run_untraced(wl, ops, work: Path, seed: int, seconds: float) -> tuple[dict, 
         if time.perf_counter() - start >= seconds:
             break
         shutil.rmtree(out)
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    rss_mb = _peak_rss_mb()   # before the checks
     quality = _check(wl, ops, inputs, out)
     med = {k: statistics.median(r[k] for r in reps) for k in reps[0]}
     metrics = {
@@ -106,6 +137,7 @@ def run_untraced(wl, ops, work: Path, seed: int, seconds: float) -> tuple[dict, 
     }
     detail = {
         "setup_s": setup_times,
+        "setup_peak_rss_mb": setup_rss,
         "phase_s": [r["phase_s"] for r in reps],
         "command_s": med,
         "stages": wl.stages(med),
@@ -114,7 +146,7 @@ def run_untraced(wl, ops, work: Path, seed: int, seconds: float) -> tuple[dict, 
     return metrics, detail
 
 
-def run_traced(wl, ops, work: Path, seed: int, spans_path: str | None) -> tuple[dict, dict]:
+def run_traced(wl, ops, work: Path, seed: int) -> tuple[dict, dict]:
     """Traced set-up, then three passes of the timed sequence: untraced
     (warm-up), traced, untraced. The overhead compares the last two."""
     from layers import PER_LAYER, SpanStats
@@ -147,10 +179,6 @@ def run_traced(wl, ops, work: Path, seed: int, spans_path: str | None) -> tuple[
         "spans": len(tracer.spans),
         "quality": quality,
     }
-    if spans_path:
-        with open(spans_path, "w") as fh:
-            for s in tracer.spans:
-                fh.write(json.dumps(vars(s)) + "\n")
     return metrics, detail
 
 
@@ -175,7 +203,7 @@ def main(argv=None) -> int:
     work.mkdir(parents=True)
     try:
         if args.trace:
-            metrics, detail = run_traced(wl, ops, work, args.seed, args.spans)
+            metrics, detail = run_traced(wl, ops, work, args.seed)
             detail.update(reference_rates())
         else:
             metrics, detail = run_untraced(wl, ops, work, args.seed, args.seconds)
