@@ -55,10 +55,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        """A tape-free view of the same data."""
-        return Tensor(self.data, name=self.name)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r}, id={self.node_id})"
 
@@ -296,39 +292,32 @@ def upsample_nearest2(x: Tensor) -> Tensor:
     return _emit("upsample_nearest2", (x,), out, bwd)
 
 
-def activation(kind: str, x: Tensor) -> Tensor:
-    """Elementwise nonlinearity, ``kind`` in {"elu", "tanh"}."""
-    if kind == "elu":
-        alpha = x.data.dtype.type(ELU_ALPHA)
-        neg = np.expm1(np.minimum(x.data, 0))
-        neg *= alpha
-        out = np.where(x.data >= 0, x.data, neg)
-
-        def bwd(g, needs):
-            if not needs[0]:
-                return (None,)
-            slope = np.where(x.data >= 0, x.data.dtype.type(1.0), out + alpha)
-            return (g * slope,)
-
-    elif kind == "tanh":
-        out = np.tanh(x.data)
-
-        def bwd(g, needs):
-            if not needs[0]:
-                return (None,)
-            return (g * (x.data.dtype.type(1.0) - out * out),)
-
-    else:
-        raise ValueError(f"unknown activation kind {kind!r}")
-    return _emit(kind, (x,), out, bwd)
-
-
 def elu(x: Tensor) -> Tensor:
-    return activation("elu", x)
+    """Elementwise ELU with alpha = ``ELU_ALPHA``."""
+    alpha = x.data.dtype.type(ELU_ALPHA)
+    neg = np.expm1(np.minimum(x.data, 0))
+    neg *= alpha
+    out = np.where(x.data >= 0, x.data, neg)
+
+    def bwd(g, needs):
+        if not needs[0]:
+            return (None,)
+        slope = np.where(x.data >= 0, x.data.dtype.type(1.0), out + alpha)
+        return (g * slope,)
+
+    return _emit("elu", (x,), out, bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
-    return activation("tanh", x)
+    """Elementwise hyperbolic tangent."""
+    out = np.tanh(x.data)
+
+    def bwd(g, needs):
+        if not needs[0]:
+            return (None,)
+        return (g * (x.data.dtype.type(1.0) - out * out),)
+
+    return _emit("tanh", (x,), out, bwd)
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -391,10 +380,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * cc if needs[0] else None,)
 
     return _emit("scale", (a,), out, bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -1,8 +1,13 @@
 """Command-line pipeline: synth -> preprocess -> pretrain -> train ->
 generate / translate / evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure (NaN abort).
+Exit codes: 0 success, 1 usage error, 2 data/format error (including a
+model whose input channels do not match the data, e.g. a labelled model
+on unlabelled maps), 3 numerical failure (NaN abort).
+
+Output meshes (``generate``, ``translate``) are in the raw input's units;
+``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
+input units.
 """
 
 from __future__ import annotations
@@ -15,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, generation, io, pipeline
-from .errors import DataFormatError, NonFiniteError, NumericalError
+from .errors import DataFormatError, NonFiniteError, NumericalError, ShapeError
 from .geometry import load_obj, save_obj
 from .model import NetConfig
 from .synthetic import synth_dataset
-from .training import (PairedDataset, TrainConfig, pretrain_discriminator,
-                       reconstruction_l1, train)
+from .training import (TrainConfig, pretrain_discriminator, reconstruction_l1,
+                       train)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,16 +98,17 @@ def cmd_pretrain(args) -> int:
             io.save_checkpoint(out, network, adam=state.adam_d,
                                rng_state=state.rng_state, epoch=epoch)
 
+    net = state = None
     if args.resume:
         net, meta = io.load_checkpoint(args.resume)
         state = io.load_train_state(meta)
-        net, history = pretrain_discriminator(data["train"], ncfg, tcfg,
-                                              network=net, state=state,
-                                              checkpoint_fn=save_ck)
-    else:
-        net, history = pretrain_discriminator(data["train"], ncfg, tcfg,
-                                              checkpoint_fn=save_ck)
-    io.save_checkpoint(out, net)
+    start = state.epoch if state else 0
+    if start >= tcfg.pretrain_epochs:
+        raise DataFormatError(f"nothing to pretrain: already at epoch {start} "
+                              f"of pretrain_epochs={tcfg.pretrain_epochs}")
+    # save_ck writes the final, resumable checkpoint to `out`
+    net, history = pretrain_discriminator(data["train"], ncfg, tcfg, network=net,
+                                          state=state, checkpoint_fn=save_ck)
     io.write_loss_csv(out.with_suffix(".loss.csv"), history, pretrain=True)
     print(f"pretrained {tcfg.pretrain_epochs} epochs, final loss {history[-1]:.6f}")
     return EXIT_OK
@@ -118,7 +124,7 @@ def cmd_train(args) -> int:
 
     pretrained = None
     if args.pretrained:
-        pretrained, _ = io.load_checkpoint(args.pretrained)
+        pretrained = io.load_checkpoint(args.pretrained)[0]
 
     def save_pre(epoch, network, state):
         if tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0:
@@ -157,7 +163,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_gaussian_for(args, net, data_dir):
+def _sample_maps(args, net, data_dir) -> np.ndarray:
+    """Decode ``args.n`` draws from the latent Gaussian of ``args.label``
+    (the first one without a label). The Gaussians come from
+    ``args.gaussian`` when it exists; otherwise they are fitted on the
+    training maps and, with ``args.gaussian`` set, cached there."""
     if args.gaussian and Path(args.gaussian).exists():
         gs = io.load_gaussians(args.gaussian)
     else:
@@ -172,39 +182,34 @@ def _load_gaussian_for(args, net, data_dir):
             gs = [generation.fit_latent_gaussian(Z)]
         if args.gaussian:
             io.save_gaussians(args.gaussian, gs)
-    return gs
+    g = gs[0]
+    if args.label:
+        match = [x for x in gs if x.label == args.label]
+        if not match:
+            raise DataFormatError(f"no gaussian for label {args.label!r}; "
+                                  f"have {[g.label for g in gs]}")
+        g = match[0]
+    zs = generation.sample_latent(g, np.random.default_rng(args.seed), n=args.n)
+    return generation.decode_batch(net, zs)
 
 
 def cmd_generate(args) -> int:
-    net, _ = io.load_checkpoint(args.model)
+    net = io.load_checkpoint(args.model)[0]
     data_dir = Path(args.data)
     meta = pipeline.load_meta(data_dir)
     layout = io.load_layout(data_dir / "layout.uvl")
-    gs = _load_gaussian_for(args, net, data_dir)
-    if args.label:
-        match = [g for g in gs if g.label == args.label]
-        if not match:
-            raise DataFormatError(f"no gaussian for label {args.label!r}")
-        g = match[0]
-    else:
-        g = gs[0]
-    rng = np.random.default_rng(args.seed)
-    zs = generation.sample_latent(g, rng, n=args.n)
-    maps = generation.decode_batch(net, zs)
+    maps = _sample_maps(args, net, data_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scale = meta["scale"]
-    for i in range(args.n):
-        from .geometry import UVMap, sample_mesh_from_uv
-        uvm = UVMap(maps[i], np.ones(maps[i].shape[1:], dtype=bool), filled=True)
-        mesh = sample_mesh_from_uv(uvm, layout, meta["landmarks"])
-        save_obj(out / f"gen_{i:05d}.obj", mesh.with_vertices(mesh.vertices * scale))
+    for i, m in enumerate(maps):
+        save_obj(out / f"gen_{i:05d}.obj",
+                 pipeline.map_to_mesh(m, layout, meta["landmarks"], meta))
     print(f"generated {args.n} meshes in {out}")
     return EXIT_OK
 
 
 def cmd_translate(args) -> int:
-    net, _ = io.load_checkpoint(args.model)
+    net = io.load_checkpoint(args.model)[0]
     data_dir = Path(args.in_dir)
     meta = pipeline.load_meta(data_dir)
     layout = io.load_layout(data_dir / "layout.uvl")
@@ -219,14 +224,12 @@ def cmd_translate(args) -> int:
     use_noisy = bool(meta["noisy"]) and not label_names
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .geometry import UVMap, sample_mesh_from_uv
     for stem in stems:
         key = f"{stem}.noisy" if use_noisy else stem
         uvm = io.load_uvmap(data_dir / "maps" / f"{key}.uvf")
         result = pipeline.translate_map(net, uvm.data, onehot)
-        m2 = UVMap(result, np.ones(result.shape[1:], dtype=bool), filled=True)
-        mesh = sample_mesh_from_uv(m2, layout, meta["landmarks"])
-        save_obj(out / f"{stem}.obj", mesh.with_vertices(mesh.vertices * meta["scale"]))
+        save_obj(out / f"{stem}.obj",
+                 pipeline.map_to_mesh(result, layout, meta["landmarks"], meta))
     print(f"translated {len(stems)} meshes into {out}")
     return EXIT_OK
 
@@ -252,7 +255,7 @@ def cmd_evaluate(args) -> int:
         if args.model == "identity":
             rec = lambda mesh: mesh
         else:
-            net, _ = io.load_checkpoint(args.model)
+            net = io.load_checkpoint(args.model)[0]
             rec = pipeline.gan_reconstructor(net, layout, meta["resolution"], landmarks)
         errs = evaluation.generalization_errors(rec, test_meshes)
         summary, curve = _represent_summary(errs, args, args.seed)
@@ -272,20 +275,18 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     if args.task == "translate":
-        net, _ = io.load_checkpoint(args.model)
+        net = io.load_checkpoint(args.model)[0]
         preds, identities = [], []
         for stem in meta["test"]:
             noisy = io.load_uvmap(data_dir / "maps" / f"{stem}.noisy.uvf")
             result = pipeline.translate_map(net, noisy.data)
-            from .geometry import UVMap, sample_mesh_from_uv
-            m2 = UVMap(result, np.ones(result.shape[1:], dtype=bool), filled=True)
-            preds.append(sample_mesh_from_uv(m2, layout, landmarks))
+            preds.append(pipeline.map_to_mesh(result, layout, landmarks))
             identities.append(load_obj(data_dir / "aligned" / f"{stem}.noisy.obj", landmarks))
-        gts = test_meshes
-        model_rmse = [evaluation.rmse3d_translation(p, g, crop_radius=args.crop_radius)
-                      for p, g in zip(preds, gts)]
-        ident_rmse = [evaluation.rmse3d_translation(p, g, crop_radius=args.crop_radius)
-                      for p, g in zip(identities, gts)]
+        crop = args.crop_radius / meta["scale"]   # input units -> normalised
+        model_rmse = [evaluation.rmse3d_translation(p, g, crop_radius=crop)
+                      for p, g in zip(preds, test_meshes)]
+        ident_rmse = [evaluation.rmse3d_translation(p, g, crop_radius=crop)
+                      for p, g in zip(identities, test_meshes)]
         errs = evaluation.ErrorDistribution(np.asarray(model_rmse))
         curve, auc, fr = evaluation.ced_auc_fr(errs, args.x_max, args.fail_threshold)
         summary = {
@@ -300,19 +301,11 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     # specificity
-    net, _ = io.load_checkpoint(args.model)
-    gs = _load_gaussian_for(args, net, data_dir)
-    g = gs[0] if not args.label else next(x for x in gs if x.label == args.label)
-    rng = np.random.default_rng(args.seed)
-    zs = generation.sample_latent(g, rng, n=args.n)
-    maps = generation.decode_batch(net, zs)
-    from .geometry import UVMap, sample_mesh_from_uv
-
-    def sample_fn(i):
-        uvm = UVMap(maps[i], np.ones(maps[i].shape[1:], dtype=bool), filled=True)
-        return sample_mesh_from_uv(uvm, layout, landmarks)
-
-    mean, std, _ = evaluation.specificity(sample_fn, test_meshes, n_samples=args.n)
+    net = io.load_checkpoint(args.model)[0]
+    maps = _sample_maps(args, net, data_dir)
+    mean, std, _ = evaluation.specificity(
+        lambda i: pipeline.map_to_mesh(maps[i], layout, landmarks), test_meshes,
+        n_samples=args.n)
     summary = {"metric": "specificity", "mean": mean, "std": std,
                "auc": None, "fr": None, "x_max": None, "threshold": None,
                "seed": args.seed, "n": args.n}
@@ -405,10 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except DataFormatError as e:
+    except (FileNotFoundError, DataFormatError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, NonFiniteError) as e:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Mesh, UVLayout, UVMap, sample_mesh_from_uv
 from .model import Network
 from .training import condition_input
 
@@ -66,18 +65,6 @@ def sample_latent(g: LatentGaussian, rng: np.random.Generator, n: int = 1) -> np
     """Draw n latent vectors, returned as columns (N_b, n)."""
     eps = rng.standard_normal((g.factor.shape[1], n))
     return g.mean[:, None] + g.factor @ eps
-
-
-def generate_face(net: Network, z: np.ndarray, layout: UVLayout,
-                  landmarks: dict[str, int] | None = None) -> tuple[UVMap, Mesh]:
-    """Decode one latent vector through bottleneck2 + decoder (skip inputs
-    are zero: no encoder pass exists) and lift the map back to a mesh."""
-    z = np.asarray(z, dtype=np.float32).reshape(-1)
-    if z.shape[0] != net.config.latent_dim:
-        raise ValueError(f"latent must have length {net.config.latent_dim}, got {z.shape[0]}")
-    out = net.decode(z[None, :]).data[0]
-    uvmap = UVMap(out, np.ones(out.shape[1:], dtype=bool), filled=True)
-    return uvmap, sample_mesh_from_uv(uvmap, layout, landmarks)
 
 
 def decode_batch(net: Network, zs: np.ndarray, batch: int = 64) -> np.ndarray:

@@ -1,21 +1,22 @@
-"""Mesh registration, alignment, UV unwrapping and rasterization."""
+"""Mesh alignment, UV unwrapping and rasterization, and rigid ICP.
+
+Every mesh shares one template's topology, so registration is Procrustes
+and GPA on vertex correspondences; no non-rigid fitting is needed.
+"""
 
 from .mesh import (LANDMARK_NAMES, Mesh, load_landmarks, load_obj,
                    save_landmarks, save_obj)
-from .procrustes import (RigidTransform, SimilarityTransform,
+from .procrustes import (RigidTransform, SimilarityTransform, centroid_size,
                          generalized_procrustes, normalize_dataset,
-                         procrustes_align, procrustes_points, scale_meshes)
+                         procrustes_points)
 from .uvmap import (UVLayout, UVMap, cylindrical_unwrap, nearest_fill,
-                    nose_distance_weights, rasterize_uv, sample_mesh_from_uv)
-from .nicp import DEFAULT_STIFFNESS, NicpResult, nicp_fit
-from .icp import icp_point_to_plane, point_to_plane_residual
+                    rasterize_uv, sample_mesh_from_uv)
+from .icp import icp_point_to_plane
 
 __all__ = [
     "LANDMARK_NAMES", "Mesh", "load_landmarks", "load_obj", "save_landmarks",
-    "save_obj", "RigidTransform", "SimilarityTransform",
-    "generalized_procrustes", "normalize_dataset", "procrustes_align",
-    "procrustes_points", "scale_meshes", "UVLayout", "UVMap",
-    "cylindrical_unwrap", "nearest_fill", "nose_distance_weights",
-    "rasterize_uv", "sample_mesh_from_uv", "DEFAULT_STIFFNESS", "NicpResult",
-    "nicp_fit", "icp_point_to_plane", "point_to_plane_residual",
+    "save_obj", "RigidTransform", "SimilarityTransform", "centroid_size",
+    "generalized_procrustes", "normalize_dataset", "procrustes_points",
+    "UVLayout", "UVMap", "cylindrical_unwrap", "nearest_fill", "rasterize_uv",
+    "sample_mesh_from_uv", "icp_point_to_plane",
 ]

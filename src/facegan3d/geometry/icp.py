@@ -56,12 +56,3 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
         u[:, -1] *= -1
         R = u @ vt
     return RigidTransform(R, t)
-
-
-def point_to_plane_residual(source_pts: np.ndarray, target: Mesh) -> float:
-    """RMS point-to-plane distance of points against a target mesh."""
-    normals = target.vertex_normals()
-    tree = cKDTree(target.vertices)
-    _, nn = tree.query(source_pts)
-    d = np.einsum("ij,ij->i", source_pts - target.vertices[nn], normals[nn])
-    return float(np.sqrt(np.mean(d * d)))

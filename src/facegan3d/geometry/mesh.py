@@ -54,13 +54,6 @@ class Mesh:
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def edges(self) -> np.ndarray:
-        """Unique undirected edges, (E, 2) sorted pairs."""
-        f = self.faces
-        e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
-
     def face_normals(self) -> np.ndarray:
         v = self.vertices
         f = self.faces

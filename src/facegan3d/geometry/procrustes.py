@@ -34,10 +34,6 @@ class SimilarityTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * points @ self.rotation.T + self.translation
 
-    @classmethod
-    def identity(cls) -> "SimilarityTransform":
-        return cls(np.eye(3), np.zeros(3), 1.0)
-
 
 @dataclass
 class RigidTransform:
@@ -52,9 +48,10 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rotation.T + self.translation
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
+
+def centroid_size(points: np.ndarray) -> float:
+    """RMS distance of (V, 3) points to their centroid."""
+    return float(np.sqrt(((points - points.mean(axis=0)) ** 2).sum(axis=1).mean()))
 
 
 def procrustes_points(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
@@ -82,16 +79,17 @@ def procrustes_points(source: np.ndarray, target: np.ndarray) -> SimilarityTrans
     return SimilarityTransform(r, t, sc)
 
 
-def procrustes_align(source: Mesh, target: Mesh) -> SimilarityTransform:
-    return procrustes_points(source.vertices, target.vertices)
-
-
 def generalized_procrustes(meshes: list[Mesh], tol: float = 1e-9,
                            max_iter: int = 100) -> tuple[list[Mesh], Mesh]:
     """Iteratively align all meshes to their evolving mean until the mean
     stops moving. The global frame is anchored to the first mesh: the result
     is exactly invariant to similarity transforms of the other inputs, and
     invariant up to a global similarity for the first one.
+
+    The mean is rescaled to the first mesh's centroid size on every
+    iteration (Gower 1975). Without that, each least-squares fit shrinks a
+    shape that does not match the mean exactly, the shrinkage compounds
+    and the mean collapses towards a point.
     """
     if not meshes:
         raise ValueError("generalized_procrustes needs at least one mesh")
@@ -100,10 +98,13 @@ def generalized_procrustes(meshes: list[Mesh], tol: float = 1e-9,
         if m.num_vertices != V:
             raise DataFormatError("meshes do not share a topology")
     ref = meshes[0].vertices
+    size = centroid_size(ref)
     aligned = [m.vertices for m in meshes]
     for _ in range(max_iter):
         aligned = [procrustes_points(m.vertices, ref).apply(m.vertices) for m in meshes]
         mean = np.mean(aligned, axis=0)
+        c = mean.mean(axis=0)
+        mean = c + (mean - c) * (size / centroid_size(mean))
         move = float(np.sqrt(np.mean((mean - ref) ** 2)))
         ref = mean
         if move < tol:
@@ -121,8 +122,3 @@ def normalize_dataset(meshes: list[Mesh]) -> tuple[list[Mesh], float]:
     if factor == 0.0:
         raise ValueError("cannot normalize: max coordinate is zero")
     return [m.with_vertices(m.vertices / factor) for m in meshes], factor
-
-
-def scale_meshes(meshes: list[Mesh], factor: float) -> list[Mesh]:
-    """Apply a known normalization factor (divides coordinates)."""
-    return [m.with_vertices(m.vertices / factor) for m in meshes]

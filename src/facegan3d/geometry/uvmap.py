@@ -9,7 +9,7 @@ map is dense. Pixel (row i, col j) has its center at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -112,13 +112,6 @@ class UVMap:
         if self.valid.shape != self.data.shape[1:]:
             raise DataFormatError("validity mask shape mismatch")
 
-    @property
-    def resolution(self) -> int:
-        return self.data.shape[1]
-
-    def copy(self) -> "UVMap":
-        return UVMap(self.data.copy(), self.valid.copy(), self.filled)
-
 
 def cylindrical_unwrap(template: Mesh) -> UVLayout:
     """Plain cylindrical projection of a face-forward (+z, y up) template:
@@ -215,16 +208,3 @@ def sample_mesh_from_uv(uvmap: UVMap, layout: UVLayout,
         + (fy * (1 - fx))[None] * d[:, y1, x0] \
         + (fy * fx)[None] * d[:, y1, x1]
     return Mesh(vals.T, layout.faces, dict(landmarks or {}))
-
-
-def nose_distance_weights(template: Mesh) -> np.ndarray:
-    """Per-vertex weights proportional to the distance from the nose tip,
-    rescaled so the farthest vertex gets 1 and the tip itself 0."""
-    if "nose-tip" not in template.landmarks:
-        raise ValueError("template is missing the 'nose-tip' landmark")
-    tip = template.vertices[template.landmarks["nose-tip"]]
-    d = np.linalg.norm(template.vertices - tip, axis=1)
-    dmax = d.max()
-    if dmax == 0:
-        raise ValueError("degenerate template: all vertices at the nose tip")
-    return d / dmax

@@ -82,6 +82,17 @@ def _check_magic(fh, magic: bytes, path):
 
 def save_checkpoint(path, net: Network, adam: AdamState | None = None,
                     rng_state: dict | None = None, epoch: int | None = None) -> None:
+    """Atomic: the file is written next to ``path`` and then renamed over
+    it, so an interrupted save leaves the previous checkpoint intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        _write_checkpoint(tmp, net, adam, rng_state, epoch)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_checkpoint(path, net, adam, rng_state, epoch) -> None:
     cfg = net.config
     params = net.params
     flags = (_FLAG_ADAM if adam is not None else 0) \
@@ -175,6 +186,8 @@ def load_checkpoint(path) -> tuple[Network, dict]:
 
 
 def load_train_state(d_meta: dict, g_meta: dict | None = None) -> TrainState:
+    if "epoch" not in d_meta:
+        raise DataFormatError("checkpoint holds no training state to resume from")
     return TrainState(
         epoch=d_meta["epoch"],
         adam_d=d_meta["adam"],

@@ -287,11 +287,6 @@ class Network:
         return ForwardPass(out, z, projected, tape)
 
 
-def build_network(config: NetConfig, rng: np.random.Generator,
-                  dtype=np.float32) -> Network:
-    return Network.build(config, rng, dtype)
-
-
 def clone_generator_from_discriminator(d: Network) -> Network:
     """Deep copy: the clone never aliases the source's parameter storage."""
     return Network(d.config, d.params.clone())

@@ -8,6 +8,11 @@ optional ``<stem>.noisy.obj`` companions (translation inputs) and
 optional ``<stem>.<label>.obj`` targets listed in ``labels.csv``
 (``file,label`` rows). A preprocessed directory holds ``layout.uvl``,
 ``meta.json``, ``maps/*.uvf`` and ``aligned/*.obj``.
+
+Units: maps and ``aligned/*.obj`` are in normalised units, where
+``raw = normalised * meta["scale"] + meta["center"]`` in the GPA frame
+of the first subject, at its size. :func:`map_to_mesh` is the one way
+back from a map to a mesh; given ``meta`` it returns input units.
 """
 
 from __future__ import annotations
@@ -213,14 +218,25 @@ def load_aligned_meshes(data_dir, stems, landmarks: dict[str, int]) -> list[Mesh
     return [load_obj(Path(data_dir) / "aligned" / f"{s}.obj", landmarks) for s in stems]
 
 
+def map_to_mesh(data: np.ndarray, layout: UVLayout, landmarks: dict[str, int],
+                meta: dict | None = None) -> Mesh:
+    """Sample a dense (3, H, W) position map at every template vertex.
+    Vertices stay in normalised units, or with ``meta`` come back in the
+    raw input's units."""
+    uvm = UVMap(data, np.ones(data.shape[1:], dtype=bool), filled=True)
+    mesh = sample_mesh_from_uv(uvm, layout, landmarks)
+    if meta is None:
+        return mesh
+    return mesh.with_vertices(mesh.vertices * meta["scale"] + meta["center"])
+
+
 def gan_reconstructor(net: Network, layout: UVLayout, resolution: int,
                       landmarks: dict[str, int] | None = None):
     """mesh -> rasterize -> autoencode -> sample back to a mesh."""
     def rec(mesh: Mesh) -> Mesh:
         uvm = rasterize_uv(mesh, layout, resolution)
         out = net.forward(uvm.data[None]).output.data[0]
-        m2 = UVMap(out, np.ones(out.shape[1:], dtype=bool), filled=True)
-        return sample_mesh_from_uv(m2, layout, landmarks or mesh.landmarks)
+        return map_to_mesh(out, layout, landmarks or mesh.landmarks)
     return rec
 
 

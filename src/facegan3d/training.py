@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
 from .errors import NonFiniteError, NumericalError, ShapeError
-from .model import (NetConfig, Network, build_network,
-                    clone_generator_from_discriminator, freeze_decoder)
+from .model import (NetConfig, Network, clone_generator_from_discriminator,
+                    freeze_decoder)
 
 
 @dataclass
@@ -143,7 +143,7 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
         raise ValueError("pretraining needs a non-empty dataset")
     rng = np.random.default_rng(config.seed)
     if network is None:
-        network = build_network(net_config, rng)
+        network = Network.build(net_config, rng)
     adam = AdamState() if state is None else state.adam_d
     start = 0
     if state is not None:

@@ -154,3 +154,15 @@ def naive_specificity(generated, test):
         dists.append(best)
     arr = np.asarray(dists)
     return float(arr.mean()), float(arr.std()), arr
+
+
+def point_to_plane_residual(source_pts, target):
+    """RMS distance of points to the tangent planes of their nearest
+    target vertices (brute-force nearest neighbour)."""
+    normals = target.vertex_normals()
+    total = 0.0
+    for p in source_pts:
+        d2 = ((target.vertices - p) ** 2).sum(axis=1)
+        k = int(np.argmin(d2))
+        total += float(np.dot(p - target.vertices[k], normals[k])) ** 2
+    return float(np.sqrt(total / len(source_pts)))

@@ -143,11 +143,6 @@ def test_elu_minus_one_scalar_oracle():
     np.testing.assert_allclose(out.data, [math.exp(-1.0) - 1.0], rtol=1e-15)
 
 
-def test_activation_unknown_kind():
-    with pytest.raises(ValueError):
-        ad.activation("relu", t64([0.0]))
-
-
 # ---------------------------------------------------------------------------
 # fully connected / l1
 

@@ -6,10 +6,10 @@ import pytest
 
 from facegan3d.generation import (LatentGaussian, collect_bottlenecks,
                                   decode_batch, fit_label_gaussians,
-                                  fit_latent_gaussian, generate_face,
-                                  sample_latent)
+                                  fit_latent_gaussian, sample_latent)
 from facegan3d.geometry import cylindrical_unwrap
-from facegan3d.model import NetConfig, build_network
+from facegan3d.model import NetConfig, Network
+from facegan3d.pipeline import map_to_mesh
 from facegan3d.synthetic import make_template
 
 from oracles import naive_covariance
@@ -19,7 +19,7 @@ NCFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
 @pytest.fixture(scope="module")
 def net():
-    return build_network(NCFG, np.random.default_rng(0))
+    return Network.build(NCFG, np.random.default_rng(0))
 
 
 def maps(n, seed=1):
@@ -117,18 +117,17 @@ def test_sample_deterministic_per_seed():
 
 def test_generate_face_outputs_in_tanh_range(net):
     layout = cylindrical_unwrap(make_template(21))
-    # layout vertex count differs from map channels only through sampling;
-    # use a template-consistent layout
-    uvm, mesh = generate_face(net, np.zeros(4, dtype=np.float32), layout)
-    assert uvm.data.shape == (3, 32, 32)
-    assert np.all(uvm.data > -1) and np.all(uvm.data < 1)
+    maps = decode_batch(net, np.zeros((4, 1)))
+    assert maps.shape == (1, 3, 32, 32)
+    assert np.all(maps > -1) and np.all(maps < 1)
+    mesh = map_to_mesh(maps[0], layout, {})
     assert mesh.num_vertices == layout.num_vertices
+    assert np.all(np.abs(mesh.vertices) < 1)
 
 
 def test_generate_wrong_latent_length(net):
-    layout = cylindrical_unwrap(make_template(13))
     with pytest.raises(ValueError):
-        generate_face(net, np.zeros(7, dtype=np.float32), layout)
+        decode_batch(net, np.zeros((7, 1)))
 
 
 def test_generate_deterministic(net):
@@ -136,9 +135,19 @@ def test_generate_deterministic(net):
     g = LatentGaussian(np.zeros(4), 0.3 * np.eye(4))
     z1 = sample_latent(g, np.random.default_rng(5))
     z2 = sample_latent(g, np.random.default_rng(5))
-    _, m1 = generate_face(net, z1[:, 0], layout)
-    _, m2 = generate_face(net, z2[:, 0], layout)
+    m1 = map_to_mesh(decode_batch(net, z1)[0], layout, {})
+    m2 = map_to_mesh(decode_batch(net, z2)[0], layout, {})
     assert m1.vertices.tobytes() == m2.vertices.tobytes()
+
+
+def test_map_to_mesh_input_units(net):
+    layout = cylindrical_unwrap(make_template(13))
+    data = decode_batch(net, np.ones((4, 1)))[0]
+    meta = {"scale": 2.5, "center": [1.0, -2.0, 0.5]}
+    normalised = map_to_mesh(data, layout, {"nose-tip": 3})
+    raw = map_to_mesh(data, layout, {"nose-tip": 3}, meta)
+    np.testing.assert_allclose(raw.vertices, normalised.vertices * 2.5 + [1.0, -2.0, 0.5])
+    assert raw.landmarks == {"nose-tip": 3}
 
 
 def test_decoder_only_path_consistency(net):
@@ -161,7 +170,7 @@ def test_decoder_only_path_consistency(net):
 
 
 def test_label_gaussians_single_label_matches_global():
-    lnet = build_network(NetConfig(32, 2, 4, label_channels=1),
+    lnet = Network.build(NetConfig(32, 2, 4, label_channels=1),
                          np.random.default_rng(30))
     x = maps(6, seed=7)
     labels = np.ones((6, 1), dtype=np.float32)
@@ -186,7 +195,7 @@ def test_label_gaussians_cluster_means():
 
 
 def test_label_gaussians_order_invariant():
-    lnet = build_network(NetConfig(32, 2, 4, label_channels=2),
+    lnet = Network.build(NetConfig(32, 2, 4, label_channels=2),
                          np.random.default_rng(31))
     x = maps(8, seed=9)
     labels = np.zeros((8, 2), dtype=np.float32)
@@ -201,7 +210,7 @@ def test_label_gaussians_order_invariant():
 
 
 def test_label_gaussians_partition_sizes():
-    lnet = build_network(NetConfig(32, 2, 4, label_channels=2),
+    lnet = Network.build(NetConfig(32, 2, 4, label_channels=2),
                          np.random.default_rng(32))
     x = maps(7, seed=11)
     labels = np.zeros((7, 2), dtype=np.float32)
@@ -212,7 +221,7 @@ def test_label_gaussians_partition_sizes():
 
 
 def test_label_gaussians_small_subset_named_in_error():
-    lnet = build_network(NetConfig(32, 2, 4, label_channels=2),
+    lnet = Network.build(NetConfig(32, 2, 4, label_channels=2),
                          np.random.default_rng(33))
     x = maps(3, seed=12)
     labels = np.zeros((3, 2), dtype=np.float32)

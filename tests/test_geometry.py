@@ -1,20 +1,21 @@
 """Geometry tests: Procrustes/GPA, normalization, unwrap, rasterization,
-nearest fill, UV sampling, NICP and point-to-plane ICP."""
+nearest fill, UV sampling and point-to-plane ICP. There is no non-rigid
+registration: every dataset shares the template's topology."""
 
 import numpy as np
 import pytest
 
 from facegan3d.errors import DataFormatError
-from facegan3d.geometry import (Mesh, cylindrical_unwrap, generalized_procrustes,
-                                icp_point_to_plane, load_landmarks, load_obj,
-                                nearest_fill, nicp_fit, normalize_dataset,
-                                nose_distance_weights, point_to_plane_residual,
-                                procrustes_align, procrustes_points,
+from facegan3d.geometry import (Mesh, centroid_size, cylindrical_unwrap,
+                                generalized_procrustes, icp_point_to_plane,
+                                load_landmarks, load_obj, nearest_fill,
+                                normalize_dataset, procrustes_points,
                                 rasterize_uv, sample_mesh_from_uv, save_landmarks,
                                 save_obj, UVLayout, UVMap)
 from facegan3d.synthetic import make_template, synth_dataset
 
-from oracles import naive_nearest_fill_assignment, point_in_triangle
+from oracles import (naive_nearest_fill_assignment, point_in_triangle,
+                     point_to_plane_residual)
 
 
 def rand_rotation(rng):
@@ -53,7 +54,7 @@ def heads():
 
 
 def test_procrustes_identity(template):
-    t = procrustes_align(template, template)
+    t = procrustes_points(template.vertices, template.vertices)
     np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(t.translation, 0, atol=1e-12)
     assert t.scale == pytest.approx(1.0)
@@ -64,7 +65,7 @@ def test_procrustes_recovers_known_similarity(template):
     R = rand_rotation(rng)
     s, tvec = 1.7, np.array([0.3, -2.0, 0.5])
     target = template.with_vertices(s * template.vertices @ R.T + tvec)
-    t = procrustes_align(template, target)
+    t = procrustes_points(template.vertices, target.vertices)
     np.testing.assert_allclose(t.rotation, R, atol=1e-8)
     np.testing.assert_allclose(t.translation, tvec, atol=1e-8)
     assert t.scale == pytest.approx(s, abs=1e-8)
@@ -75,7 +76,7 @@ def test_procrustes_beats_random_transforms(template):
     rng = np.random.default_rng(1)
     noisy = template.vertices + 0.05 * rng.standard_normal(template.vertices.shape)
     target = template.with_vertices(noisy)
-    t = procrustes_align(template, target)
+    t = procrustes_points(template.vertices, target.vertices)
     best = np.sum((t.apply(template.vertices) - target.vertices) ** 2)
     for _ in range(1000):
         R = rand_rotation(rng)
@@ -144,6 +145,19 @@ def test_gpa_anchor_transform_changes_frame_only(heads):
     t = procrustes_points(mean2.vertices, base_mean.vertices)
     for a, b in zip(run2, base_run):
         np.testing.assert_allclose(t.apply(a.vertices), b.vertices, atol=1e-6)
+
+
+def test_gpa_mean_keeps_anchor_size_and_converges():
+    # Without rescaling, every fit shrinks a shape that does not match the
+    # mean exactly and the mean collapses over the iterations.
+    meshes = synth_dataset(12, 5, seed=11, grid=15).subjects
+    aligned, mean = generalized_procrustes(meshes)
+    anchor = centroid_size(meshes[0].vertices)
+    assert centroid_size(mean.vertices) == pytest.approx(anchor, rel=1e-9)
+    short, short_mean = generalized_procrustes(meshes, max_iter=30)
+    np.testing.assert_array_equal(short_mean.vertices, mean.vertices)
+    for a, b in zip(short, aligned):
+        np.testing.assert_array_equal(a.vertices, b.vertices)
 
 
 def test_gpa_empty_input_errors():
@@ -352,68 +366,6 @@ def test_uvmap_values_in_range_after_normalize(heads):
     for m in scaled:
         uvm = rasterize_uv(m, layout, 16)
         assert np.all(uvm.data >= -1.0) and np.all(uvm.data <= 1.0)
-
-
-# ---------------------------------------------------------------------------
-# nose weights
-
-
-def test_nose_weights(template):
-    w = nose_distance_weights(template)
-    tip = template.landmarks["nose-tip"]
-    assert w[tip] == 0.0
-    assert w.max() == pytest.approx(1.0)
-    d = np.linalg.norm(template.vertices - template.vertices[tip], axis=1)
-    order = np.argsort(d)
-    assert np.all(np.diff(w[order]) >= 0)
-
-
-def test_nose_weights_missing_landmark(template):
-    m = Mesh(template.vertices, template.faces, {})
-    with pytest.raises(ValueError, match="nose-tip"):
-        nose_distance_weights(m)
-
-
-# ---------------------------------------------------------------------------
-# nicp
-
-
-def test_nicp_identity_when_scan_equals_template():
-    tpl = make_template(13)
-    res = nicp_fit(tpl, tpl.copy(), stiffness=(10.0, 1.0), inner_iters=3)
-    np.testing.assert_allclose(res.mesh.vertices, tpl.vertices, atol=1e-6)
-
-
-def test_nicp_recovers_smooth_deformation():
-    tpl = make_template(17)
-    v = tpl.vertices
-    bbox = tpl.bbox_diagonal()
-    warp = 0.03 * bbox * np.stack([
-        np.sin(2.1 * v[:, 1]), np.cos(1.7 * v[:, 0]), np.sin(1.3 * v[:, 0] + 1.0)
-    ], axis=1)
-    scan = tpl.with_vertices(v + warp)
-    weights = 1.0 - nose_distance_weights(tpl)
-    res = nicp_fit(tpl, scan, weights=0.5 + 0.5 * weights)
-    err = np.linalg.norm(res.mesh.vertices - scan.vertices, axis=1).mean()
-    assert err < 0.01 * bbox
-
-
-def test_nicp_stage_residuals_non_increasing():
-    tpl = make_template(13)
-    v = tpl.vertices
-    scan = tpl.with_vertices(v + 0.02 * np.stack(
-        [np.sin(3 * v[:, 1]), np.zeros(len(v)), np.cos(2 * v[:, 0])], axis=1))
-    res = nicp_fit(tpl, scan)
-    diffs = np.diff(res.stage_residuals)
-    assert np.all(diffs <= 1e-9)
-
-
-def test_nicp_disconnected_template_errors():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
-                      [5, 5, 5], [6, 5, 5], [5, 6, 5]], dtype=np.float64)
-    faces = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32)
-    with pytest.raises(ValueError, match="disconnected"):
-        nicp_fit(Mesh(verts, faces), Mesh(verts, faces))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from facegan3d import autodiff as ad
 from facegan3d.errors import ShapeError
-from facegan3d.model import (NetConfig, build_network,
+from facegan3d.model import (NetConfig, Network,
                              clone_generator_from_discriminator,
                              expected_parameter_count, freeze_decoder)
 
@@ -14,7 +14,7 @@ CFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
 
 def small_net(seed=0, cfg=CFG):
-    return build_network(cfg, np.random.default_rng(seed))
+    return Network.build(cfg, np.random.default_rng(seed))
 
 
 def test_forward_shape_contract():
@@ -28,7 +28,7 @@ def test_forward_shape_contract():
 @pytest.mark.parametrize("labels", [0, 2])
 def test_forward_shapes_with_labels(labels):
     cfg = NetConfig(resolution=32, base_filters=2, latent_dim=4, label_channels=labels)
-    net = build_network(cfg, np.random.default_rng(0))
+    net = Network.build(cfg, np.random.default_rng(0))
     x = np.zeros((2, 3 + labels, 32, 32), dtype=np.float32)
     assert net.forward(x).output.data.shape == (2, 3, 32, 32)
 
@@ -44,7 +44,7 @@ def test_parameter_count_matches_layer_arithmetic():
 def test_parameter_count_other_config():
     cfg = NetConfig(resolution=64, base_filters=3, latent_dim=5, label_channels=2,
                     skip_levels=(16,))
-    net = build_network(cfg, np.random.default_rng(2))
+    net = Network.build(cfg, np.random.default_rng(2))
     assert net.params.num_parameters() == expected_parameter_count(cfg)
 
 
