@@ -1,12 +1,15 @@
 """Tape-based reverse-mode autodiff over numpy arrays.
 
 The operator set is exactly what the UV autoencoder networks need: 3x3
-stride-1 convolution, 1x1 projection, 2x2 average pooling, nearest
-upsampling, ELU/tanh, fully connected layers, channel concatenation and
-an elementwise-mean L1 loss, plus a handful of scalar glue ops. Forward
-values are plain ndarrays held by :class:`Tensor`; executing an op with
-any input attached to a :class:`Tape` records the op so that
-:func:`backward` can replay the tape in reverse.
+stride-1 convolution (:func:`conv2d`, and :func:`conv_elu`, which runs
+ELU in place on the conv output and folds it into the conv's tape
+record), 1x1 projection, 2x2 average pooling, nearest upsampling,
+ELU/tanh, fully connected layers, channel concatenation and an
+elementwise-mean L1 loss, plus a handful of scalar glue ops. ELU has
+alpha = 1 throughout. Forward values are plain ndarrays held by
+:class:`Tensor`; executing an op with any input attached to a
+:class:`Tape` records the op so that :func:`backward` can replay the tape
+in reverse.
 
 Training runs in float32; gradient checking should build the graph in
 float64 (see :func:`check_gradients`).
@@ -20,8 +23,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
-
-ELU_ALPHA = 1.0
 
 _node_ids = itertools.count()
 
@@ -174,24 +175,36 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 # convolution
 
 
-def _im2col(xp: np.ndarray, H: int, W: int) -> np.ndarray:
-    # xp: (N, C, H+2, W+2) zero-padded input; returns (N, C*9, H*W)
-    N, C = xp.shape[:2]
+def _patches(x: np.ndarray) -> np.ndarray:
+    # (N, C, H, W) -> a (N, C, 3, 3, H, W) view of its zero-padded copy xp,
+    # [n, c, i, j, h, w] = xp[n, c, h + i, w + j]; reshaping it builds im2col
+    N, C, H, W = x.shape
+    xp = np.zeros((N, C, H + 2, W + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
     s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp, (N, C, 3, 3, H, W), (s[0], s[1], s[2], s[3], s[2], s[3])
     )
-    return view.reshape(N, C * 9, H * W)
 
 
 def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W)
+    # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W), as one batched GEMM
+    # over the N-major im2col (N, C1*9, H*W)
     N, C1, H, W = x.shape
-    xp = np.zeros((N, C1, H + 2, W + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = _im2col(xp, H, W)
+    cols = _patches(x).reshape(N, C1 * 9, H * W)
     out = np.matmul(w2, cols)  # (N, C2, H*W)
     return out.reshape(N, w2.shape[0], H, W)
+
+
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # dW = g (C2, N*H*W) @ cols^T with the channel-major im2col
+    # (C1*9, N*H*W), copied once straight from the patch view: only g, with
+    # C2 channels, needs a transpose, not the 9*C1-row im2col.
+    N, C1, H, W = x.shape
+    C2 = g.shape[1]
+    cols = _patches(x).transpose(1, 2, 3, 0, 4, 5).reshape(C1 * 9, N * H * W)
+    gf = g.reshape(N, C2, H * W).transpose(1, 0, 2).reshape(C2, N * H * W)
+    return (gf @ cols.T).reshape(C2, C1, 3, 3)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -206,8 +219,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     C2 = w.data.shape[0]
     if b.data.shape != (C2,):
         raise ShapeError(f"conv2d bias must be ({C2},), got {b.shape}")
-    w2 = w.data.reshape(C2, C1 * 9)
-    out = _conv_raw(x.data, w2)
+    out = _conv_raw(x.data, w.data.reshape(C2, C1 * 9))
     out += b.data[:, None, None]
 
     def bwd(g, needs):
@@ -215,12 +227,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if needs[2]:
             db = g.sum(axis=(0, 2, 3))
         if needs[1]:
-            xp = np.zeros((N, C1, H + 2, W + 2), dtype=x.data.dtype)
-            xp[:, :, 1:-1, 1:-1] = x.data
-            cols = _im2col(xp, H, W)  # (N, C1*9, HW)
-            gf = g.reshape(N, C2, H * W).transpose(1, 0, 2).reshape(C2, N * H * W)
-            cf = cols.transpose(1, 0, 2).reshape(C1 * 9, N * H * W)
-            dw = (gf @ cf.T).reshape(C2, C1, 3, 3)
+            dw = _conv_weight_grad(x.data, g)
         if needs[0]:
             wt = np.ascontiguousarray(
                 w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
@@ -229,6 +236,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return dx, dw, db
 
     return _emit("conv2d", (x, w, b), out, bwd)
+
+
+def conv_elu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``elu(conv2d(x, w, b))`` as one tape record, ``conv_elu``: the ELU
+    runs in place on the conv output, so no pre-activation is kept."""
+    return elu(conv2d(x, w, b), inplace=True)
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -257,14 +270,24 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit("conv1x1", (x, w, b), out, bwd)
 
 
+def _sum2x2(a: np.ndarray) -> np.ndarray:
+    # Sum of each 2x2 cell of (N, C, H, W) from 4 strided views, added
+    # pairwise; for H, W > 2 that is bitwise numpy's order for
+    # ``reshape(N, C, H/2, 2, W/2, 2).sum(axis=(3, 5))``.
+    out = a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]
+    out += a[:, :, 1::2, 0::2] + a[:, :, 1::2, 1::2]
+    return out
+
+
 def avg_pool2(x: Tensor) -> Tensor:
     """2x2 average pooling with stride 2."""
     if x.data.ndim != 4:
         raise ShapeError(f"avg_pool2 input must be rank 4, got shape {x.shape}")
-    N, C, H, W = x.data.shape
+    H, W = x.data.shape[2:]
     if H % 2 or W % 2:
         raise ShapeError(f"avg_pool2 needs even spatial dims, got {H}x{W}")
-    out = x.data.reshape(N, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
+    out = _sum2x2(x.data)
+    out *= x.data.dtype.type(0.25)
 
     def bwd(g, needs):
         if not needs[0]:
@@ -281,31 +304,60 @@ def upsample_nearest2(x: Tensor) -> Tensor:
     """Nearest-neighbor upsampling by 2 in both spatial dims."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample_nearest2 input must be rank 4, got shape {x.shape}")
-    N, C, H, W = x.data.shape
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def bwd(g, needs):
         if not needs[0]:
             return (None,)
-        return (g.reshape(N, C, H, 2, W, 2).sum(axis=(3, 5)),)
+        return (_sum2x2(g),)
 
     return _emit("upsample_nearest2", (x,), out, bwd)
 
 
-def elu(x: Tensor) -> Tensor:
-    """Elementwise ELU with alpha = ``ELU_ALPHA``."""
-    alpha = x.data.dtype.type(ELU_ALPHA)
-    neg = np.expm1(np.minimum(x.data, 0))
-    neg *= alpha
-    out = np.where(x.data >= 0, x.data, neg)
+def _elu_inplace(z: np.ndarray) -> np.ndarray:
+    # ELU with alpha = 1 as max(z, e^z - 1): e^z - 1 >= z everywhere with
+    # equality only at 0, so the max picks z for z >= 0 and e^z - 1 below.
+    np.maximum(z, np.expm1(np.minimum(z, 0)), out=z)
+    return z
 
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        slope = np.where(x.data >= 0, x.data.dtype.type(1.0), out + alpha)
-        return (g * slope,)
 
-    return _emit("elu", (x,), out, bwd)
+def _elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # The slope from the output: out >= 0 iff z >= 0, where the slope is 1,
+    # and for z < 0 the slope e^z equals out + 1. So min(out + 1, 1).
+    slope = out + 1
+    np.minimum(slope, 1, out=slope)
+    slope *= g
+    return slope
+
+
+def elu(x: Tensor, inplace: bool = False) -> Tensor:
+    """Elementwise ELU with alpha = 1.
+
+    With ``inplace`` the ELU overwrites ``x`` and returns it. On a tape,
+    ``x`` must be the output of the last recorded op, a :func:`conv2d`;
+    that record becomes ``conv_elu``, whose backward applies the ELU slope,
+    taken from the output, before the conv's. Off a tape the caller
+    guarantees that nothing else reads ``x``.
+    """
+    if not inplace:
+        out = _elu_inplace(x.data.copy())
+
+        def bwd(g, needs):
+            if not needs[0]:
+                return (None,)
+            return (_elu_grad(out, g),)
+
+        return _emit("elu", (x,), out, bwd)
+    tape = x._tape
+    if tape is not None:
+        rec = tape.records[-1] if tape.records else None
+        if rec is None or rec.output is not x or rec.op != "conv2d":
+            raise ValueError("in-place elu needs the output of the last recorded op, a conv2d")
+        out, conv_bwd = x.data, rec.backward_fn
+        rec.op = "conv_elu"
+        rec.backward_fn = lambda g, needs: conv_bwd(_elu_grad(out, g), needs)
+    _elu_inplace(x.data)   # finite in, finite out: no second guard needed
+    return x
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -7,7 +7,7 @@ on unlabelled maps), 3 numerical failure (NaN abort).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units;
 ``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
-input units.
+input units (by default the whole face is kept).
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _net_config(cfg: dict[str, str], resolution: int, labels: int) -> NetConfig:
@@ -361,7 +368,7 @@ def build_parser() -> _Parser:
     s.add_argument("--data", required=True)
     s.add_argument("--gaussian", default=None)
     s.add_argument("--label", default=None)
-    s.add_argument("--n", type=int, default=16)
+    s.add_argument("--n", type=_positive_int, default=16)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_generate)
@@ -381,10 +388,12 @@ def build_parser() -> _Parser:
                    help="checkpoint path, or 'identity' for the pass-through model")
     s.add_argument("--gaussian", default=None)
     s.add_argument("--label", default=None)
-    s.add_argument("--n", type=int, default=200)
+    s.add_argument("--n", type=_positive_int, default=200)
     s.add_argument("--x-max", type=float, default=0.01)
     s.add_argument("--fail-threshold", type=float, default=0.01)
-    s.add_argument("--crop-radius", type=float, default=150.0)
+    s.add_argument("--crop-radius", type=float, default=np.inf,
+                   help="3DRMSE radius around the nose tip, in input units "
+                        "(default: the whole face)")
     s.add_argument("--pca-k", type=int, default=None)
     s.add_argument("--pca-var", type=float, default=None)
     s.add_argument("--seed", type=int, default=0)

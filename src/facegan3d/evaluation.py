@@ -62,12 +62,12 @@ def ced_auc_fr(errs: ErrorDistribution, x_max: float,
     return curve, auc, fr
 
 
-def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = 150.0,
+def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf,
                        icp_max_iter: int = 50) -> float:
     """Root-mean-square point-to-plane distance between a predicted mesh
     and ground truth, after rigid ICP alignment, restricted to gt vertices
-    within ``crop_radius`` of the nose tip, normalized by the outer-eye
-    (inter-ocular) distance."""
+    within ``crop_radius`` of the nose tip (all of them by default),
+    normalized by the outer-eye (inter-ocular) distance."""
     le = gt.landmark_point("left-eye-outer")
     re = gt.landmark_point("right-eye-outer")
     iod = float(np.linalg.norm(le - re))

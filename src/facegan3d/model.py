@@ -11,7 +11,8 @@ Layout for input resolution H (divisible by 32) and base filter count n:
 * decoder: six deconv blocks (n -> n), the first five each followed by
   nearest upsampling, then a 3x3 conv (n -> 3) + tanh head.
 
-A conv block is two 3x3 convs, each followed by ELU. Encoder features at
+A conv block is two 3x3 convs, each followed by ELU: two ``conv_elu``
+ops, which fuse conv, bias and ELU. Encoder features at
 the configured skip resolutions pass through learned 1x1 projections and
 are added to the matching decoder stage inputs; the projections belong to
 the decoder parameter group, so they freeze together with it.
@@ -208,12 +209,12 @@ class Network:
 
     # -- forward ------------------------------------------------------
 
-    def _conv(self, t, name):
-        return ad.conv2d(t, self.params[f"{name}.w"], self.params[f"{name}.b"])
+    def _conv(self, op, t, name):
+        return op(t, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _block(self, t, name):
-        t = ad.elu(self._conv(t, f"{name}.conv1"))
-        return ad.elu(self._conv(t, f"{name}.conv2"))
+        t = self._conv(ad.conv_elu, t, f"{name}.conv1")
+        return self._conv(ad.conv_elu, t, f"{name}.conv2")
 
     def encode(self, x, tape: Tape | None = None) -> tuple[Tensor, dict[int, Tensor]]:
         """Run the encoder + bottleneck1. Returns (latent, encoder features
@@ -229,7 +230,7 @@ class Network:
             raise ShapeError(
                 f"expected input (N, {cfg.in_channels}, {cfg.resolution}, "
                 f"{cfg.resolution}), got {t.data.shape}")
-        h = ad.elu(self._conv(t, "enc.in"))
+        h = self._conv(ad.conv_elu, t, "enc.in")
         feats: dict[int, Tensor] = {}
         for k in range(1, 6):
             h = self._block(h, f"enc.block{k}")
@@ -262,7 +263,7 @@ class Network:
             h = ad.upsample_nearest2(h)
             level //= 2
         h = self._block(h, "dec.block6")
-        return ad.tanh(self._conv(h, "dec.out")), projected
+        return ad.tanh(self._conv(ad.conv2d, h, "dec.out")), projected
 
     def decode(self, z, tape: Tape | None = None,
                skips: dict[int, Tensor] | None = None) -> Tensor:

@@ -129,6 +129,13 @@ def test_activation_zero_points():
     z = t64(np.zeros((2, 2)))
     assert np.all(ad.elu(z).data == 0)
     assert np.all(ad.tanh(z).data == 0)
+    # ELU maps both signed zeros to +0.0, with slope 1 at each
+    tape = ad.Tape()
+    x = tape.leaf(np.array([0.0, -0.0]), requires_grad=True)
+    out = ad.elu(x)
+    assert out.data.tolist() == [0.0, 0.0] and not np.signbit(out.data).any()
+    ad.backward(tape, ad.sum_all(out))
+    np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 def test_activation_asymptotes():
@@ -141,6 +148,47 @@ def test_activation_asymptotes():
 def test_elu_minus_one_scalar_oracle():
     out = ad.elu(t64([-1.0]))
     np.testing.assert_allclose(out.data, [math.exp(-1.0) - 1.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_elu_is_bitwise_elu_of_conv2d(dtype):
+    # channel 0 has zero weights and bias, so its pre-activations are
+    # exactly 0.0, on the kink; the rest straddle it
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    w[0] = 0.0
+    b[0] = -0.0
+    target = rng.standard_normal((2, 4, 6, 6)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        tape = ad.Tape()
+        xt, wt, bt = (tape.leaf(a, requires_grad=True) for a in (x, w, b))
+        out = ad.conv_elu(xt, wt, bt) if fused else ad.elu(ad.conv2d(xt, wt, bt))
+        ad.backward(tape, ad.l1_mean(out, tape.leaf(target)))
+        results.append([out.data, xt.grad, wt.grad, bt.grad])
+    assert np.all(results[0][0][:, 0] == 0)
+    for fused, plain in zip(*results):
+        assert fused.dtype == plain.dtype == dtype
+        assert fused.tobytes() == plain.tobytes()
+
+
+def test_inplace_elu_only_folds_into_the_last_conv2d():
+    rng = np.random.default_rng(10)
+    tape = ad.Tape()
+    x = tape.leaf(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+    w = tape.leaf(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    b = tape.leaf(np.zeros(2), requires_grad=True)
+    z = ad.conv2d(x, w, b)
+    before = z.data.copy()
+    for bad in (x, ad.tanh(z)):     # a leaf; a conv2d output already consumed
+        with pytest.raises(ValueError, match="in-place elu"):
+            ad.elu(bad, inplace=True)
+    np.testing.assert_array_equal(z.data, before)
+    y = ad.conv2d(x, w, b)
+    assert ad.elu(y, inplace=True) is y
+    assert [rec.op for rec in tape.records] == ["conv2d", "tanh", "conv_elu"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +311,8 @@ def test_forward_is_deterministic():
 # ---------------------------------------------------------------------------
 # per-operator gradient checks (strict elementwise, kink-free inputs)
 
-OPS = ["conv2d", "conv1x1", "avg_pool2", "upsample", "elu", "tanh", "fc",
-       "l1_mean", "add", "scale", "concat"]
+OPS = ["conv2d", "conv_elu", "conv1x1", "avg_pool2", "upsample", "elu", "tanh",
+       "fc", "l1_mean", "add", "scale", "concat"]
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -281,6 +329,9 @@ def test_operator_gradients_match_finite_differences(op, seed):
     if op == "conv2d":
         x, w, b = leaf((1, 2, 4, 4)), leaf((2, 2, 3, 3)), leaf((2,))
         fwd = lambda tp: ad.conv2d(*[_attach(tp, t) for t in (x, w, b)])
+    elif op == "conv_elu":
+        x, w, b = leaf((1, 2, 4, 4)), leaf((2, 2, 3, 3)), leaf((2,))
+        fwd = lambda tp: ad.conv_elu(*[_attach(tp, t) for t in (x, w, b)])
     elif op == "conv1x1":
         x, w, b = leaf((1, 3, 3, 3)), leaf((2, 3)), leaf((2,))
         fwd = lambda tp: ad.conv1x1(*[_attach(tp, t) for t in (x, w, b)])

@@ -2,6 +2,8 @@
 on one synthetic set, resumable pretraining, the exit codes of bad inputs
 and atomic checkpoint writes. They cover cli, io and pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,26 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert io.load_checkpoint(path)[1]["epoch"] == 1
     assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
+
+@pytest.mark.parametrize("command", [("generate",), ("evaluate", "--task", "specificity")])
+def test_n_below_one_is_a_usage_error(work, command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*command, "--model", work / "model.ckpt", "--data", work / "pre",
+            "--n", 0, "--out", work / "n0")
+    assert exit_info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--n" in err and "Traceback" not in err
+    assert not (work / "n0").exists()
+
+
+def test_translate_rmse_default_crop_keeps_whole_face(work, capsys):
+    def mean_rmse(*crop):
+        capsys.readouterr()
+        assert run("evaluate", "--task", "translate", "--data", work / "pre",
+                   "--model", work / "model.ckpt", *crop, "--out", work / "eval_crop") == 0
+        return json.loads(capsys.readouterr().out.splitlines()[-1])["mean"]
+
+    whole = mean_rmse()
+    assert mean_rmse("--crop-radius", 1e9) == whole
+    assert mean_rmse("--crop-radius", 0.05) != whole

@@ -117,6 +117,17 @@ def test_rmse3d_crop_restricts_to_nose_region():
     assert small_crop == pytest.approx(0.0, abs=1e-9)
 
 
+def test_rmse3d_default_keeps_whole_face():
+    tpl = make_template(13)
+    pred = tpl.with_vertices(tpl.vertices + np.random.default_rng(24).normal(
+        0, 0.01, tpl.vertices.shape))
+    d = np.linalg.norm(tpl.vertices - tpl.vertices[tpl.landmarks["nose-tip"]], axis=1)
+    whole = rmse3d_translation(pred, tpl, icp_max_iter=0)
+    assert rmse3d_translation(pred, tpl, crop_radius=1e9, icp_max_iter=0) == whole
+    cropped = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)), icp_max_iter=0)
+    assert cropped != whole
+
+
 def test_rmse3d_normalized_by_interocular():
     tpl = make_template(13)
     pred = tpl.with_vertices(tpl.vertices + tpl.vertex_normals() * 0.01)

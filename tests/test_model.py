@@ -183,6 +183,17 @@ def test_bottleneck_factorization_structural():
     assert fp.output.node_id not in reach_cut
 
 
+def test_forward_records_one_conv_elu_per_conv_block_half():
+    tape = ad.Tape()
+    x = tape.leaf(np.zeros((1, 3, 32, 32), dtype=np.float32))
+    small_net(18).forward(x, tape)
+    ops = [rec.op for rec in tape.records]
+    assert ops.count("conv_elu") == 25
+    assert ops.count("conv2d") == 1
+    assert "elu" not in ops
+    assert len(ops) == 45
+
+
 def test_decode_never_touches_encoder_params():
     net = small_net(15)
     tape = ad.Tape()
