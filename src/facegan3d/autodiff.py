@@ -32,9 +32,9 @@ class Tensor:
     consumed by an op; parameters are the exception and are updated in place
     by the optimizer, which owns them."""
 
-    __slots__ = ("data", "grad", "requires_grad", "frozen", "name", "node_id", "_tape")
+    __slots__ = ("data", "grad", "name", "node_id", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -42,8 +42,6 @@ class Tensor:
             raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self.frozen = False
         self.name = name
         self.node_id = next(_node_ids)
         self._tape: Tape | None = None
@@ -77,22 +75,13 @@ class Tape:
     def __init__(self):
         self.records: list[_Record] = []
         self._produced: set[int] = set()
-        self.watched: list[Tensor] = []
-        self._watched_ids: set[int] = set()
 
-    def leaf(self, data, requires_grad: bool = False, name: str | None = None) -> Tensor:
-        t = data if isinstance(data, Tensor) else Tensor(data, requires_grad, name)
+    def leaf(self, data, name: str | None = None) -> Tensor:
+        t = data if isinstance(data, Tensor) else Tensor(data, name)
         t._tape = self
         return t
 
-    def _note_input(self, t: Tensor):
-        if t.requires_grad and t.node_id not in self._produced and t.node_id not in self._watched_ids:
-            self._watched_ids.add(t.node_id)
-            self.watched.append(t)
-
     def _add(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
-        for t in inputs:
-            self._note_input(t)
         output._tape = self
         self._produced.add(output.node_id)
         self.records.append(_Record(op, inputs, output, backward_fn))
@@ -119,8 +108,6 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out.requires_grad = False
-    out.frozen = False
     out.name = None
     out.node_id = next(_node_ids)
     out._tape = None
@@ -130,25 +117,26 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
-def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-    """Populate gradients of everything reachable from ``loss``.
+def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> None:
+    """Accumulate d loss / d p into ``p.grad`` for each ``p`` in ``params``.
 
-    Walks the tape once, in reverse. Leaves accumulate into ``.grad`` only
-    when ``requires_grad`` is set; intermediate grads are freed as soon as
-    their producing record has been processed. Watched parameters that turn
-    out to be unreachable get explicit zero grads.
+    Walks the tape once, in reverse. Only ``params`` and the tape's own
+    intermediates get gradients, so each op computes only the input
+    gradients in that set; intermediate grads are freed as soon as their
+    record has been processed. Unreachable params get zero grads.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if tape is not loss._tape:
         raise ValueError("loss does not live on this tape")
+    wanted = {p.node_id for p in params}
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
         g = rec.output.grad
         if g is None:
             continue
         needs = tuple(
-            t.requires_grad or tape.is_intermediate(t) for t in rec.inputs
+            t.node_id in wanted or tape.is_intermediate(t) for t in rec.inputs
         )
         gins = rec.backward_fn(g, needs)
         for t, gi in zip(rec.inputs, gins):
@@ -158,11 +146,9 @@ def backward(tape: Tape, loss: Tensor, params: Iterable[Tensor] | None = None) -
                 t.grad = gi
             else:
                 t.grad += gi
-        if tape.is_intermediate(rec.output):
-            rec.output.grad = None
-    targets = tape.watched if params is None else list(params)
-    for p in targets:
-        if p.requires_grad and p.grad is None:
+        rec.output.grad = None
+    for p in params:
+        if p.grad is None:
             p.grad = np.zeros_like(p.data)
 
 
@@ -490,10 +476,9 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update. Frozen parameters are skipped and
-    stay bit-identical; their moment buffers are not advanced either."""
-    live = [p for p in params if not p.frozen]
-    for p in live:
+    """One bias-corrected Adam update of exactly ``params``; tensors left
+    out stay bit-identical and get no moment buffers."""
+    for p in params:
         if p.grad is None:
             raise ValueError(f"adam_step: parameter {p.name or p.node_id} has no grad")
         if not np.all(np.isfinite(p.grad)):
@@ -502,7 +487,7 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for p in live:
+    for p in params:
         g = p.grad
         m = state.m.get(p.node_id)
         if m is None:

@@ -13,6 +13,7 @@ input units (by default the whole face is kept).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,30 +48,35 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _net_config(cfg: dict[str, str], resolution: int, labels: int) -> NetConfig:
-    skips = cfg.get("skip_levels", "16,8").strip()
-    skip_levels = tuple(int(s) for s in skips.split(",") if s) if skips else ()
-    return NetConfig(
-        resolution=resolution,
-        base_filters=int(cfg.get("filters", 16)),
-        latent_dim=int(cfg.get("latent", 16)),
-        label_channels=labels,
-        skip_levels=skip_levels,
-    )
+_TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_NET_KEYS = {"filters": int, "latent": int,
+             "skip_levels": lambda s: tuple(int(v) for v in s.split(",") if v.strip())}
 
 
-def _train_config(cfg: dict[str, str], seed: int | None) -> TrainConfig:
+def _configs(args, data) -> tuple[NetConfig, TrainConfig]:
+    """Net and training settings from ``--config`` (each key cast by its
+    field's type) and ``--seed``. An unknown key or a rejected value is a
+    data error that names it."""
+    cfg = io.load_config_file(args.config) if args.config else {}
+    casts = {**_TRAIN_KEYS, **_NET_KEYS}
+    unknown = sorted(set(cfg) - set(casts))
+    if unknown:
+        raise DataFormatError(f"unknown config key(s): {', '.join(unknown)}")
     kw = {}
-    for key, cast in [("lambda_adv", float), ("lambda_rec", float), ("lr", float),
-                      ("lr_decay", float), ("lr_decay_every", int),
-                      ("lr_decay_mode", str), ("pretrain_batch", int),
-                      ("pretrain_epochs", int), ("batch", int), ("epochs", int),
-                      ("seed", int), ("checkpoint_every", int)]:
-        if key in cfg:
-            kw[key] = cast(cfg[key])
-    if seed is not None:
-        kw["seed"] = seed
-    return TrainConfig(**kw)
+    for key, text in cfg.items():
+        try:
+            kw[key] = casts[key](text)
+        except ValueError as e:
+            raise DataFormatError(f"config key {key}: bad value {text!r}") from e
+    if args.seed is not None:
+        kw["seed"] = args.seed
+    ncfg = NetConfig(resolution=data.resolution, base_filters=kw.pop("filters", 16),
+                     latent_dim=kw.pop("latent", 16), label_channels=data.num_label_channels,
+                     skip_levels=kw.pop("skip_levels", (16, 8)))
+    try:
+        return ncfg, TrainConfig(**kw)
+    except ValueError as e:
+        raise DataFormatError(f"config: {e}") from e
 
 
 def cmd_synth(args) -> int:
@@ -93,9 +99,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_pretrain(args) -> int:
     data = pipeline.load_paired_datasets(args.data)
-    cfg = io.load_config_file(args.config) if args.config else {}
-    tcfg = _train_config(cfg, args.seed)
-    ncfg = _net_config(cfg, data["train"].resolution, data["train"].num_label_channels)
+    ncfg, tcfg = _configs(args, data["train"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -123,9 +127,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     data = pipeline.load_paired_datasets(args.data)
-    cfg = io.load_config_file(args.config) if args.config else {}
-    tcfg = _train_config(cfg, args.seed)
-    ncfg = _net_config(cfg, data["train"].resolution, data["train"].num_label_channels)
+    ncfg, tcfg = _configs(args, data["train"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

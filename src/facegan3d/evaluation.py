@@ -14,7 +14,6 @@ from .geometry import Mesh, icp_point_to_plane
 @dataclass
 class ErrorDistribution:
     values: np.ndarray          # sorted ascending, >= 0
-    normalization: float = 1.0  # constant the raw distances were divided by
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=np.float64).reshape(-1))
@@ -32,17 +31,14 @@ class ErrorDistribution:
 
 
 def generalization_errors(reconstruct: Callable[[Mesh], Mesh],
-                          test_meshes: Iterable[Mesh],
-                          normalization: float = 1.0) -> ErrorDistribution:
+                          test_meshes: Iterable[Mesh]) -> ErrorDistribution:
     """Pool the per-vertex Euclidean distances between every test mesh and
     its reconstruction."""
     pooled = []
     for mesh in test_meshes:
         rec = reconstruct(mesh)
-        d = np.linalg.norm(rec.vertices - mesh.vertices, axis=1) / normalization
-        pooled.append(d)
-    return ErrorDistribution(np.concatenate(pooled) if pooled else np.empty(0),
-                             normalization)
+        pooled.append(np.linalg.norm(rec.vertices - mesh.vertices, axis=1))
+    return ErrorDistribution(np.concatenate(pooled) if pooled else np.empty(0))
 
 
 def ced_auc_fr(errs: ErrorDistribution, x_max: float,

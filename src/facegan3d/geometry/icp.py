@@ -6,7 +6,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .mesh import Mesh
-from .procrustes import RigidTransform
+from .procrustes import SimilarityTransform
 
 
 def _rodrigues(omega: np.ndarray) -> np.ndarray:
@@ -24,10 +24,10 @@ def _rodrigues(omega: np.ndarray) -> np.ndarray:
 
 
 def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
-                       tol: float = 1e-12) -> RigidTransform:
-    """Rigid transform minimizing the point-to-plane error of source
-    vertices against their nearest target vertices (normals from the
-    target's area-weighted vertex normals)."""
+                       tol: float = 1e-12) -> SimilarityTransform:
+    """Rigid transform (a similarity of scale 1) minimizing the
+    point-to-plane error of source vertices against their nearest target
+    vertices (normals from the target's area-weighted vertex normals)."""
     if source.num_vertices < 6:
         raise ValueError(f"need at least 6 correspondences, got {source.num_vertices}")
     tgt = target.vertices
@@ -55,4 +55,4 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
     if np.linalg.det(R) < 0:
         u[:, -1] *= -1
         R = u @ vt
-    return RigidTransform(R, t)
+    return SimilarityTransform(R, t)

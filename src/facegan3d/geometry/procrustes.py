@@ -35,20 +35,6 @@ class SimilarityTransform:
         return self.scale * points @ self.rotation.T + self.translation
 
 
-@dataclass
-class RigidTransform:
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        _check_rotation(self.rotation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
-
-
 def centroid_size(points: np.ndarray) -> float:
     """RMS distance of (V, 3) points to their centroid."""
     return float(np.sqrt(((points - points.mean(axis=0)) ** 2).sum(axis=1).mean()))

@@ -62,7 +62,8 @@ class NetConfig:
 
 class NetParams:
     """Ordered named parameter tensors, partitioned into encoder /
-    bottleneck1 / bottleneck2 / decoder groups with per-group freezing."""
+    bottleneck1 / bottleneck2 / decoder groups with per-group freezing:
+    :meth:`trainable` is the list that backward and Adam act on."""
 
     def __init__(self):
         self._order: list[str] = []
@@ -73,7 +74,6 @@ class NetParams:
     def add(self, name: str, tensor: Tensor, group: str):
         assert group in GROUPS and name not in self._tensors
         tensor.name = name
-        tensor.requires_grad = True
         self._order.append(name)
         self._tensors[name] = tensor
         self._groups[name] = group
@@ -90,9 +90,6 @@ class NetParams:
     def group_of(self, name: str) -> str:
         return self._groups[name]
 
-    def group_tensors(self, group: str) -> list[Tensor]:
-        return [self._tensors[n] for n in self._order if self._groups[n] == group]
-
     @property
     def frozen_groups(self) -> frozenset[str]:
         return frozenset(self._frozen)
@@ -103,16 +100,11 @@ class NetParams:
             self._frozen.add(group)
         else:
             self._frozen.discard(group)
-        for t in self.group_tensors(group):
-            t.frozen = frozen
-            t.requires_grad = not frozen
 
-    def set_requires_grad(self, value: bool):
-        """Toggle grad accumulation for the whole net (frozen groups stay
-        non-accumulating regardless)."""
-        for n in self._order:
-            t = self._tensors[n]
-            t.requires_grad = value and not t.frozen
+    def trainable(self) -> list[Tensor]:
+        """The tensors outside the frozen groups, in order."""
+        return [self._tensors[n] for n in self._order
+                if self._groups[n] not in self._frozen]
 
     def num_parameters(self) -> int:
         return sum(t.data.size for t in self.tensors())
@@ -128,11 +120,8 @@ class NetParams:
     def clone(self) -> "NetParams":
         out = NetParams()
         for n in self._order:
-            src = self._tensors[n]
-            t = Tensor(src.data.copy(), requires_grad=src.requires_grad, name=n)
-            t.frozen = src.frozen
             out._order.append(n)
-            out._tensors[n] = t
+            out._tensors[n] = Tensor(self._tensors[n].data.copy(), name=n)
             out._groups[n] = self._groups[n]
         out._frozen = set(self._frozen)
         return out
@@ -143,7 +132,6 @@ class ForwardPass:
     output: Tensor
     bottleneck: Tensor
     skips: dict[int, Tensor] = field(default_factory=dict)
-    tape: Tape | None = None
 
 
 def _uniform(rng, shape, fan_in, dtype, gain=2.0):
@@ -285,7 +273,7 @@ class Network:
         z, feats = self.encode(x, tape)
         skips = {lv: feats[lv] for lv in self.config.skip_levels}
         out, projected = self._decode_impl(z, skips)
-        return ForwardPass(out, z, projected, tape)
+        return ForwardPass(out, z, projected)
 
 
 def clone_generator_from_discriminator(d: Network) -> Network:
@@ -294,8 +282,9 @@ def clone_generator_from_discriminator(d: Network) -> Network:
 
 
 def freeze_decoder(params: NetParams, frozen: bool = True) -> None:
-    """Flag the decoder group (which includes the tanh head and the skip
-    projections) so the optimizer leaves it bit-identical."""
+    """Freeze the decoder group (which includes the tanh head and the skip
+    projections): it leaves :meth:`NetParams.trainable`, so the optimizer
+    leaves it bit-identical."""
     params.set_frozen("decoder", frozen)
 
 

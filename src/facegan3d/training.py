@@ -9,7 +9,8 @@ batch. With L(v) = ||v - D(v)||_1 (elementwise mean):
     L_G = E[L(G(x))] + lambda_rec * E||G(x) - y||_1
 
 During the D update the generator output is detached; during the G update
-the gradient flows through all of D but D's parameters do not accumulate.
+the gradient flows through all of D but D's parameters are not in the G
+update's list (each update trains its net's ``params.trainable()``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class TrainConfig:
     lr: float = 5e-5
     lr_decay: float = 0.95          # 5% every `lr_decay_every` epochs
     lr_decay_every: int = 30
-    lr_decay_mode: str = "multiplicative"   # or "additive"
     pretrain_batch: int = 32
     pretrain_epochs: int = 300
     batch: int = 16
@@ -41,22 +41,17 @@ class TrainConfig:
     checkpoint_every: int = 0       # 0 = only final
 
     def __post_init__(self):
-        if self.lambda_adv < 0 or self.lambda_rec < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.batch < 1 or self.pretrain_batch < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.lr_decay_mode not in ("multiplicative", "additive"):
-            raise ValueError(f"unknown lr decay mode {self.lr_decay_mode!r}")
+        for name, low in (("lambda_adv", 0), ("lambda_rec", 0), ("lr", 0), ("lr_decay", 0),
+                          ("batch", 1), ("pretrain_batch", 1), ("lr_decay_every", 1)):
+            if not getattr(self, name) >= low:   # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
     """Learning rate for a 1-based epoch within a phase."""
     if epoch < 1:
         raise ValueError("epochs are 1-based")
-    steps = (epoch - 1) // config.lr_decay_every
-    if config.lr_decay_mode == "multiplicative":
-        return config.lr * config.lr_decay ** steps
-    return config.lr * max(0.0, 1.0 - (1.0 - config.lr_decay) * steps)
+    return config.lr * config.lr_decay ** ((epoch - 1) // config.lr_decay_every)
 
 
 @dataclass
@@ -149,7 +144,7 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
     if state is not None:
         rng.bit_generator.state = state.rng_state
         start = state.epoch
-    params = network.params.tensors()
+    params = network.params.trainable()
     history: list[float] = []
     n = len(dataset)
     for epoch in range(start + 1, config.pretrain_epochs + 1):
@@ -189,8 +184,8 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     recomputing the loss formulas outside the engine.
     """
     x, y, labels = batch
-    d_params = d_net.params.tensors()
-    g_params = g_net.params.tensors()
+    d_params = d_net.params.trainable()
+    g_params = g_net.params.trainable()
 
     # generator forward (kept on its tape for the G update)
     tape = Tape()
@@ -208,13 +203,13 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
         loss_fake_pre = ad.l1_mean(tape_d.leaf(gx_const), dgx_fp.output)
         l_d = ad.add(loss_real, ad.scale(loss_fake_pre, -config.lambda_adv))
         ad.zero_grad(d_params)
-        ad.zero_grad(g_params)
         ad.backward(tape_d, l_d, params=d_params)
         ad.adam_step(d_params, adam_d, lr)
-        ad.zero_grad(d_params)  # leaves the G update's isolation observable
+        # all of D, frozen decoder too, so the G update's isolation shows
+        ad.zero_grad(d_net.params.tensors())
 
-        # ---- G update: gradient flows through the updated D, but D's
-        # parameters are held constant for this step
+        # ---- G update: gradient flows through the updated D, whose
+        # parameters are not in the list and so stay constant for this step
         if labels is not None:
             lplanes = np.broadcast_to(
                 labels[:, :, None, None].astype(np.float32),
@@ -222,17 +217,13 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
             gx_in = ad.concat_channels(gx, tape.leaf(lplanes))
         else:
             gx_in = gx
-        d_net.params.set_requires_grad(False)
-        try:
-            dgx_fp2 = d_net.forward(gx_in, tape)
-            loss_adv = ad.l1_mean(gx, dgx_fp2.output)
-            loss_rec = ad.l1_mean(gx, tape.leaf(y))
-            l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
-            ad.zero_grad(g_params)
-            ad.backward(tape, l_g, params=g_params)
-            ad.adam_step(g_params, adam_g, lr)
-        finally:
-            d_net.params.set_requires_grad(True)
+        dgx_fp2 = d_net.forward(gx_in, tape)
+        loss_adv = ad.l1_mean(gx, dgx_fp2.output)
+        loss_rec = ad.l1_mean(gx, tape.leaf(y))
+        l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
+        ad.zero_grad(g_params)
+        ad.backward(tape, l_g, params=g_params)
+        ad.adam_step(g_params, adam_g, lr)
     except NonFiniteError as e:
         raise NumericalError(str(e)) from e
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from facegan3d import autodiff as ad
 from facegan3d.errors import NonFiniteError, ShapeError
+from facegan3d.model import NetParams
 
 from oracles import (naive_avg_pool2, naive_conv2d, naive_l1_mean,
                      naive_matmul_affine, naive_upsample2, reference_adam)
@@ -131,10 +132,10 @@ def test_activation_zero_points():
     assert np.all(ad.tanh(z).data == 0)
     # ELU maps both signed zeros to +0.0, with slope 1 at each
     tape = ad.Tape()
-    x = tape.leaf(np.array([0.0, -0.0]), requires_grad=True)
+    x = tape.leaf(np.array([0.0, -0.0]))
     out = ad.elu(x)
     assert out.data.tolist() == [0.0, 0.0] and not np.signbit(out.data).any()
-    ad.backward(tape, ad.sum_all(out))
+    ad.backward(tape, ad.sum_all(out), params=[x])
     np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
@@ -164,9 +165,9 @@ def test_conv_elu_is_bitwise_elu_of_conv2d(dtype):
     results = []
     for fused in (True, False):
         tape = ad.Tape()
-        xt, wt, bt = (tape.leaf(a, requires_grad=True) for a in (x, w, b))
+        xt, wt, bt = (tape.leaf(a) for a in (x, w, b))
         out = ad.conv_elu(xt, wt, bt) if fused else ad.elu(ad.conv2d(xt, wt, bt))
-        ad.backward(tape, ad.l1_mean(out, tape.leaf(target)))
+        ad.backward(tape, ad.l1_mean(out, tape.leaf(target)), params=[xt, wt, bt])
         results.append([out.data, xt.grad, wt.grad, bt.grad])
     assert np.all(results[0][0][:, 0] == 0)
     for fused, plain in zip(*results):
@@ -177,9 +178,9 @@ def test_conv_elu_is_bitwise_elu_of_conv2d(dtype):
 def test_inplace_elu_only_folds_into_the_last_conv2d():
     rng = np.random.default_rng(10)
     tape = ad.Tape()
-    x = tape.leaf(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-    w = tape.leaf(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
-    b = tape.leaf(np.zeros(2), requires_grad=True)
+    x = tape.leaf(rng.standard_normal((1, 2, 4, 4)))
+    w = tape.leaf(rng.standard_normal((2, 2, 3, 3)))
+    b = tape.leaf(np.zeros(2))
     z = ad.conv2d(x, w, b)
     before = z.data.copy()
     for bad in (x, ad.tanh(z)):     # a leaf; a conv2d output already consumed
@@ -247,16 +248,16 @@ def test_l1_mean_shape_mismatch():
 
 def test_backward_sum_gives_ones():
     tape = ad.Tape()
-    x = tape.leaf(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
+    x = tape.leaf(np.arange(6, dtype=np.float64).reshape(2, 3))
     loss = ad.sum_all(x)
-    ad.backward(tape, loss)
+    ad.backward(tape, loss, params=[x])
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_unused_param_gets_zero_grad():
     tape = ad.Tape()
-    x = tape.leaf(np.ones(3), requires_grad=True)
-    p = ad.Tensor(np.ones(4), requires_grad=True)
+    x = tape.leaf(np.ones(3))
+    p = ad.Tensor(np.ones(4))
     loss = ad.sum_all(x)
     ad.backward(tape, loss, params=[x, p])
     np.testing.assert_array_equal(p.grad, np.zeros(4))
@@ -264,19 +265,19 @@ def test_backward_unused_param_gets_zero_grad():
 
 def test_backward_rejects_non_scalar_loss():
     tape = ad.Tape()
-    x = tape.leaf(np.ones(3), requires_grad=True)
+    x = tape.leaf(np.ones(3))
     y = ad.scale(x, 2.0)
     with pytest.raises(ShapeError):
-        ad.backward(tape, y)
+        ad.backward(tape, y, params=[x])
 
 
 def test_tape_is_topologically_ordered():
     tape = ad.Tape()
-    x = tape.leaf(np.ones((1, 1, 2, 2)), requires_grad=True)
+    x = tape.leaf(np.ones((1, 1, 2, 2)))
     y = ad.upsample_nearest2(x)
     z = ad.avg_pool2(y)
     loss = ad.sum_all(z)
-    ad.backward(tape, loss)
+    ad.backward(tape, loss, params=[x])
     seen = set()
     for rec in tape.records:
         for t in rec.inputs:
@@ -322,7 +323,7 @@ def test_operator_gradients_match_finite_differences(op, seed):
     params = []
 
     def leaf(shape, low=0.1, high=1.0):
-        t = ad.Tensor(rand_away_from_zero(rng, shape, low, high), requires_grad=True)
+        t = ad.Tensor(rand_away_from_zero(rng, shape, low, high))
         params.append(t)
         return t
 
@@ -353,8 +354,7 @@ def test_operator_gradients_match_finite_differences(op, seed):
     elif op == "l1_mean":
         a = leaf((2, 5))
         # keep |a - b| >= 0.2 so no sign kink sits inside the FD window
-        b = ad.Tensor(a.data + rand_away_from_zero(rng, (2, 5), 0.2, 1.0),
-                      requires_grad=True)
+        b = ad.Tensor(a.data + rand_away_from_zero(rng, (2, 5), 0.2, 1.0))
         params.append(b)
         fwd = lambda tp: ad.l1_mean(_attach(tp, a), _attach(tp, b))
     elif op == "add":
@@ -387,10 +387,10 @@ def test_composite_net_gradients():
     # conv -> ELU -> pool -> FC chain against central differences
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 2, 4, 4))
-    w1 = ad.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
-    b1 = ad.Tensor(rng.standard_normal(3) * 0.5, requires_grad=True)
-    w2 = ad.Tensor(rng.standard_normal((2, 12)) * 0.5, requires_grad=True)
-    b2 = ad.Tensor(rng.standard_normal(2) * 0.5, requires_grad=True)
+    w1 = ad.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
+    b1 = ad.Tensor(rng.standard_normal(3) * 0.5)
+    w2 = ad.Tensor(rng.standard_normal((2, 12)) * 0.5)
+    b2 = ad.Tensor(rng.standard_normal(2) * 0.5)
     params = [w1, b1, w2, b2]
 
     def build():
@@ -409,7 +409,7 @@ def test_composite_net_gradients():
 
 
 def test_adam_zero_grad_leaves_params():
-    p = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    p = ad.Tensor(np.array([1.0, 2.0], dtype=np.float32))
     p.grad = np.zeros(2, dtype=np.float32)
     before = p.data.copy()
     ad.adam_step([p], ad.AdamState(), 0.1)
@@ -418,7 +418,7 @@ def test_adam_zero_grad_leaves_params():
 
 def test_adam_first_step_magnitude_and_direction():
     for g in (0.5, -2.0):
-        p = ad.Tensor(np.array([0.0]), requires_grad=True)
+        p = ad.Tensor(np.array([0.0]))
         p.grad = np.array([g])
         ad.adam_step([p], ad.AdamState(), lr=0.01)
         # bias-corrected first step has magnitude ~ lr, direction -sign(g)
@@ -428,7 +428,7 @@ def test_adam_first_step_magnitude_and_direction():
 def test_adam_three_step_trajectory_matches_reference():
     grads = [0.7, -0.3, 1.1]
     expect = reference_adam(grads, lr=0.05)
-    p = ad.Tensor(np.array([0.0]), requires_grad=True)
+    p = ad.Tensor(np.array([0.0]))
     state = ad.AdamState()
     got = []
     for g in grads:
@@ -439,21 +439,27 @@ def test_adam_three_step_trajectory_matches_reference():
 
 
 def test_adam_missing_grad_errors():
-    p = ad.Tensor(np.ones(2), requires_grad=True)
+    p = ad.Tensor(np.ones(2))
     with pytest.raises(ValueError, match="no grad"):
         ad.adam_step([p], ad.AdamState(), 0.1)
 
 
 def test_adam_freeze_flag_bit_identical():
+    # a frozen group leaves NetParams.trainable(), so Adam never sees it,
+    # even with a grad set on every tensor
     rng = np.random.default_rng(8)
-    frozen = ad.Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
-    frozen.frozen = True
-    live = ad.Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+    params = NetParams()
+    params.add("dec.w", ad.Tensor(rng.standard_normal(5).astype(np.float32)), "decoder")
+    params.add("enc.w", ad.Tensor(rng.standard_normal(5).astype(np.float32)), "encoder")
+    params.set_frozen("decoder", True)
+    frozen, live = params["dec.w"], params["enc.w"]
     before = frozen.data.tobytes()
     state = ad.AdamState()
     for _ in range(7):
-        frozen.grad = rng.standard_normal(5).astype(np.float32)
-        live.grad = rng.standard_normal(5).astype(np.float32)
-        ad.adam_step([frozen, live], state, 1e-2)
+        for p in params.tensors():
+            p.grad = rng.standard_normal(5).astype(np.float32)
+        ad.adam_step(params.trainable(), state, 1e-2)
+    assert params.trainable() == [live]
     assert frozen.data.tobytes() == before
     assert live.data.tobytes() != before
+    assert frozen.node_id not in state.m

@@ -157,3 +157,25 @@ def test_translate_rmse_default_crop_keeps_whole_face(work, capsys):
     whole = mean_rmse()
     assert mean_rmse("--crop-radius", 1e9) == whole
     assert mean_rmse("--crop-radius", 0.05) != whole
+
+
+@pytest.mark.parametrize("line", ["pretrain_epoch = 7", "lr_decay_mode = additive"])
+def test_unknown_config_key_exits_data_error(work, line, capsys):
+    cfg = work / "typo.cfg"
+    cfg.write_text(CONFIG.format(1) + line + "\n")
+    assert run("pretrain", "--data", work / "pre", "--config", cfg,
+               "--out", work / "typo" / "model.ckpt") == cli.EXIT_DATA
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (work / "typo").exists()
+
+
+@pytest.mark.parametrize("line", ["lr = abc", "lr = -1", "lr = nan", "batch = 0",
+                                  "lr_decay_every = 1.5", "lr_decay_every = 0",
+                                  "filters = two"])
+def test_bad_config_value_exits_data_error(work, line, capsys):
+    cfg = work / "bad.cfg"
+    cfg.write_text(CONFIG.format(1) + line + "\n")
+    assert run("train", "--data", work / "pre", "--config", cfg,
+               "--out", work / "bad") == cli.EXIT_DATA
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (work / "bad").exists()

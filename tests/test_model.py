@@ -105,7 +105,7 @@ def _one_step(net, x, lr=1e-3, state=None):
     tape = ad.Tape()
     fp = net.forward(tape.leaf(x), tape)
     loss = ad.l1_mean(tape.leaf(x), fp.output)
-    params = net.params.tensors()
+    params = net.params.trainable()
     ad.zero_grad(params)
     ad.backward(tape, loss, params=params)
     ad.adam_step(params, state or ad.AdamState(), lr)
@@ -137,8 +137,9 @@ def test_unfreeze_restores_updates():
 def test_skip_projections_freeze_with_decoder():
     net = small_net(12)
     freeze_decoder(net.params)
+    trainable = {t.name for t in net.params.trainable()}
     for lv in net.config.skip_levels:
-        assert net.params[f"skip{lv}.w"].frozen
+        assert f"skip{lv}.w" not in trainable and f"skip{lv}.b" not in trainable
         assert net.params.group_of(f"skip{lv}.w") == "decoder"
 
 

@@ -68,13 +68,6 @@ def test_lr_schedule_multiplicative():
     assert lr_at(300, cfg) == pytest.approx(5e-5 * 0.95 ** 9)
 
 
-def test_lr_schedule_additive_variant():
-    cfg = TrainConfig(lr=1e-3, lr_decay_mode="additive")
-    assert lr_at(31, cfg) == pytest.approx(1e-3 * 0.95)
-    assert lr_at(61, cfg) == pytest.approx(1e-3 * 0.90)
-    assert lr_at(100000, cfg) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # pretraining
 
@@ -146,7 +139,7 @@ def test_step_with_zero_lambda_adv_is_pure_autoencoder_update():
     tape = ad.Tape()
     fp = ref.forward(tape.leaf(ds.y[:2]), tape)
     loss = ad.l1_mean(tape.leaf(ds.y[:2]), fp.output)
-    params = ref.params.tensors()
+    params = ref.params.trainable()
     ad.zero_grad(params)
     ad.backward(tape, loss, params=params)
     ad.adam_step(params, ad.AdamState(), 1e-3)
@@ -190,10 +183,28 @@ def test_gradient_isolation():
     for p in d_net.params.tensors():
         assert p.grad is None or not p.grad.any()
     # and the D update ran on a tape G is not part of: G's grads all come
-    # from the G update (non-frozen groups populated, frozen ones skipped)
+    # from the G update (trainable groups populated, frozen ones skipped)
+    trainable = {p.node_id for p in g_net.params.trainable()}
     for p in g_net.params.tensors():
-        if not p.frozen:
-            assert p.grad is not None
+        assert (p.grad is not None) == (p.node_id in trainable)
+
+
+def test_step_computes_weight_grads_only_for_trainable_params(monkeypatch):
+    # D update: 13 encoder convs for each of D's two forwards; G update: 13
+    # for G's encoder. None for the frozen decoders, none for D in the G
+    # update; with no freezing and no isolation the count would be 104.
+    ds, d_net, g_net, cfg = _pair()
+    calls = []
+    weight_grad = ad._conv_weight_grad
+
+    def counted(x, g):
+        calls.append(x.shape)
+        return weight_grad(x, g)
+
+    monkeypatch.setattr(ad, "_conv_weight_grad", counted)
+    adversarial_step((ds.x[:2], ds.y[:2], None), d_net, g_net,
+                     ad.AdamState(), ad.AdamState(), 1e-3, cfg)
+    assert len(calls) == 3 * 13
 
 
 def test_decoders_bit_identical_through_training():
