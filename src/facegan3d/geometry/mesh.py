@@ -6,6 +6,7 @@ refers to the same anatomical point on all of them.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -77,41 +78,84 @@ class Mesh:
 
 
 def save_obj(path: str | os.PathLike, mesh: Mesh) -> None:
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.10g} {v[1]:.10g} {v[2]:.10g}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    """Write ``v x y z`` lines (each coordinate ``%.10g``), then ``f a b c``
+    lines with 1-based vertex indices, one per line, each ending in a
+    newline. Nothing else: no comments, normals or texture coordinates."""
+    v = "v %.10g %.10g %.10g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist())
+    f = "f %d %d %d\n" * len(mesh.faces) % tuple((mesh.faces + 1).ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(v)
+        fh.write(f)
 
 
 def load_obj(path: str | os.PathLike, landmarks: dict[str, int] | None = None) -> Mesh:
-    verts = []
-    faces = []
+    """Read the vertices and triangles of an OBJ file; other records (``#``
+    comments, ``vt``, ``vn``, ...) are skipped and ``a/b/c`` face indices keep
+    their vertex index. A file in the subset ``save_obj`` writes is parsed by
+    numpy in one pass: at least one ``v `` line, every line a ``v `` line up
+    to the first ``f `` line and an ``f `` line after it, each face exactly
+    three plain integer indices in range. Every other file goes through the
+    line loop, which alone raises the line-numbered ``DataFormatError``s."""
     try:
         fh = open(path)
     except FileNotFoundError:
         raise FileNotFoundError(f"OBJ file not found: {path}")
     with fh:
-        for ln, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise DataFormatError(f"{path}:{ln}: malformed vertex line")
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise DataFormatError(f"{path}:{ln}: only triangle faces supported")
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                faces.append(idx)
+        text = fh.read()
+    arrays = _parse_regular_obj(text)
+    verts, faces = arrays if arrays is not None else _parse_obj_lines(path, text)
+    return Mesh(verts, faces, dict(landmarks or {}))
+
+
+# a face line is the tag plus exactly three indices: with this dtype loadtxt
+# itself rejects any other token count, where ``usecols`` would drop a quad's
+# fourth index without a word
+_FACE_ROW = np.dtype([("tag", "U1"), ("idx", np.int64, (3,))])
+
+
+def _parse_regular_obj(text: str):
+    """(vertices, 0-based faces) of a file in the ``save_obj`` subset, or
+    None when the file is anything else."""
+    cut = text.find("\nf ")
+    vblock, fblock = (text, "") if cut < 0 else (text[:cut + 1], text[cut + 1:])
+    # every line of the vertex block starts with "v ", every line after it with "f "
+    regular = (vblock.startswith("v ")
+               and vblock.count("\n") == vblock.count("\nv ") + vblock.endswith("\n")
+               and fblock.count("\n") == fblock.count("\nf ") + fblock.endswith("\n"))
+    if not regular:
+        return None
+    try:
+        verts = np.loadtxt(io.StringIO(vblock), dtype=np.float64, usecols=(1, 2, 3),
+                           comments=None, ndmin=2)
+        faces = (np.loadtxt(io.StringIO(fblock), dtype=_FACE_ROW, comments=None,
+                            ndmin=1)["idx"] if fblock else np.empty((0, 3), np.int64))
+    except ValueError:
+        return None
+    if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
+        return None  # the line loop reports it as it always has
+    return verts, faces - 1
+
+
+def _parse_obj_lines(path, text: str):
+    verts = []
+    faces = []
+    for ln, line in enumerate(text.split("\n"), 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise DataFormatError(f"{path}:{ln}: malformed vertex line")
+            verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+        elif parts[0] == "f":
+            if len(parts) != 4:
+                raise DataFormatError(f"{path}:{ln}: only triangle faces supported")
+            idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+            faces.append(idx)
     if not verts:
         raise DataFormatError(f"{path}: no vertices")
-    return Mesh(np.array(verts, dtype=np.float64),
-                np.array(faces, dtype=np.int32).reshape(-1, 3),
-                dict(landmarks or {}))
+    return (np.array(verts, dtype=np.float64),
+            np.array(faces, dtype=np.int32).reshape(-1, 3))
 
 
 def save_landmarks(path: str | os.PathLike, landmarks: dict[str, int]) -> None:

@@ -27,7 +27,7 @@ class UVLayout:
         self.faces = np.asarray(faces, dtype=np.int32)
         if self.uv.ndim != 2 or self.uv.shape[1] != 2:
             raise DataFormatError(f"uv must be (V, 2), got {self.uv.shape}")
-        if np.any(self.uv < -1e-12) or np.any(self.uv > 1 + 1e-12):
+        if not np.all((self.uv >= -1e-12) & (self.uv <= 1 + 1e-12)):  # NaN too
             raise DataFormatError("uv coordinates outside [0, 1]^2")
         uniq = np.unique(self.uv, axis=0)
         if len(uniq) != len(self.uv):
@@ -57,41 +57,54 @@ def _duplicate_rows(arr: np.ndarray) -> list[int]:
     return sorted(set(dups))
 
 
+# candidate pixels rasterized at once: bounds the transient arrays
+_RASTER_CHUNK = 1 << 11
+
+
 def _rasterize_layout(uv: np.ndarray, faces: np.ndarray, res: int):
+    """(tri, bary) of a layout at res x res. A pixel center belongs to a face
+    when each of its three barycentric weights is >= -1e-12; where faces
+    overlap, the lowest face index wins the pixel. A face whose bounding box
+    holds no pixel center, or whose doubled area in pixels is below 1e-15,
+    covers nothing."""
     H = W = res
-    tri = np.full((H, W), -1, dtype=np.int32)
-    bary = np.zeros((H, W, 3), dtype=np.float64)
-    # vertex uv in pixel-center coordinates
-    px = uv[:, 0] * W - 0.5
-    py = uv[:, 1] * H - 0.5
-    for fi, f in enumerate(faces):
-        xs = px[f]
-        ys = py[f]
-        x0 = max(int(np.ceil(xs.min())), 0)
-        x1 = min(int(np.floor(xs.max())), W - 1)
-        y0 = max(int(np.ceil(ys.min())), 0)
-        y1 = min(int(np.floor(ys.max())), H - 1)
-        if x0 > x1 or y0 > y1:
-            continue
-        denom = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
-        if abs(denom) < 1e-15:
-            continue
-        gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-        w0 = ((ys[1] - ys[2]) * (gx - xs[2]) + (xs[2] - xs[1]) * (gy - ys[2])) / denom
-        w1 = ((ys[2] - ys[0]) * (gx - xs[2]) + (xs[0] - xs[2]) * (gy - ys[2])) / denom
-        w2 = 1.0 - w0 - w1
-        inside = (w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
-        free = tri[y0:y1 + 1, x0:x1 + 1] == -1
-        put = inside & free
-        if not put.any():
-            continue
-        sub = tri[y0:y1 + 1, x0:x1 + 1]
-        sub[put] = fi
-        bsub = bary[y0:y1 + 1, x0:x1 + 1]
-        bsub[put, 0] = w0[put]
-        bsub[put, 1] = w1[put]
-        bsub[put, 2] = w2[put]
-    return tri, bary
+    tri = np.full(H * W, -1, dtype=np.int32)
+    bary = np.zeros((H * W, 3), dtype=np.float64)
+    # vertex uv in pixel-center coordinates, per face corner
+    xs = (uv[:, 0] * W - 0.5)[faces]
+    ys = (uv[:, 1] * H - 0.5)[faces]
+    x0 = np.maximum(np.ceil(xs.min(axis=1)), 0).astype(np.int64)
+    x1 = np.minimum(np.floor(xs.max(axis=1)), W - 1).astype(np.int64)
+    y0 = np.maximum(np.ceil(ys.min(axis=1)), 0).astype(np.int64)
+    y1 = np.minimum(np.floor(ys.max(axis=1)), H - 1).astype(np.int64)
+    denom = (ys[:, 1] - ys[:, 2]) * (xs[:, 0] - xs[:, 2]) \
+        + (xs[:, 2] - xs[:, 1]) * (ys[:, 0] - ys[:, 2])
+    keep = np.flatnonzero((x0 <= x1) & (y0 <= y1) & (np.abs(denom) >= 1e-15))
+    nx = x1[keep] - x0[keep] + 1
+    count = nx * (y1[keep] - y0[keep] + 1)          # bounding-box pixels per face
+    start = np.cumsum(count) - count                 # first candidate of each face
+    lo = 0
+    while lo < len(keep):
+        hi = int(np.searchsorted(start, start[lo] + _RASTER_CHUNK))
+        # one candidate per (face, bounding-box pixel), faces in index order
+        k = np.repeat(np.arange(lo, hi), count[lo:hi])
+        off = np.arange(len(k)) + start[lo] - start[k]
+        fi = keep[k]
+        gx = x0[fi] + off % nx[k]
+        gy = y0[fi] + off // nx[k]
+        (xa, xb, xc), (ya, yb, yc), d = xs[fi].T, ys[fi].T, denom[fi]
+        w0 = ((yb - yc) * (gx - xc) + (xc - xb) * (gy - yc)) / d
+        w1 = ((yc - ya) * (gx - xc) + (xa - xc) * (gy - yc)) / d
+        w = np.stack([w0, w1, 1.0 - w0 - w1], axis=1)
+        pix = gy * W + gx
+        # an earlier chunk's face keeps its pixel; within the chunk the first
+        # (lowest-index) face does, as np.unique returns first occurrences
+        hit = np.flatnonzero((w >= -1e-12).all(axis=1) & (tri[pix] == -1))
+        pix, first = np.unique(pix[hit], return_index=True)
+        tri[pix] = fi[hit[first]]
+        bary[pix] = w[hit[first]]
+        lo = hi
+    return tri.reshape(H, W), bary.reshape(H, W, 3)
 
 
 @dataclass

@@ -166,3 +166,48 @@ def point_to_plane_residual(source_pts, target):
         k = int(np.argmin(d2))
         total += float(np.dot(p - target.vertices[k], normals[k])) ** 2
     return float(np.sqrt(total / len(source_pts)))
+
+
+def reference_save_obj(path, mesh):
+    """One formatted line per vertex and per face."""
+    lines = []
+    for v in mesh.vertices:
+        lines.append(f"v {v[0]:.10g} {v[1]:.10g} {v[2]:.10g}")
+    for f in mesh.faces:
+        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_rasterize_layout(uv, faces, res):
+    """One face at a time over its bounding box; a pixel keeps the first
+    face that covers it."""
+    H = W = res
+    tri = np.full((H, W), -1, dtype=np.int32)
+    bary = np.zeros((H, W, 3), dtype=np.float64)
+    px = uv[:, 0] * W - 0.5
+    py = uv[:, 1] * H - 0.5
+    for fi, f in enumerate(faces):
+        xs = px[f]
+        ys = py[f]
+        x0 = max(int(np.ceil(xs.min())), 0)
+        x1 = min(int(np.floor(xs.max())), W - 1)
+        y0 = max(int(np.ceil(ys.min())), 0)
+        y1 = min(int(np.floor(ys.max())), H - 1)
+        if x0 > x1 or y0 > y1:
+            continue
+        denom = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
+        if abs(denom) < 1e-15:
+            continue
+        gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        w0 = ((ys[1] - ys[2]) * (gx - xs[2]) + (xs[2] - xs[1]) * (gy - ys[2])) / denom
+        w1 = ((ys[2] - ys[0]) * (gx - xs[2]) + (xs[0] - xs[2]) * (gy - ys[2])) / denom
+        w2 = 1.0 - w0 - w1
+        inside = (w0 >= -1e-12) & (w1 >= -1e-12) & (w2 >= -1e-12)
+        put = inside & (tri[y0:y1 + 1, x0:x1 + 1] == -1)
+        tri[y0:y1 + 1, x0:x1 + 1][put] = fi
+        bsub = bary[y0:y1 + 1, x0:x1 + 1]
+        bsub[put, 0] = w0[put]
+        bsub[put, 1] = w1[put]
+        bsub[put, 2] = w2[put]
+    return tri, bary

@@ -1,6 +1,8 @@
 """Geometry tests: Procrustes/GPA, normalization, unwrap, rasterization,
-nearest fill, UV sampling and point-to-plane ICP. There is no non-rigid
-registration: every dataset shares the template's topology."""
+nearest fill, UV sampling, point-to-plane ICP and OBJ I/O. There is no
+non-rigid registration: every dataset shares the template's topology."""
+
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from facegan3d.geometry import (Mesh, centroid_size, cylindrical_unwrap,
                                 normalize_dataset, procrustes_points,
                                 rasterize_uv, sample_mesh_from_uv, save_landmarks,
                                 save_obj, UVLayout, UVMap)
+from facegan3d.geometry import uvmap
 from facegan3d.synthetic import make_template, synth_dataset
 
 from oracles import (naive_nearest_fill_assignment, point_in_triangle,
-                     point_to_plane_residual)
+                     point_to_plane_residual, reference_rasterize_layout,
+                     reference_save_obj)
 
 
 def rand_rotation(rng):
@@ -281,6 +285,65 @@ def test_rasterize_coverage_includes_strict_interior(heads):
                 assert uvm.valid[i, j]
 
 
+@pytest.fixture(scope="module")
+def template_layout():
+    return cylindrical_unwrap(make_template())
+
+
+@pytest.mark.parametrize("res", [8, 16, 32, 64, 128])
+def test_layout_raster_matches_reference_loop(template_layout, res):
+    tri, bary = UVLayout(template_layout.uv, template_layout.faces).rasterization(res)
+    ref_tri, ref_bary = reference_rasterize_layout(template_layout.uv,
+                                                   template_layout.faces, res)
+    assert tri.dtype == np.int32 and tri.shape == (res, res)
+    assert tri.tobytes() == ref_tri.tobytes()
+    assert bary.tobytes() == ref_bary.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, uvmap._RASTER_CHUNK])
+def test_layout_raster_lowest_face_wins_and_skips(monkeypatch, chunk):
+    monkeypatch.setattr(uvmap, "_RASTER_CHUNK", chunk)
+    res = 8
+    uv = np.array([
+        [0.25, 0.25], [0.5, 0.5], [0.75, 0.75],     # face 0: zero area
+        [0.05, 0.1], [0.9, 0.15], [0.1, 0.95],     # face 1
+        [0.2, 0.3], [0.95, 0.35], [0.35, 0.9],     # face 2: overlaps face 1
+        [0.0, 0.0], [0.05, 0.0], [0.0, 0.04],      # face 3: no pixel center
+    ])
+    # faces 4 and 5 in pixel coordinates, each with a hypotenuse x + y = s:
+    # pixels (7, 6) and (6, 7) lie 1e-10 outside face 4, pixel (1, 7) lies
+    # 1e-13 outside face 5, which the 1e-12 tolerance takes in
+    near = np.array([[5.6, 5.6], [7.4 - 1e-10, 5.6], [5.6, 7.4 - 1e-10],
+                     [0.6, 6.6], [1.4 - 1e-13, 6.6], [0.6, 7.4 - 1e-13]])
+    uv = np.concatenate([uv, (near + 0.5) / res])
+    faces = np.arange(18).reshape(6, 3)
+    tri, bary = UVLayout(uv, faces).rasterization(res)
+    ref_tri, ref_bary = reference_rasterize_layout(uv, faces, res)
+    assert tri.tobytes() == ref_tri.tobytes() and bary.tobytes() == ref_bary.tobytes()
+    assert set(np.unique(tri)) == {-1, 1, 2, 4, 5}
+    assert tri[6, 6] == 4 and tri[6, 7] == -1 and tri[7, 6] == -1
+    assert tri[7, 1] == 5
+    px, py = uv[:, 0] * res - 0.5, uv[:, 1] * res - 0.5
+    both = 0
+    for i in range(res):
+        for j in range(res):
+            inside = [point_in_triangle(j, i, [(px[a], py[a]) for a in f]) for f in faces]
+            assert not inside[0] and not inside[3]
+            if inside[1] and inside[2]:
+                both += 1
+                assert tri[i, j] == 1
+            elif inside[2]:
+                assert tri[i, j] == 2
+    assert both > 0
+    np.testing.assert_allclose(bary[tri >= 0].sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_layout_rejects_nan_uv():
+    uv = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(DataFormatError, match="outside"):
+        UVLayout(uv, [[0, 1, 2]])
+
+
 def test_round_trip_error_bounds_and_halving():
     ds = synth_dataset(3, 6, seed=9)
     layout = cylindrical_unwrap(ds.template)
@@ -427,11 +490,65 @@ def test_icp_too_few_vertices():
 
 
 def test_obj_round_trip(tmp_path, template):
-    path = tmp_path / "m.obj"
-    save_obj(path, template)
-    loaded = load_obj(path, template.landmarks)
-    np.testing.assert_allclose(loaded.vertices, template.vertices, rtol=1e-9)
-    np.testing.assert_array_equal(loaded.faces, template.faces)
+    stress = Mesh([[-1.5, -0.0, 0.0], [1e-300, -1e-300, 1e20], [3.0, -42.0, 1e10],
+                   [np.nan, 0.1, 2.0 / 3.0]], [[0, 1, 2], [1, 2, 3], [3, 2, 0]])
+    for mesh in (template, stress):
+        path = tmp_path / "m.obj"
+        save_obj(path, mesh)
+        reference_save_obj(tmp_path / "ref.obj", mesh)
+        assert path.read_bytes() == (tmp_path / "ref.obj").read_bytes()
+        loaded = load_obj(path, mesh.landmarks)
+        np.testing.assert_allclose(loaded.vertices, mesh.vertices, rtol=1e-9)
+        np.testing.assert_array_equal(loaded.faces, mesh.faces)
+        assert loaded.landmarks == mesh.landmarks
+
+
+# OBJ files outside the subset save_obj writes; each must read as the file says
+IRREGULAR_OBJ = {
+    "as_written": lambda v, f: v + f,
+    "comments_and_blank_lines": lambda v, f: "# scan\n\n" + v + "  \n# faces\n" + f + "\n",
+    "texture_and_normal_lines": lambda v, f: v + "vt 0.5 0.5\nvn 0 0 1\n" + f,
+    "slash_indices": lambda v, f: re.sub(r"(\d+)", r"\1/\1/\1", f) + v,
+    "vertices_after_faces": lambda v, f: f + v,
+    "no_trailing_newline": lambda v, f: (v + f).rstrip("\n"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(IRREGULAR_OBJ))
+def test_load_obj_reads_irregular_files(tmp_path, variant):
+    mesh = make_template(9)
+    save_obj(tmp_path / "m.obj", mesh)
+    text = (tmp_path / "m.obj").read_text()
+    cut = text.index("\nf ") + 1
+    path = tmp_path / "irregular.obj"
+    path.write_text(IRREGULAR_OBJ[variant](text[:cut], text[cut:]))
+    loaded = load_obj(path)
+    expect = np.array([float(f"{x:.10g}") for x in mesh.vertices.ravel()]).reshape(-1, 3)
+    assert loaded.vertices.tobytes() == expect.tobytes()
+    assert loaded.faces.dtype == np.int32
+    np.testing.assert_array_equal(loaded.faces, mesh.faces)
+
+
+def test_load_obj_without_faces(tmp_path):
+    path = tmp_path / "points.obj"
+    path.write_text("v 1 2 3\nv -4 5.5 6e-3\n")
+    loaded = load_obj(path)
+    np.testing.assert_array_equal(loaded.vertices, [[1, 2, 3], [-4, 5.5, 6e-3]])
+    assert loaded.faces.shape == (0, 3)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("v 0 0 0\nv 1 0 0\nv 0 1\nf 1 2 3\n", ":3: malformed vertex line"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 1 2 4 3\n",
+     ":6: only triangle faces supported"),
+    ("# nothing here\nf 1 2 3\n", ": no vertices"),
+    ("", ": no vertices"),
+], ids=["short_vertex", "quad_face", "faces_only", "empty"])
+def test_load_obj_bad_file_names_path_and_line(tmp_path, text, where):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}{where}")):
+        load_obj(path)
 
 
 def test_landmarks_round_trip(tmp_path, template):
