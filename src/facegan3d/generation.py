@@ -30,6 +30,9 @@ class LatentGaussian:
         self.factor = np.asarray(self.factor, dtype=np.float64)
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.factor)):
             raise ValueError("latent Gaussian has non-finite entries")
+        if self.mean.ndim != 1 or self.factor.ndim != 2 or len(self.factor) != len(self.mean):
+            raise ValueError(f"latent Gaussian mean {self.mean.shape} and factor "
+                             f"{self.factor.shape} are not (N_b,) and (N_b, N)")
 
     def covariance(self) -> np.ndarray:
         return self.factor @ self.factor.T

@@ -14,8 +14,6 @@ import numpy as np
 
 from ..errors import DataFormatError
 
-LANDMARK_NAMES = ("nose-tip", "left-eye-outer", "right-eye-outer")
-
 
 @dataclass
 class Mesh:
@@ -178,5 +176,9 @@ def load_landmarks(path: str | os.PathLike) -> dict[str, int]:
                 continue
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{ln}: expected 'name index'")
-            out[parts[0]] = int(parts[1])
+            try:
+                out[parts[0]] = int(parts[1])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{ln}: index {parts[1]!r} is not an integer") from None
     return out

@@ -27,6 +27,8 @@ class UVLayout:
         self.faces = np.asarray(faces, dtype=np.int32)
         if self.uv.ndim != 2 or self.uv.shape[1] != 2:
             raise DataFormatError(f"uv must be (V, 2), got {self.uv.shape}")
+        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+            raise DataFormatError(f"faces must be (F, 3), got {self.faces.shape}")
         if not np.all((self.uv >= -1e-12) & (self.uv <= 1 + 1e-12)):  # NaN too
             raise DataFormatError("uv coordinates outside [0, 1]^2")
         uniq = np.unique(self.uv, axis=0)

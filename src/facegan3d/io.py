@@ -1,79 +1,103 @@
 """On-disk formats: network checkpoints, UV map files, layout caches,
 latent Gaussian files, key=value configs and CSV/JSON reports.
 
-All binary formats are little-endian with a 4-byte magic and a version;
-every format round-trips bitwise.
+The four binary kinds share one container: the kind's 4-byte magic, then
+``FORMAT_VERSION`` and the header length as little-endian uint32s, then a
+sorted-key UTF-8 JSON header with the kind's metadata and each array's
+name, dtype and shape, then the arrays' little-endian bytes in header
+order. Writes are atomic; a read rejects any defect with a
+DataFormatError naming the file. Every kind round-trips bitwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState
+from .autodiff import AdamState, Tensor
 from .errors import DataFormatError
 from .generation import LatentGaussian
 from .geometry import UVLayout, UVMap
-from .model import GROUPS, NetConfig, NetParams, Network
+from .model import NetConfig, NetParams, Network
 from .training import TrainState
 
 CHECKPOINT_MAGIC = b"3DFG"
 UVMAP_MAGIC = b"UVF1"
 LAYOUT_MAGIC = b"UVL1"
 GAUSSIAN_MAGIC = b"GSN1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_FLAG_ADAM = 1
-_FLAG_RNG = 2
-_FLAG_EPOCH = 4
-
-
-def _w(fh, fmt, *vals):
-    fh.write(struct.pack("<" + fmt, *vals))
-
-
-def _r(fh, fmt):
-    size = struct.calcsize("<" + fmt)
-    data = fh.read(size)
-    if len(data) != size:
-        raise DataFormatError("unexpected end of file")
-    return struct.unpack("<" + fmt, data)
-
-
-def _write_str(fh, s: str):
-    b = s.encode("utf-8")
-    _w(fh, "H", len(b))
-    fh.write(b)
-
-
-def _read_str(fh) -> str:
-    (n,) = _r(fh, "H")
-    return fh.read(n).decode("utf-8")
+_PREAMBLE = struct.Struct("<4sII")   # magic, version, header byte length
+_DTYPES = {name: np.dtype(name).newbyteorder("<")
+           for name in ("uint8", "int32", "float32", "float64")}
 
 
 def _write_arr(fh, arr: np.ndarray, dtype):
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[np.dtype(dtype).name]).tobytes())
 
 
-def _read_arr(fh, shape, dtype) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * np.dtype(dtype).itemsize)
-    if len(raw) != count * np.dtype(dtype).itemsize:
-        raise DataFormatError("unexpected end of file")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+def _save(path, magic: bytes, meta: dict, arrays: list) -> None:
+    """Write ``meta`` and the ``(name, array, dtype)`` triples as one
+    container, atomically."""
+    header = json.dumps({"meta": meta, "arrays": [
+        {"name": name, "dtype": np.dtype(dtype).name, "shape": list(np.shape(arr))}
+        for name, arr, dtype in arrays]}, sort_keys=True).encode("utf-8")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREAMBLE.pack(magic, FORMAT_VERSION, len(header)) + header)
+            for _, arr, dtype in arrays:
+                _write_arr(fh, arr, dtype)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _check_magic(fh, magic: bytes, path):
-    got = fh.read(4)
+def _load(path, magic: bytes, decode):
+    """``decode(meta, arrays)`` of the container at ``path``. A defect that
+    the reader, ``decode`` or the constructors it calls find is a
+    DataFormatError naming the file."""
+    buf = Path(path).read_bytes()
+    try:
+        return decode(*_parse(buf, magic))
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from e
+    except (ValueError, KeyError, TypeError, ArithmeticError) as e:  # NonFiniteError too
+        raise DataFormatError(f"{path}: {type(e).__name__}: {e}") from e
+
+
+def _parse(buf: bytes, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    if len(buf) < _PREAMBLE.size:
+        raise DataFormatError("truncated preamble")
+    got, version, nheader = _PREAMBLE.unpack_from(buf)
     if got != magic:
-        raise DataFormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    (version,) = _r(fh, "I")
+        raise DataFormatError(f"bad magic {got!r}, expected {magic!r}")
     if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
+        raise DataFormatError(f"unsupported format version {version}")
+    offset = _PREAMBLE.size + nheader
+    if len(buf) < offset:
+        raise DataFormatError("truncated header")
+    header = json.loads(buf[_PREAMBLE.size:offset].decode("utf-8"))
+    arrays = {}
+    for entry in header["arrays"]:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        if (name in arrays or dtype not in _DTYPES
+                or not all(type(d) is int and d >= 0 for d in shape)):
+            raise DataFormatError(f"bad array entry {entry}")
+        count = math.prod(shape)
+        if len(buf) < offset + count * _DTYPES[dtype].itemsize:
+            raise DataFormatError(f"truncated in array {name!r}")
+        arrays[name] = np.frombuffer(buf, _DTYPES[dtype], count, offset).reshape(shape).copy()
+        offset += arrays[name].nbytes
+    if offset != len(buf):
+        raise DataFormatError(f"{len(buf) - offset} trailing bytes")
+    return header["meta"], arrays
 
 
 # ---------------------------------------------------------------------------
@@ -82,107 +106,53 @@ def _check_magic(fh, magic: bytes, path):
 
 def save_checkpoint(path, net: Network, adam: AdamState | None = None,
                     rng_state: dict | None = None, epoch: int | None = None) -> None:
-    """Atomic: the file is written next to ``path`` and then renamed over
-    it, so an interrupted save leaves the previous checkpoint intact."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        _write_checkpoint(tmp, net, adam, rng_state, epoch)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_checkpoint(path, net, adam, rng_state, epoch) -> None:
-    cfg = net.config
+    """Parameters as ``param/<name>``; with ``adam``, the moments of each
+    tensor that has them as ``adam_m/<name>`` and ``adam_v/<name>``."""
     params = net.params
-    flags = (_FLAG_ADAM if adam is not None else 0) \
-        | (_FLAG_RNG if rng_state is not None else 0) \
-        | (_FLAG_EPOCH if epoch is not None else 0)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        _w(fh, "I", FORMAT_VERSION)
-        _w(fh, "I", flags)
-        _w(fh, "IIII", cfg.resolution, cfg.base_filters, cfg.latent_dim,
-           cfg.label_channels)
-        _w(fh, "I", len(cfg.skip_levels))
-        for lv in cfg.skip_levels:
-            _w(fh, "I", lv)
-        frozen_mask = sum(1 << i for i, g in enumerate(GROUPS)
-                          if g in params.frozen_groups)
-        _w(fh, "I", frozen_mask)
-        names = params.names()
-        _w(fh, "I", len(names))
-        for name in names:
-            t = params[name]
-            _write_str(fh, name)
-            _w(fh, "B", GROUPS.index(params.group_of(name)))
-            _w(fh, "B", t.data.ndim)
-            for d in t.data.shape:
-                _w(fh, "I", d)
-            _write_arr(fh, t.data, np.float32)
-        if adam is not None:
-            _w(fh, "Q", adam.t)
-            _w(fh, "ddd", adam.beta1, adam.beta2, adam.eps)
-            for name in names:
-                t = params[name]
-                m = adam.m.get(t.node_id)
-                v = adam.v.get(t.node_id)
-                _w(fh, "B", 1 if m is not None else 0)
-                if m is not None:
-                    _write_arr(fh, m, np.float32)
-                    _write_arr(fh, v, np.float32)
-        if rng_state is not None:
-            blob = json.dumps(rng_state, sort_keys=True).encode("utf-8")
-            _w(fh, "I", len(blob))
-            fh.write(blob)
-        if epoch is not None:
-            _w(fh, "I", epoch)
+    names = params.names()
+    meta: dict = {"config": dataclasses.asdict(net.config),
+                  "params": [[n, params.group_of(n)] for n in names],
+                  "frozen": sorted(params.frozen_groups)}
+    arrays = [(f"param/{n}", params[n].data, np.float32) for n in names]
+    if adam is not None:
+        meta["adam"] = {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps}
+        for n in names:
+            node = params[n].node_id
+            if node in adam.m:
+                arrays += [(f"adam_m/{n}", adam.m[node], np.float32),
+                           (f"adam_v/{n}", adam.v[node], np.float32)]
+    if rng_state is not None:
+        meta["rng_state"] = rng_state
+    if epoch is not None:
+        meta["epoch"] = epoch
+    _save(path, CHECKPOINT_MAGIC, meta, arrays)
+
+
+def _decode_checkpoint(meta: dict, arrays: dict) -> tuple[Network, dict]:
+    params = NetParams()
+    for name, group in meta["params"]:
+        params.add(name, Tensor(arrays[f"param/{name}"]), group)
+    for group in meta["frozen"]:
+        params.set_frozen(group, True)
+    cfg = NetConfig(**{**meta["config"], "skip_levels": tuple(meta["config"]["skip_levels"])})
+    out = {key: meta[key] for key in ("rng_state", "epoch") if key in meta}
+    if "adam" in meta:
+        a = meta["adam"]
+        out["adam"] = adam = AdamState(a["beta1"], a["beta2"], a["eps"])
+        adam.t = a["t"]
+        for name, t in zip(params.names(), params.tensors()):
+            if f"adam_m/{name}" in arrays:
+                m, v = arrays[f"adam_m/{name}"], arrays[f"adam_v/{name}"]
+                if not m.shape == v.shape == t.shape:
+                    raise DataFormatError(f"Adam moments of {name!r} do not match {t.shape}")
+                adam.m[t.node_id], adam.v[t.node_id] = m, v
+    return Network(cfg, params), out
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Returns (network, meta) where meta may hold 'adam', 'rng_state',
     'epoch'."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    from .autodiff import Tensor
-    with open(path, "rb") as fh:
-        _check_magic(fh, CHECKPOINT_MAGIC, path)
-        (flags,) = _r(fh, "I")
-        res, base, latent, labels = _r(fh, "IIII")
-        (nskips,) = _r(fh, "I")
-        skips = tuple(_r(fh, "I")[0] for _ in range(nskips))
-        cfg = NetConfig(res, base, latent, labels, skips)
-        (frozen_mask,) = _r(fh, "I")
-        (count,) = _r(fh, "I")
-        params = NetParams()
-        for _ in range(count):
-            name = _read_str(fh)
-            (gi,) = _r(fh, "B")
-            (ndim,) = _r(fh, "B")
-            shape = tuple(_r(fh, "I")[0] for _ in range(ndim))
-            data = _read_arr(fh, shape, np.float32)
-            params.add(name, Tensor(data), GROUPS[gi])
-        meta: dict = {}
-        if flags & _FLAG_ADAM:
-            adam = AdamState()
-            (adam.t,) = _r(fh, "Q")
-            adam.beta1, adam.beta2, adam.eps = _r(fh, "ddd")
-            for name in params.names():
-                t = params[name]
-                (has,) = _r(fh, "B")
-                if has:
-                    adam.m[t.node_id] = _read_arr(fh, t.data.shape, np.float32)
-                    adam.v[t.node_id] = _read_arr(fh, t.data.shape, np.float32)
-            meta["adam"] = adam
-        if flags & _FLAG_RNG:
-            (blen,) = _r(fh, "I")
-            meta["rng_state"] = json.loads(fh.read(blen).decode("utf-8"))
-        if flags & _FLAG_EPOCH:
-            (meta["epoch"],) = _r(fh, "I")
-    for i, g in enumerate(GROUPS):
-        if frozen_mask & (1 << i):
-            params.set_frozen(g, True)
-    return Network(cfg, params), meta
+    return _load(path, CHECKPOINT_MAGIC, _decode_checkpoint)
 
 
 def load_train_state(d_meta: dict, g_meta: dict | None = None) -> TrainState:
@@ -201,31 +171,23 @@ def load_train_state(d_meta: dict, g_meta: dict | None = None) -> TrainState:
 
 
 def save_uvmap(path, uvmap: UVMap) -> None:
-    c, h, w = uvmap.data.shape
-    with open(path, "wb") as fh:
-        fh.write(UVMAP_MAGIC)
-        _w(fh, "I", FORMAT_VERSION)
-        _w(fh, "IIII", h, w, c, 1 if uvmap.filled else 0)
-        fh.write(np.packbits(uvmap.valid.reshape(-1), bitorder="little").tobytes())
-        # row-major over (H, W, C)
-        _write_arr(fh, uvmap.data.transpose(1, 2, 0), np.float32)
+    """``valid`` is bit-packed, little bit order."""
+    packed = np.packbits(uvmap.valid.reshape(-1), bitorder="little")
+    _save(path, UVMAP_MAGIC, {"filled": bool(uvmap.filled)},
+          [("data", uvmap.data, np.float32), ("valid", packed, np.uint8)])
+
+
+def _decode_uvmap(meta: dict, arrays: dict) -> UVMap:
+    data, packed = arrays["data"], arrays["valid"]
+    hw = data.shape[1:]
+    if data.ndim != 3 or packed.shape != ((math.prod(hw) + 7) // 8,):
+        raise DataFormatError(f"map data {data.shape} and packed mask {packed.shape} disagree")
+    valid = np.unpackbits(packed, count=math.prod(hw), bitorder="little").reshape(hw)
+    return UVMap(data, valid, filled=bool(meta["filled"]))
 
 
 def load_uvmap(path) -> UVMap:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"uv map not found: {path}")
-    with open(path, "rb") as fh:
-        _check_magic(fh, UVMAP_MAGIC, path)
-        h, w, c, filled = _r(fh, "IIII")
-        nbytes = (h * w + 7) // 8
-        bits = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-        valid = np.unpackbits(bits, count=h * w, bitorder="little").astype(bool).reshape(h, w)
-        data = _read_arr(fh, (h, w, c), np.float32).transpose(2, 0, 1)
-    m = UVMap.__new__(UVMap)
-    m.data = np.ascontiguousarray(data)
-    m.valid = valid
-    m.filled = bool(filled)
-    return m
+    return _load(path, UVMAP_MAGIC, _decode_uvmap)
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +195,12 @@ def load_uvmap(path) -> UVMap:
 
 
 def save_layout(path, layout: UVLayout) -> None:
-    with open(path, "wb") as fh:
-        fh.write(LAYOUT_MAGIC)
-        _w(fh, "I", FORMAT_VERSION)
-        _w(fh, "II", layout.num_vertices, len(layout.faces))
-        _write_arr(fh, layout.uv, np.float64)
-        _write_arr(fh, layout.faces, np.uint32)
+    _save(path, LAYOUT_MAGIC, {},
+          [("uv", layout.uv, np.float64), ("faces", layout.faces, np.int32)])
 
 
 def load_layout(path) -> UVLayout:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"layout file not found: {path}")
-    with open(path, "rb") as fh:
-        _check_magic(fh, LAYOUT_MAGIC, path)
-        v, f = _r(fh, "II")
-        uv = _read_arr(fh, (v, 2), np.float64)
-        faces = _read_arr(fh, (f, 3), np.uint32).astype(np.int32)
-    return UVLayout(uv, faces)
+    return _load(path, LAYOUT_MAGIC, lambda meta, arrays: UVLayout(arrays["uv"], arrays["faces"]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +208,16 @@ def load_layout(path) -> UVLayout:
 
 
 def save_gaussians(path, gaussians: list[LatentGaussian]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(GAUSSIAN_MAGIC)
-        _w(fh, "I", FORMAT_VERSION)
-        _w(fh, "I", len(gaussians))
-        for g in gaussians:
-            _write_str(fh, g.label or "")
-            _w(fh, "II", g.mean.shape[0], g.factor.shape[1])
-            _write_arr(fh, g.mean, np.float64)
-            _write_arr(fh, g.factor, np.float64)
+    arrays = []
+    for i, g in enumerate(gaussians):
+        arrays += [(f"mean/{i}", g.mean, np.float64), (f"factor/{i}", g.factor, np.float64)]
+    _save(path, GAUSSIAN_MAGIC, {"labels": [g.label for g in gaussians]}, arrays)
 
 
 def load_gaussians(path) -> list[LatentGaussian]:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"gaussian file not found: {path}")
-    out = []
-    with open(path, "rb") as fh:
-        _check_magic(fh, GAUSSIAN_MAGIC, path)
-        (count,) = _r(fh, "I")
-        for _ in range(count):
-            label = _read_str(fh) or None
-            nb, n = _r(fh, "II")
-            mean = _read_arr(fh, (nb,), np.float64)
-            factor = _read_arr(fh, (nb, n), np.float64)
-            out.append(LatentGaussian(mean, factor, label))
-    return out
+    return _load(path, GAUSSIAN_MAGIC, lambda meta, arrays: [
+        LatentGaussian(arrays[f"mean/{i}"], arrays[f"factor/{i}"], label)
+        for i, label in enumerate(meta["labels"])])
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ class NetParams:
         self._frozen: set[str] = set()
 
     def add(self, name: str, tensor: Tensor, group: str):
-        assert group in GROUPS and name not in self._tensors
+        if group not in GROUPS or name in self._tensors:
+            raise ValueError(f"parameter {name!r}: unknown group {group!r} or a duplicate name")
         tensor.name = name
         self._order.append(name)
         self._tensors[name] = tensor
@@ -95,7 +96,8 @@ class NetParams:
         return frozenset(self._frozen)
 
     def set_frozen(self, group: str, frozen: bool):
-        assert group in GROUPS
+        if group not in GROUPS:
+            raise ValueError(f"unknown group {group!r}")
         if frozen:
             self._frozen.add(group)
         else:

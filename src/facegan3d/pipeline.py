@@ -34,6 +34,8 @@ from .parallel import thread_map
 from .training import PairedDataset, condition_input
 
 TEST_FRACTION = 0.15
+_META_KEYS = ("center", "label_names", "landmarks", "noisy", "resolution", "scale",
+              "subjects", "test", "train")   # the meta.json keys that readers use
 
 
 def write_raw_dataset(out_dir, synth) -> None:
@@ -68,7 +70,12 @@ def _scan_raw(in_dir: Path):
     labels_csv = in_dir / "labels.csv"
     if labels_csv.exists():
         with open(labels_csv, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            if not {"file", "label"} <= set(reader.fieldnames or ()):
+                raise DataFormatError(f"{labels_csv}: expected a 'file,label' header")
+            for row in reader:
+                if None in (row["file"], row["label"]):
+                    raise DataFormatError(f"{labels_csv}:{reader.line_num}: expected 'file,label'")
                 label_of[row["file"]] = row["label"]
     subjects, noisy, labeled = [], {}, {}
     for p in sorted(mesh_dir.glob("*.obj")):
@@ -172,7 +179,13 @@ def load_meta(data_dir) -> dict:
     p = Path(data_dir) / "meta.json"
     if not p.exists():
         raise FileNotFoundError(f"meta file not found: {p}")
-    return json.loads(p.read_text())
+    try:
+        meta = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{p}: {e}") from e
+    if not isinstance(meta, dict) or not meta.keys() >= set(_META_KEYS):
+        raise DataFormatError(f"{p}: expected an object with keys {', '.join(_META_KEYS)}")
+    return meta
 
 
 def _load_maps(data_dir: Path, keys: list[str]) -> np.ndarray:

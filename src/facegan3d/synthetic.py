@@ -110,7 +110,6 @@ class SynthDataset:
     noisy: list[Mesh] | None = None            # noisy copy of each neutral
     labeled: dict[str, list[Mesh]] | None = None
     label_names: list[str] = field(default_factory=list)
-    coefficients: np.ndarray | None = None     # (n_subjects, n_modes)
 
 
 def synth_dataset(n_subjects: int, n_modes: int, noise: float = 0.0,
@@ -153,4 +152,4 @@ def synth_dataset(n_subjects: int, n_modes: int, noise: float = 0.0,
             noisy.append(m.with_vertices(m.vertices + jitter))
 
     return SynthDataset(template, subjects, noisy,
-                        labeled if labels else None, label_names, coeffs)
+                        labeled if labels else None, label_names)

@@ -179,3 +179,32 @@ def test_bad_config_value_exits_data_error(work, line, capsys):
                "--out", work / "bad") == cli.EXIT_DATA
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (work / "bad").exists()
+
+
+@pytest.mark.parametrize("case", ["truncated", "no_keys"])
+def test_malformed_meta_json_exits_data_error(work, case, capsys):
+    pre = work / f"pre_{case}"
+    pre.mkdir()
+    meta = (work / "pre" / "meta.json").read_bytes()
+    (pre / "meta.json").write_bytes(meta[:len(meta) // 2] if case == "truncated" else b"{}\n")
+    assert run("pretrain", "--data", pre, "--config", work / "pre1.cfg",
+               "--out", work / f"{case}.ckpt") == cli.EXIT_DATA
+    assert str(pre / "meta.json") in capsys.readouterr().err
+
+
+def test_labels_csv_without_header_exits_data_error(work, capsys):
+    raw = work / "raw_no_header"
+    (raw / "meshes").mkdir(parents=True)
+    (raw / "labels.csv").write_text("subj_0000.obj,smile\nsubj_0001.obj,smile\n")
+    assert run("preprocess", "--in", raw, "--template", work / "raw" / "template.obj",
+               "--landmarks", work / "raw" / "landmarks.txt", "--res", 32,
+               "--out", work / "pre_no_header") == cli.EXIT_DATA
+    assert "labels.csv" in capsys.readouterr().err
+
+
+def test_non_integer_landmark_index_exits_data_error(work, capsys):
+    bad = work / "bad_landmarks.txt"
+    bad.write_text("# name index\nnose-tip 12\nleft-eye-outer 3.5\n")
+    assert run("preprocess", "--in", work / "raw", "--template", work / "raw" / "template.obj",
+               "--landmarks", bad, "--res", 32, "--out", work / "pre_bad_lm") == cli.EXIT_DATA
+    assert f"{bad}:3" in capsys.readouterr().err
