@@ -8,6 +8,17 @@ on unlabelled maps), 3 numerical failure (NaN abort).
 Output meshes (``generate``, ``translate``) are in the raw input's units;
 ``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
 input units (by default the whole face is kept).
+
+``pretrain --out M`` writes M and M.loss.csv. ``train --out DIR`` writes
+DIR/discriminator.ckpt, DIR/generator.ckpt and DIR/loss.csv, and without
+``--pretrained`` first pretrains into DIR/pretrained.ckpt and
+DIR/pretrained.loss.csv. Each checkpoint is replaced on every due epoch
+(each ``checkpoint_every``-th and a phase's last) and carries its Adam
+moments, epoch, RNG state and loss history, so ``pretrain --resume M`` and
+``train --resume DIR`` continue bitwise as if uninterrupted. ``train
+--resume`` reads only DIR's two network checkpoints, no numbered
+d_*.ckpt/g_*.ckpt; resume a pretraining interrupted inside ``train`` with
+``pretrain --resume DIR/pretrained.ckpt``.
 """
 
 from __future__ import annotations
@@ -97,31 +108,41 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_writer(paths):
+    """A phase's ``checkpoint_fn``: writes each network, with its Adam
+    moments and the phase state, to its path (D's first, then G's)."""
+    def write(state, *nets):
+        for path, net, adam in zip(paths, nets, (state.adam_d, state.adam_g)):
+            io.save_checkpoint(path, net, adam=adam, rng_state=state.rng_state,
+                               epoch=state.epoch, history=state.history)
+    return write
+
+
+def _check_epochs_left(state, last: int, key: str):
+    start = state.epoch if state else 0
+    if start >= last:
+        raise DataFormatError(f"nothing to do: already at epoch {start} of {key}={last}")
+
+
+def _pretrain(train_ds, ncfg, tcfg, out: Path, resume=None):
+    """Pretrain into the resumable checkpoint ``out`` and its
+    ``<out>.loss.csv``, from the checkpoint ``resume`` when given."""
+    net = state = None
+    if resume:
+        (net,), state = io.load_resumable(resume)
+    _check_epochs_left(state, tcfg.pretrain_epochs, "pretrain_epochs")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    net, history = pretrain_discriminator(train_ds, ncfg, tcfg, network=net, state=state,
+                                          checkpoint_fn=_checkpoint_writer([out]))
+    io.write_loss_csv(out.with_suffix(".loss.csv"), history, pretrain=True)
+    print(f"pretrained {tcfg.pretrain_epochs} epochs, final loss {history[-1]:.6f}")
+    return net
+
+
 def cmd_pretrain(args) -> int:
     data = pipeline.load_paired_datasets(args.data)
     ncfg, tcfg = _configs(args, data["train"])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-
-    def save_ck(epoch, network, state):
-        if (tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0) \
-                or epoch == tcfg.pretrain_epochs:
-            io.save_checkpoint(out, network, adam=state.adam_d,
-                               rng_state=state.rng_state, epoch=epoch)
-
-    net = state = None
-    if args.resume:
-        net, meta = io.load_checkpoint(args.resume)
-        state = io.load_train_state(meta)
-    start = state.epoch if state else 0
-    if start >= tcfg.pretrain_epochs:
-        raise DataFormatError(f"nothing to pretrain: already at epoch {start} "
-                              f"of pretrain_epochs={tcfg.pretrain_epochs}")
-    # save_ck writes the final, resumable checkpoint to `out`
-    net, history = pretrain_discriminator(data["train"], ncfg, tcfg, network=net,
-                                          state=state, checkpoint_fn=save_ck)
-    io.write_loss_csv(out.with_suffix(".loss.csv"), history, pretrain=True)
-    print(f"pretrained {tcfg.pretrain_epochs} epochs, final loss {history[-1]:.6f}")
+    _pretrain(data["train"], ncfg, tcfg, Path(args.out), args.resume)
     return EXIT_OK
 
 
@@ -129,43 +150,18 @@ def cmd_train(args) -> int:
     data = pipeline.load_paired_datasets(args.data)
     ncfg, tcfg = _configs(args, data["train"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    pretrained = None
-    if args.pretrained:
-        pretrained = io.load_checkpoint(args.pretrained)[0]
-
-    def save_pre(epoch, network, state):
-        if tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0:
-            io.save_checkpoint(out / "pretrain.ckpt", network, adam=state.adam_d,
-                               rng_state=state.rng_state, epoch=epoch)
-
-    def save_adv(epoch, d_net, g_net, state):
-        io.save_checkpoint(out / f"d_{epoch:05d}.ckpt", d_net, adam=state.adam_d,
-                           rng_state=state.rng_state, epoch=epoch)
-        io.save_checkpoint(out / f"g_{epoch:05d}.ckpt", g_net, adam=state.adam_g,
-                           epoch=epoch)
-
-    resume = None
+    paths = [out / "discriminator.ckpt", out / "generator.ckpt"]
+    d_net = g_net = state = None
     if args.resume:
-        pairs = sorted(Path(args.resume).glob("d_*.ckpt"))
-        if not pairs:
-            raise FileNotFoundError(f"no adversarial checkpoints in {args.resume}")
-        d_path = pairs[-1]
-        g_path = d_path.with_name("g" + d_path.name[1:])
-        d_net, d_meta = io.load_checkpoint(d_path)
-        g_net, g_meta = io.load_checkpoint(g_path)
-        resume = (d_net, g_net, io.load_train_state(d_meta, g_meta))
-
-    result = train(data["train"], ncfg, tcfg, pretrained=pretrained,
-                   pretrain_checkpoint_fn=save_pre, checkpoint_fn=save_adv,
-                   resume=resume)
-    io.save_checkpoint(out / "discriminator.ckpt", result.discriminator)
-    io.save_checkpoint(out / "generator.ckpt", result.generator)
-    if result.pretrained is not None:
-        io.save_checkpoint(out / "pretrained.ckpt", result.pretrained)
-    if result.pretrain_history:
-        io.write_loss_csv(out / "pretrain_loss.csv", result.pretrain_history, pretrain=True)
+        (d_net, g_net), state = io.load_resumable(*(Path(args.resume) / p.name for p in paths))
+    _check_epochs_left(state, tcfg.epochs, "epochs")
+    if args.pretrained:
+        d_net = io.load_checkpoint(args.pretrained)[0]
+    elif d_net is None:
+        d_net = _pretrain(data["train"], ncfg, tcfg, out / "pretrained.ckpt")
+    out.mkdir(parents=True, exist_ok=True)
+    result = train(data["train"], tcfg, d_net, g_net, state,
+                   checkpoint_fn=_checkpoint_writer(paths))
     io.write_loss_csv(out / "loss.csv", result.history)
     test_l1 = reconstruction_l1(result.generator, data["test"]) if len(data["test"]) else float("nan")
     print(f"trained; final test reconstruction L1 = {test_l1:.6f}")
@@ -356,12 +352,20 @@ def build_parser() -> _Parser:
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_pretrain)
 
-    s = sub.add_parser("train", help="full two-phase training")
+    s = sub.add_parser("train", help="full two-phase training", description=(
+        "Writes OUT/discriminator.ckpt, OUT/generator.ckpt and OUT/loss.csv; "
+        "without --pretrained, pretraining first writes OUT/pretrained.ckpt and "
+        "OUT/pretrained.loss.csv. --resume reads DIR/discriminator.ckpt and "
+        "DIR/generator.ckpt, not numbered d_*.ckpt/g_*.ckpt files. Resume a "
+        "pretraining interrupted inside train with "
+        "'pretrain --resume OUT/pretrained.ckpt'."))
     s.add_argument("--data", required=True)
-    s.add_argument("--pretrained", default=None)
+    start = s.add_mutually_exclusive_group()
+    start.add_argument("--pretrained", default=None, help="pretrained D checkpoint")
+    start.add_argument("--resume", default=None, metavar="DIR",
+                       help="run directory to continue the adversarial phase from")
     s.add_argument("--config", default=None)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--resume", default=None, help="directory with d_/g_ checkpoints")
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_train)
 

@@ -105,9 +105,11 @@ def _parse(buf: bytes, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_checkpoint(path, net: Network, adam: AdamState | None = None,
-                    rng_state: dict | None = None, epoch: int | None = None) -> None:
+                    rng_state: dict | None = None, epoch: int | None = None,
+                    history: list | None = None) -> None:
     """Parameters as ``param/<name>``; with ``adam``, the moments of each
-    tensor that has them as ``adam_m/<name>`` and ``adam_v/<name>``."""
+    tensor that has them as ``adam_m/<name>`` and ``adam_v/<name>``. The
+    keyword arguments come back as the keys of ``load_checkpoint``'s meta."""
     params = net.params
     names = params.names()
     meta: dict = {"config": dataclasses.asdict(net.config),
@@ -121,10 +123,9 @@ def save_checkpoint(path, net: Network, adam: AdamState | None = None,
             if node in adam.m:
                 arrays += [(f"adam_m/{n}", adam.m[node], np.float32),
                            (f"adam_v/{n}", adam.v[node], np.float32)]
-    if rng_state is not None:
-        meta["rng_state"] = rng_state
-    if epoch is not None:
-        meta["epoch"] = epoch
+    for key, value in (("rng_state", rng_state), ("epoch", epoch), ("history", history)):
+        if value is not None:
+            meta[key] = value
     _save(path, CHECKPOINT_MAGIC, meta, arrays)
 
 
@@ -135,7 +136,7 @@ def _decode_checkpoint(meta: dict, arrays: dict) -> tuple[Network, dict]:
     for group in meta["frozen"]:
         params.set_frozen(group, True)
     cfg = NetConfig(**{**meta["config"], "skip_levels": tuple(meta["config"]["skip_levels"])})
-    out = {key: meta[key] for key in ("rng_state", "epoch") if key in meta}
+    out = {key: meta[key] for key in ("rng_state", "epoch", "history") if key in meta}
     if "adam" in meta:
         a = meta["adam"]
         out["adam"] = adam = AdamState(a["beta1"], a["beta2"], a["eps"])
@@ -151,19 +152,26 @@ def _decode_checkpoint(meta: dict, arrays: dict) -> tuple[Network, dict]:
 
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Returns (network, meta) where meta may hold 'adam', 'rng_state',
-    'epoch'."""
+    'epoch' and 'history'."""
     return _load(path, CHECKPOINT_MAGIC, _decode_checkpoint)
 
 
-def load_train_state(d_meta: dict, g_meta: dict | None = None) -> TrainState:
-    if "epoch" not in d_meta:
-        raise DataFormatError("checkpoint holds no training state to resume from")
-    return TrainState(
-        epoch=d_meta["epoch"],
-        adam_d=d_meta["adam"],
-        adam_g=None if g_meta is None else g_meta["adam"],
-        rng_state=d_meta["rng_state"],
-    )
+def load_resumable(*paths) -> tuple[list[Network], TrainState]:
+    """The networks of one phase's checkpoints (D alone while pretraining,
+    then D and G) and the state to resume that phase from. A checkpoint
+    without the state, or D and G saved at different epochs, is a
+    DataFormatError."""
+    nets, metas = zip(*(load_checkpoint(p) for p in paths))
+    for path, meta in zip(paths, metas):
+        missing = [key for key in ("adam", "rng_state", "epoch", "history") if key not in meta]
+        if missing:
+            raise DataFormatError(f"{path}: no {', '.join(missing)} to resume from")
+    if len({meta["epoch"] for meta in metas}) > 1:
+        raise DataFormatError("checkpoints saved at different epochs: " + ", ".join(
+            f"{p} at {meta['epoch']}" for p, meta in zip(paths, metas)))
+    d, g = metas[0], metas[1] if len(metas) > 1 else None
+    return list(nets), TrainState(d["epoch"], d["adam"], None if g is None else g["adam"],
+                                  d["rng_state"], d["history"])
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,3 @@ def pca_reconstruct(model: PCAModel, mesh: Mesh) -> Mesh:
     flat = model.mean + model.components @ coeff
     return mesh.with_vertices(flat.reshape(-1, 3))
 
-
-def pca_sample(model: PCAModel, rng: np.random.Generator,
-               template: Mesh, n: int = 1) -> list[Mesh]:
-    """Draw shapes with coefficients ~ N(0, diag(variances))."""
-    coeffs = rng.standard_normal((model.num_components, n)) * np.sqrt(model.variances)[:, None]
-    flats = model.mean[:, None] + model.components @ coeffs
-    return [template.with_vertices(flats[:, i].reshape(-1, 3)) for i in range(n)]

@@ -1,9 +1,11 @@
 """Two-phase training protocol.
 
-Phase 1 pre-trains the discriminator as a plain autoencoder on the real
-target maps. Phase 2 clones the generator from it, freezes both decoders,
-and alternates one discriminator update and one generator update per
-batch. With L(v) = ||v - D(v)||_1 (elementwise mean):
+Phase 1 (``pretrain_discriminator``) pre-trains the discriminator as a
+plain autoencoder on the real target maps. Phase 2 (``train``) clones the
+generator from it, freezes both decoders, and alternates one discriminator
+update and one generator update per batch. Both phases resume from a
+``TrainState`` and hand one to their ``checkpoint_fn`` on each due epoch.
+With L(v) = ||v - D(v)||_1 (elementwise mean):
 
     L_D = E[L(y)] - lambda_adv * E[L(G(x))]
     L_G = E[L(G(x))] + lambda_rec * E||G(x) - y||_1
@@ -15,7 +17,7 @@ update's list (each update trains its net's ``params.trainable()``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +40,12 @@ class TrainConfig:
     batch: int = 16
     epochs: int = 300
     seed: int = 0
-    checkpoint_every: int = 0       # 0 = only final
+    checkpoint_every: int = 0       # 0 = only each phase's last epoch
 
     def __post_init__(self):
         for name, low in (("lambda_adv", 0), ("lambda_rec", 0), ("lr", 0), ("lr_decay", 0),
-                          ("batch", 1), ("pretrain_batch", 1), ("lr_decay_every", 1)):
+                          ("batch", 1), ("pretrain_batch", 1), ("lr_decay_every", 1),
+                          ("checkpoint_every", 0)):
             if not getattr(self, name) >= low:   # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -118,8 +121,15 @@ class TrainState:
     """Everything needed to resume a phase mid-run."""
     epoch: int                      # last completed epoch
     adam_d: AdamState
-    adam_g: AdamState | None
+    adam_g: AdamState | None        # None while pretraining
     rng_state: dict
+    history: list                   # the per-epoch losses of epochs 1..epoch
+
+
+def _checkpoint_due(epoch: int, last: int, config: TrainConfig) -> bool:
+    """Every ``checkpoint_every`` epochs, and always at a phase's last one."""
+    every = config.checkpoint_every
+    return epoch == last or (every > 0 and epoch % every == 0)
 
 
 def _batches(n: int, batch: int, perm: np.ndarray):
@@ -132,22 +142,21 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
                            network: Network | None = None,
                            state: TrainState | None = None,
                            checkpoint_fn=None) -> tuple[Network, list[float]]:
-    """Train the discriminator as an autoencoder of the real targets.
-    Returns the network and the per-epoch mean reconstruction loss."""
+    """Train the discriminator as an autoencoder of the real targets, from
+    ``state`` when resuming. Returns the network and the per-epoch mean
+    reconstruction loss of every epoch so far. On a due epoch it calls
+    ``checkpoint_fn(state, network)``."""
     if len(dataset) == 0:
         raise ValueError("pretraining needs a non-empty dataset")
     rng = np.random.default_rng(config.seed)
     if network is None:
         network = Network.build(net_config, rng)
-    adam = AdamState() if state is None else state.adam_d
-    start = 0
-    if state is not None:
-        rng.bit_generator.state = state.rng_state
-        start = state.epoch
+    state = state or TrainState(0, AdamState(), None, rng.bit_generator.state, [])
+    rng.bit_generator.state = state.rng_state
+    adam, history = state.adam_d, list(state.history)
     params = network.params.trainable()
-    history: list[float] = []
     n = len(dataset)
-    for epoch in range(start + 1, config.pretrain_epochs + 1):
+    for epoch in range(state.epoch + 1, config.pretrain_epochs + 1):
         lr = lr_at(epoch, config)
         perm = rng.permutation(n)
         losses = []
@@ -167,8 +176,9 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
         history.append(float(np.mean(losses)))
         if not np.isfinite(history[-1]):
             raise NumericalError(f"pretrain diverged at epoch {epoch}: loss={history[-1]}")
-        if checkpoint_fn is not None:
-            checkpoint_fn(epoch, network, TrainState(epoch, adam, None, rng.bit_generator.state))
+        if checkpoint_fn is not None and _checkpoint_due(epoch, config.pretrain_epochs, config):
+            checkpoint_fn(TrainState(epoch, adam, None, rng.bit_generator.state, history),
+                          network)
     return network, history
 
 
@@ -246,42 +256,26 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
 class TrainResult:
     discriminator: Network
     generator: Network
-    pretrained: Network | None                  # snapshot before adversarial
-    pretrain_history: list[float]
     history: list[tuple[float, float, float]]   # (L_D, L_G, L_rec) per epoch
 
 
-def train(dataset: PairedDataset, net_config: NetConfig, config: TrainConfig,
-          pretrained: Network | None = None,
-          pretrain_checkpoint_fn=None, checkpoint_fn=None,
-          resume: tuple[Network, Network, TrainState] | None = None) -> TrainResult:
-    """Full protocol: pretrain D (unless given), clone G from it, freeze
-    both decoders, then run the adversarial epochs."""
-    pretrain_history: list[float] = []
-    snapshot: Network | None = None
-    if resume is not None:
-        d_net, g_net, state = resume
-        rng = np.random.default_rng(config.seed)
-        rng.bit_generator.state = state.rng_state
-        adam_d, adam_g = state.adam_d, state.adam_g
-        start = state.epoch
-    else:
-        if pretrained is None:
-            d_net, pretrain_history = pretrain_discriminator(
-                dataset, net_config, config, checkpoint_fn=pretrain_checkpoint_fn)
-        else:
-            d_net = pretrained
-        snapshot = clone_generator_from_discriminator(d_net)
+def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
+          g_net: Network | None = None, state: TrainState | None = None,
+          checkpoint_fn=None) -> TrainResult:
+    """The adversarial phase. Without ``g_net``, G is cloned from the
+    pretrained ``d_net`` and both decoders are frozen; with ``g_net`` and
+    ``state`` a checkpointed run resumes. ``history`` covers every epoch so
+    far. On a due epoch it calls ``checkpoint_fn(state, d_net, g_net)``."""
+    if g_net is None:
         g_net = clone_generator_from_discriminator(d_net)
         freeze_decoder(d_net.params)
         freeze_decoder(g_net.params)
-        rng = np.random.default_rng(config.seed + 1)
-        adam_d, adam_g = AdamState(), AdamState()
-        start = 0
-
+    rng = np.random.default_rng(config.seed + 1)
+    state = state or TrainState(0, AdamState(), AdamState(), rng.bit_generator.state, [])
+    rng.bit_generator.state = state.rng_state
+    adam_d, adam_g, history = state.adam_d, state.adam_g, list(state.history)
     n = len(dataset)
-    history: list[tuple[float, float, float]] = []
-    for epoch in range(start + 1, config.epochs + 1):
+    for epoch in range(state.epoch + 1, config.epochs + 1):
         lr = lr_at(epoch, config)
         perm = rng.permutation(n)
         epoch_vals = []
@@ -294,12 +288,10 @@ def train(dataset: PairedDataset, net_config: NetConfig, config: TrainConfig,
                 raise NumericalError(f"adversarial epoch {epoch}: {e}") from e
             epoch_vals.append(vals)
         history.append(tuple(float(v) for v in np.mean(epoch_vals, axis=0)))
-        if checkpoint_fn is not None and (
-                (config.checkpoint_every and epoch % config.checkpoint_every == 0)
-                or epoch == config.epochs):
-            checkpoint_fn(epoch, d_net, g_net,
-                          TrainState(epoch, adam_d, adam_g, rng.bit_generator.state))
-    return TrainResult(d_net, g_net, snapshot, pretrain_history, history)
+        if checkpoint_fn is not None and _checkpoint_due(epoch, config.epochs, config):
+            checkpoint_fn(TrainState(epoch, adam_d, adam_g, rng.bit_generator.state, history),
+                          d_net, g_net)
+    return TrainResult(d_net, g_net, history)
 
 
 def reconstruction_l1(net: Network, dataset: PairedDataset, batch: int = 32) -> float:

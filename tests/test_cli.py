@@ -1,6 +1,7 @@
 """End-to-end tests of the command line at a tiny config: every command
-on one synthetic set, resumable pretraining, the exit codes of bad inputs
-and atomic checkpoint writes. They cover cli, io and pipeline."""
+on one synthetic set, the files a run writes, resumable pretraining and
+adversarial training, the exit codes of bad inputs and atomic checkpoint
+writes. They cover cli, io and pipeline."""
 
 import json
 
@@ -13,6 +14,8 @@ from facegan3d.model import NetConfig, Network
 
 CONFIG = ("filters = 2\nlatent = 4\nbatch = 4\npretrain_batch = 4\n"
           "pretrain_epochs = {}\nepochs = 1\n")
+ADV_CONFIG = ("filters = 2\nlatent = 4\nbatch = 4\npretrain_batch = 4\n"
+              "pretrain_epochs = 2\nepochs = {}\ncheckpoint_every = 1\n")
 
 
 def run(*argv) -> int:
@@ -67,25 +70,97 @@ def test_every_command_runs_and_meshes_come_back_in_input_units(work):
         assert 0.05 < ratio < 20
 
 
+def assert_same_checkpoint(a_path, b_path):
+    """Parameters, Adam moments and the resumable state, bitwise."""
+    a, a_meta = io.load_checkpoint(a_path)
+    b, b_meta = io.load_checkpoint(b_path)
+    assert a.params.checksum() == b.params.checksum()
+    for key in ("epoch", "rng_state", "history"):
+        assert a_meta[key] == b_meta[key]
+    assert a_meta["adam"].t == b_meta["adam"].t
+    for name in b.params.names():
+        x, y = a.params[name].node_id, b.params[name].node_id
+        assert (x in a_meta["adam"].m) == (y in b_meta["adam"].m)
+        if y in b_meta["adam"].m:
+            assert a_meta["adam"].m[x].tobytes() == b_meta["adam"].m[y].tobytes()
+            assert a_meta["adam"].v[x].tobytes() == b_meta["adam"].v[y].tobytes()
+
+
 def test_resumed_pretrain_is_bitwise_equal_to_uninterrupted(work, capsys):
     d, ckpt = work, work / "resumed.ckpt"
     assert run("pretrain", "--data", d / "pre", "--config", d / "pre1.cfg",
                "--seed", 0, "--out", ckpt) == 0
     assert run("pretrain", "--data", d / "pre", "--config", d / "pre2.cfg",
                "--seed", 0, "--resume", ckpt, "--out", ckpt) == 0
-    resumed, rmeta = io.load_checkpoint(ckpt)
-    straight, smeta = io.load_checkpoint(d / "model.ckpt")
-    assert resumed.params.checksum() == straight.params.checksum()
-    assert rmeta["epoch"] == smeta["epoch"] == 2
-    assert rmeta["rng_state"] == smeta["rng_state"]
-    for name in straight.params.names():
-        a, b = resumed.params[name], straight.params[name]
-        assert rmeta["adam"].m[a.node_id].tobytes() == smeta["adam"].m[b.node_id].tobytes()
+    assert_same_checkpoint(ckpt, d / "model.ckpt")
+    assert io.load_checkpoint(ckpt)[1]["epoch"] == 2
+    assert (d / "resumed.loss.csv").read_bytes() == (d / "model.loss.csv").read_bytes()
     capsys.readouterr()
     # nothing left to do: a clean data error naming the epoch
     assert run("pretrain", "--data", d / "pre", "--config", d / "pre2.cfg",
                "--resume", ckpt, "--out", ckpt) == cli.EXIT_DATA
     assert "epoch 2" in capsys.readouterr().err
+
+
+def test_resumed_train_is_bitwise_equal_to_uninterrupted(work, capsys):
+    d = work
+    for epochs in (2, 3):
+        (d / f"adv{epochs}.cfg").write_text(ADV_CONFIG.format(epochs))
+    args = ("--data", d / "pre", "--seed", 0)
+    assert run("train", *args, "--pretrained", d / "model.ckpt", "--config", d / "adv3.cfg",
+               "--out", d / "straight") == 0
+    assert run("train", *args, "--pretrained", d / "model.ckpt", "--config", d / "adv2.cfg",
+               "--out", d / "resumed") == 0
+    assert run("train", *args, "--resume", d / "resumed", "--config", d / "adv3.cfg",
+               "--out", d / "resumed") == 0
+    for name in ("discriminator.ckpt", "generator.ckpt"):
+        assert_same_checkpoint(d / "resumed" / name, d / "straight" / name)
+    loss = (d / "straight" / "loss.csv").read_bytes()
+    assert (d / "resumed" / "loss.csv").read_bytes() == loss
+    assert len(loss.splitlines()) == 1 + 3
+    capsys.readouterr()
+    # nothing left to do: a clean data error naming the epoch, no file touched
+    assert run("train", *args, "--resume", d / "straight", "--config", d / "adv3.cfg",
+               "--out", d / "straight") == cli.EXIT_DATA
+    assert "epoch 3" in capsys.readouterr().err
+    assert (d / "straight" / "loss.csv").read_bytes() == loss
+
+
+def test_train_run_directory_holds_the_documented_files(work):
+    d = work
+    args = ("--data", d / "pre", "--config", d / "pre2.cfg", "--seed", 0)
+    assert run("train", *args, "--pretrained", d / "model.ckpt", "--out", d / "given") == 0
+    assert run("train", *args, "--out", d / "fresh") == 0
+    assert sorted(p.name for p in (d / "given").iterdir()) == [
+        "discriminator.ckpt", "generator.ckpt", "loss.csv"]
+    assert sorted(p.name for p in (d / "fresh").iterdir()) == [
+        "discriminator.ckpt", "generator.ckpt", "loss.csv",
+        "pretrained.ckpt", "pretrained.loss.csv"]
+    # pretraining inside train is `pretrain --out <dir>/pretrained.ckpt`
+    assert_same_checkpoint(d / "fresh" / "pretrained.ckpt", d / "model.ckpt")
+    assert (d / "fresh" / "pretrained.loss.csv").read_bytes() == \
+        (d / "model.loss.csv").read_bytes()
+    for name in ("discriminator.ckpt", "generator.ckpt", "loss.csv"):
+        assert (d / "fresh" / name).read_bytes() == (d / "given" / name).read_bytes()
+
+
+@pytest.mark.parametrize("missing", ["epoch", "history"])
+def test_resume_without_training_state_exits_data_error(work, missing, capsys):
+    net, meta = io.load_checkpoint(work / "model.ckpt")
+    del meta[missing]
+    io.save_checkpoint(work / "partial.ckpt", net, **meta)
+    assert run("pretrain", "--data", work / "pre", "--config", work / "pre2.cfg",
+               "--resume", work / "partial.ckpt", "--out", work / "partial.ckpt") == cli.EXIT_DATA
+    assert missing in capsys.readouterr().err
+
+
+def test_train_resume_with_pretrained_is_a_usage_error(work, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("train", "--data", work / "pre", "--pretrained", work / "model.ckpt",
+            "--resume", work / "run", "--out", work / "both")
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "not allowed" in capsys.readouterr().err
+    assert not (work / "both").exists()
 
 
 def test_specificity_unknown_label_exits_data_error(work, capsys):
@@ -171,7 +246,7 @@ def test_unknown_config_key_exits_data_error(work, line, capsys):
 
 @pytest.mark.parametrize("line", ["lr = abc", "lr = -1", "lr = nan", "batch = 0",
                                   "lr_decay_every = 1.5", "lr_decay_every = 0",
-                                  "filters = two"])
+                                  "filters = two", "checkpoint_every = -1"])
 def test_bad_config_value_exits_data_error(work, line, capsys):
     cfg = work / "bad.cfg"
     cfg.write_text(CONFIG.format(1) + line + "\n")

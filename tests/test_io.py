@@ -49,9 +49,12 @@ def tiny_gaussians():
             LatentGaussian(rng.standard_normal(3), rng.standard_normal((3, 4)))]
 
 
-def save_tiny_checkpoint(path):
+HISTORY = [[0.5, 0.25, 0.125], [0.1, 1e-300, -0.0]]
+
+
+def save_tiny_checkpoint(path, epoch=5):
     net, adam, rng_state = tiny_checkpoint()
-    io.save_checkpoint(path, net, adam=adam, rng_state=rng_state, epoch=5)
+    io.save_checkpoint(path, net, adam=adam, rng_state=rng_state, epoch=epoch, history=HISTORY)
 
 
 # (save of a tiny object, load) for each kind
@@ -77,7 +80,8 @@ def header_of(blob: bytes) -> tuple[int, dict]:
 
 def test_checkpoint_round_trips_bitwise(tmp_path):
     net, adam, rng_state = tiny_checkpoint()
-    io.save_checkpoint(tmp_path / "a.ckpt", net, adam=adam, rng_state=rng_state, epoch=5)
+    io.save_checkpoint(tmp_path / "a.ckpt", net, adam=adam, rng_state=rng_state, epoch=5,
+                       history=HISTORY)
     back, meta = io.load_checkpoint(tmp_path / "a.ckpt")
     assert back.config == net.config
     assert back.params.names() == net.params.names()
@@ -85,6 +89,7 @@ def test_checkpoint_round_trips_bitwise(tmp_path):
     got = meta["adam"]
     assert (got.t, got.beta1, got.beta2, got.eps) == (7, 0.3, 0.875, 1e-7)
     assert meta["rng_state"] == rng_state and meta["epoch"] == 5
+    assert meta["history"] == HISTORY and str(meta["history"]) == str(HISTORY)
     for name in net.params.names():
         a, b = net.params[name], back.params[name]
         assert back.params.group_of(name) == net.params.group_of(name)
@@ -226,6 +231,14 @@ def test_checkpoint_moments_must_match_their_tensor(tmp_path):
     io.save_checkpoint(tmp_path / "a.ckpt", net, adam=adam)
     with pytest.raises(DataFormatError, match="Adam moments"):
         io.load_checkpoint(tmp_path / "a.ckpt")
+
+
+def test_resumable_checkpoints_at_different_epochs_are_a_data_error(tmp_path):
+    save_tiny_checkpoint(tmp_path / "d", epoch=2)
+    save_tiny_checkpoint(tmp_path / "g", epoch=1)
+    assert io.load_resumable(tmp_path / "d")[1].epoch == 2
+    with pytest.raises(DataFormatError, match="different epochs"):
+        io.load_resumable(tmp_path / "d", tmp_path / "g")
 
 
 def test_checkpoint_unknown_group_is_a_data_error(tmp_path):

@@ -211,13 +211,14 @@ def test_decoders_bit_identical_through_training():
     ds = toy_dataset(seed=8)
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=3, pretrain_batch=4,
                       batch=4, epochs=4, seed=8)
-    result = train(ds, NCFG, cfg)
-    pre_dec = result.pretrained.params.checksum("decoder")
+    pretrained, _ = pretrain_discriminator(ds, NCFG, cfg)
+    pre_dec = pretrained.params.checksum("decoder")
+    pre_enc = pretrained.params.checksum("encoder")
+    result = train(ds, cfg, pretrained)
     assert result.discriminator.params.checksum("decoder") == pre_dec
     assert result.generator.params.checksum("decoder") == pre_dec
     # encoders did move
-    assert result.generator.params.checksum("encoder") != \
-        result.pretrained.params.checksum("encoder")
+    assert result.generator.params.checksum("encoder") != pre_enc
 
 
 def test_adversarial_phase_does_not_destroy_reconstruction():
@@ -225,8 +226,9 @@ def test_adversarial_phase_does_not_destroy_reconstruction():
     test = toy_dataset(n=4, seed=10)
     cfg = TrainConfig(lr=2e-3, pretrain_epochs=60, pretrain_batch=4,
                       batch=4, epochs=20, seed=9)
-    result = train(ds, NCFG, cfg)
-    pre = reconstruction_l1(result.pretrained, test)
+    pretrained, _ = pretrain_discriminator(ds, NCFG, cfg)
+    pre = reconstruction_l1(pretrained, test)
+    result = train(ds, cfg, pretrained)
     fin = reconstruction_l1(result.generator, test)
     assert fin <= 1.05 * pre
 
@@ -235,8 +237,9 @@ def test_training_histories_finite():
     ds = toy_dataset(seed=11)
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=3, pretrain_batch=4,
                       batch=4, epochs=3, seed=11)
-    result = train(ds, NCFG, cfg)
-    assert np.all(np.isfinite(result.pretrain_history))
+    pretrained, pretrain_history = pretrain_discriminator(ds, NCFG, cfg)
+    result = train(ds, cfg, pretrained)
+    assert np.all(np.isfinite(pretrain_history))
     assert np.all(np.isfinite(np.asarray(result.history)))
 
 
