@@ -173,19 +173,29 @@ def _patches(x: np.ndarray) -> np.ndarray:
     )
 
 
+# Byte budget of one chunk of _conv_raw's im2col (at least one sample).
+_IM2COL_CHUNK = 1 << 21
+
+
 def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W), as one batched GEMM
-    # over the N-major im2col (N, C1*9, H*W)
+    # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W). The N-major im2col
+    # (step, C1*9, H*W) is built a few samples at a time, so it stays within
+    # _IM2COL_CHUNK bytes (or one sample) whatever N is. Stacked matmul runs
+    # one GEMM per sample, so the result is bitwise the one-shot im2col's.
     N, C1, H, W = x.shape
-    cols = _patches(x).reshape(N, C1 * 9, H * W)
-    out = np.matmul(w2, cols)  # (N, C2, H*W)
+    out = np.empty((N, w2.shape[0], H * W), dtype=np.result_type(w2, x))
+    step = max(1, _IM2COL_CHUNK // (9 * C1 * H * W * x.itemsize))
+    for i in range(0, N, step):
+        cols = _patches(x[i:i + step]).reshape(-1, C1 * 9, H * W)
+        np.matmul(w2, cols, out=out[i:i + step])
     return out.reshape(N, w2.shape[0], H, W)
 
 
 def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     # dW = g (C2, N*H*W) @ cols^T with the channel-major im2col
     # (C1*9, N*H*W), copied once straight from the patch view: only g, with
-    # C2 channels, needs a transpose, not the 9*C1-row im2col.
+    # C2 channels, needs a transpose, not the 9*C1-row im2col. It is not
+    # chunked like _conv_raw: splitting the K = N*H*W sum would change bits.
     N, C1, H, W = x.shape
     C2 = g.shape[1]
     cols = _patches(x).transpose(1, 2, 3, 0, 4, 5).reshape(C1 * 9, N * H * W)

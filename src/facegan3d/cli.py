@@ -59,6 +59,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _fraction(text: str) -> float:
+    v = float(text)
+    if not 0.0 < v <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {v}")
+    return v
+
+
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 _NET_KEYS = {"filters": int, "latent": int,
              "skip_levels": lambda s: tuple(int(v) for v in s.split(",") if v.strip())}
@@ -288,11 +295,16 @@ def cmd_evaluate(args) -> int:
             preds.append(pipeline.map_to_mesh(result, layout, landmarks))
             identities.append(load_obj(data_dir / "aligned" / f"{stem}.noisy.obj", landmarks))
         crop = args.crop_radius / meta["scale"]   # input units -> normalised
-        model_rmse = [evaluation.rmse3d_translation(p, g, crop_radius=crop)
-                      for p, g in zip(preds, test_meshes)]
-        ident_rmse = [evaluation.rmse3d_translation(p, g, crop_radius=crop)
-                      for p, g in zip(identities, test_meshes)]
-        errs = evaluation.ErrorDistribution(np.asarray(model_rmse))
+
+        def rmse(meshes):
+            # per-mesh 3DRMSE, and how many ICP alignments ran out of iterations
+            res = [evaluation.rmse3d_translation(p, g, crop_radius=crop)
+                   for p, g in zip(meshes, test_meshes)]
+            return np.array([r for r, _ in res]), sum(not c for _, c in res)
+
+        model_rmse, model_unconverged = rmse(preds)
+        ident_rmse, ident_unconverged = rmse(identities)
+        errs = evaluation.ErrorDistribution(model_rmse)
         curve, auc, fr = evaluation.ced_auc_fr(errs, args.x_max, args.fail_threshold)
         summary = {
             "metric": "rmse3d_translation",
@@ -300,6 +312,8 @@ def cmd_evaluate(args) -> int:
             "x_max": args.x_max, "threshold": args.fail_threshold,
             "seed": args.seed,
             "identity_mean": float(np.mean(ident_rmse)),
+            "icp_unconverged": model_unconverged,
+            "identity_icp_unconverged": ident_unconverged,
         }
         io.write_metric_report(out, "translate", summary, curve)
         print(json.dumps(summary, sort_keys=True))
@@ -400,8 +414,8 @@ def build_parser() -> _Parser:
     s.add_argument("--crop-radius", type=float, default=np.inf,
                    help="3DRMSE radius around the nose tip, in input units "
                         "(default: the whole face)")
-    s.add_argument("--pca-k", type=int, default=None)
-    s.add_argument("--pca-var", type=float, default=None)
+    s.add_argument("--pca-k", type=_positive_int, default=None)
+    s.add_argument("--pca-var", type=_fraction, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_evaluate)

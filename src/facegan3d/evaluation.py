@@ -59,24 +59,25 @@ def ced_auc_fr(errs: ErrorDistribution, x_max: float,
 
 
 def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf,
-                       icp_max_iter: int = 50) -> float:
+                       icp_max_iter: int = 50) -> tuple[float, bool]:
     """Root-mean-square point-to-plane distance between a predicted mesh
     and ground truth, after rigid ICP alignment, restricted to gt vertices
     within ``crop_radius`` of the nose tip (all of them by default),
-    normalized by the outer-eye (inter-ocular) distance."""
+    normalized by the outer-eye (inter-ocular) distance; and whether the
+    ICP converged within ``icp_max_iter`` iterations."""
     le = gt.landmark_point("left-eye-outer")
     re = gt.landmark_point("right-eye-outer")
     iod = float(np.linalg.norm(le - re))
     if iod < 1e-12:
         raise ValueError("degenerate inter-ocular distance")
-    transform = icp_point_to_plane(pred, gt, max_iter=icp_max_iter)
+    transform, converged = icp_point_to_plane(pred, gt, max_iter=icp_max_iter)
     p = transform.apply(pred.vertices)
     keep = np.linalg.norm(gt.vertices - gt.landmark_point("nose-tip"), axis=1) <= crop_radius
     if not keep.any():
         raise ValueError("crop radius excludes every vertex")
     normals = gt.vertex_normals()
     d = np.einsum("ij,ij->i", (p - gt.vertices)[keep], normals[keep])
-    return float(np.sqrt(np.mean(d * d)) / iod)
+    return float(np.sqrt(np.mean(d * d)) / iod), converged
 
 
 def specificity(sample_fn: Callable[[int], Mesh], test_meshes: list[Mesh],

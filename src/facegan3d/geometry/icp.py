@@ -24,10 +24,12 @@ def _rodrigues(omega: np.ndarray) -> np.ndarray:
 
 
 def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
-                       tol: float = 1e-12) -> SimilarityTransform:
+                       tol: float = 1e-12) -> tuple[SimilarityTransform, bool]:
     """Rigid transform (a similarity of scale 1) minimizing the
     point-to-plane error of source vertices against their nearest target
-    vertices (normals from the target's area-weighted vertex normals)."""
+    vertices (normals from the target's area-weighted vertex normals),
+    and whether it converged: an update step fell below ``tol`` within
+    ``max_iter`` iterations."""
     if source.num_vertices < 6:
         raise ValueError(f"need at least 6 correspondences, got {source.num_vertices}")
     tgt = target.vertices
@@ -35,6 +37,7 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
     tree = cKDTree(tgt)
     R = np.eye(3)
     t = np.zeros(3)
+    converged = False
     for _ in range(max_iter):
         p = source.vertices @ R.T + t
         _, nn = tree.query(p)
@@ -48,6 +51,7 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
         R = dR @ R
         t = dR @ t + x[3:]
         if np.linalg.norm(x) < tol:
+            converged = True
             break
     # re-orthonormalize against accumulated drift
     u, _, vt = np.linalg.svd(R)
@@ -55,4 +59,4 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
     if np.linalg.det(R) < 0:
         u[:, -1] *= -1
         R = u @ vt
-    return SimilarityTransform(R, t)
+    return SimilarityTransform(R, t), converged

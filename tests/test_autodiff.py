@@ -2,6 +2,7 @@
 central finite differences, tape semantics, Adam, and the freeze contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from facegan3d.errors import NonFiniteError, ShapeError
 from facegan3d.model import NetParams
 
 from oracles import (naive_avg_pool2, naive_conv2d, naive_l1_mean,
-                     naive_matmul_affine, naive_upsample2, reference_adam)
+                     naive_matmul_affine, naive_upsample2, reference_adam,
+                     reference_conv_raw)
 
 
 def t64(arr, **kw):
@@ -69,6 +71,45 @@ def test_conv2d_matches_naive_oracle(seed):
     b = rng.standard_normal(4)
     out = ad.conv2d(t64(x), t64(w), t64(b))
     np.testing.assert_allclose(out.data, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("samples", [0, 1, 3])
+def test_conv2d_im2col_chunks_are_bitwise_the_one_shot_gemm(dtype, samples, monkeypatch):
+    # budgets of 1 byte, one sample's im2col and three samples' (N = 7
+    # leaves a partial last chunk); the forward and the backward's dx both
+    # run the chunked im2col
+    rng = np.random.default_rng(11)
+    N, C1, C2, H, W = 7, 3, 4, 5, 6
+    x = rng.standard_normal((N, C1, H, W)).astype(dtype)
+    w = rng.standard_normal((C2, C1, 3, 3)).astype(dtype)
+    b = rng.standard_normal(C2).astype(dtype)
+    g = rng.standard_normal((N, C2, H, W)).astype(dtype)
+    monkeypatch.setattr(ad, "_IM2COL_CHUNK", max(1, samples * 9 * C1 * H * W * x.itemsize))
+    tape = ad.Tape()
+    out = ad.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
+    dx, _, _ = tape.records[-1].backward_fn(g, (True, False, False))
+    ref = reference_conv_raw(x, w.reshape(C2, C1 * 9))
+    ref += b[:, None, None]
+    w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C1, C2 * 9)
+    for got, want in ((out.data, ref), (dx, reference_conv_raw(g, w_flip))):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
+    # the one-shot im2col of this input alone is 9x its 8.4 MB
+    rng = np.random.default_rng(12)
+    x = ad.Tensor(rng.standard_normal((32, 16, 64, 64)).astype(np.float32))
+    w = ad.Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
+    b = ad.Tensor(np.zeros(16, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 4 * ad._IM2COL_CHUNK
 
 
 def test_conv2d_shape_errors_name_dimensions():

@@ -222,6 +222,27 @@ def test_n_below_one_is_a_usage_error(work, command, capsys):
     assert not (work / "n0").exists()
 
 
+@pytest.mark.parametrize("option", [("--pca-k", -1), ("--pca-k", 0), ("--pca-var", 1.5),
+                                    ("--pca-var", -0.5), ("--pca-var", 0), ("--pca-var", "nan")])
+def test_pca_option_out_of_range_is_a_usage_error(work, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("evaluate", "--task", "represent", "--model", "identity", "--data", work / "pre",
+            *option, "--out", work / "pca_bad")
+    assert exit_info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert option[0] in err and "Traceback" not in err
+    assert not (work / "pca_bad").exists()
+
+
+def test_translate_report_counts_unconverged_icp(work):
+    assert run("evaluate", "--task", "translate", "--data", work / "pre",
+               "--model", work / "model.ckpt", "--out", work / "eval_icp") == 0
+    report = json.loads((work / "eval_icp" / "translate.json").read_text())
+    n_test = len(pipeline.load_meta(work / "pre")["test"])
+    for key in ("icp_unconverged", "identity_icp_unconverged"):
+        assert type(report[key]) is int and 0 <= report[key] <= n_test
+
+
 def test_translate_rmse_default_crop_keeps_whole_face(work, capsys):
     def mean_rmse(*crop):
         capsys.readouterr()

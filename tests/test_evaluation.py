@@ -89,7 +89,9 @@ def test_ced_empty_errors():
 
 def test_rmse3d_identical_is_zero():
     tpl = make_template(13)
-    assert rmse3d_translation(tpl, tpl) == pytest.approx(0.0, abs=1e-12)
+    rmse, converged = rmse3d_translation(tpl, tpl)
+    assert rmse == pytest.approx(0.0, abs=1e-12)
+    assert converged is True
 
 
 def test_rmse3d_rigid_motion_removed():
@@ -101,7 +103,9 @@ def test_rmse3d_rigid_motion_removed():
     K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
     R = np.eye(3) + np.sin(ang) * K + (1 - np.cos(ang)) * (K @ K)
     moved = tpl.with_vertices(tpl.vertices @ R.T + [0.05, -0.02, 0.01])
-    assert rmse3d_translation(moved, tpl) < 1e-6
+    rmse, converged = rmse3d_translation(moved, tpl)
+    assert rmse < 1e-6
+    assert converged
 
 
 def test_rmse3d_crop_restricts_to_nose_region():
@@ -112,9 +116,10 @@ def test_rmse3d_crop_restricts_to_nose_region():
     d = np.linalg.norm(tpl.vertices - tip, axis=1)
     far[np.argmax(d)] += 0.5
     pred = tpl.with_vertices(far)
-    small_crop = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)),
-                                    icp_max_iter=0)
+    small_crop, converged = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)),
+                                               icp_max_iter=0)
     assert small_crop == pytest.approx(0.0, abs=1e-9)
+    assert converged is False   # no ICP iteration ran
 
 
 def test_rmse3d_default_keeps_whole_face():
@@ -122,16 +127,17 @@ def test_rmse3d_default_keeps_whole_face():
     pred = tpl.with_vertices(tpl.vertices + np.random.default_rng(24).normal(
         0, 0.01, tpl.vertices.shape))
     d = np.linalg.norm(tpl.vertices - tpl.vertices[tpl.landmarks["nose-tip"]], axis=1)
-    whole = rmse3d_translation(pred, tpl, icp_max_iter=0)
-    assert rmse3d_translation(pred, tpl, crop_radius=1e9, icp_max_iter=0) == whole
-    cropped = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)), icp_max_iter=0)
+    whole, _ = rmse3d_translation(pred, tpl, icp_max_iter=0)
+    assert rmse3d_translation(pred, tpl, crop_radius=1e9, icp_max_iter=0)[0] == whole
+    cropped, _ = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)),
+                                    icp_max_iter=0)
     assert cropped != whole
 
 
 def test_rmse3d_normalized_by_interocular():
     tpl = make_template(13)
     pred = tpl.with_vertices(tpl.vertices + tpl.vertex_normals() * 0.01)
-    base = rmse3d_translation(pred, tpl, icp_max_iter=0)
+    base, _ = rmse3d_translation(pred, tpl, icp_max_iter=0)
     wide = tpl.copy()
     wide.landmarks = dict(tpl.landmarks)
     # synthetic landmark pair twice as far apart halves the metric
@@ -142,7 +148,7 @@ def test_rmse3d_normalized_by_interocular():
     v[re] = mid + (v[re] - mid) * 2
     wide = wide.with_vertices(v)
     pred2 = wide.with_vertices(wide.vertices + wide.vertex_normals() * 0.01)
-    assert rmse3d_translation(pred2, wide, icp_max_iter=0) == pytest.approx(
+    assert rmse3d_translation(pred2, wide, icp_max_iter=0)[0] == pytest.approx(
         base * 0.5, rel=0.2)
 
 

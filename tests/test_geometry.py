@@ -437,7 +437,8 @@ def test_uvmap_values_in_range_after_normalize(heads):
 
 def test_icp_identity():
     tpl = make_template(13)
-    t = icp_point_to_plane(tpl, tpl)
+    t, converged = icp_point_to_plane(tpl, tpl)
+    assert converged
     np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-10)
     np.testing.assert_allclose(t.translation, 0.0, atol=1e-10)
 
@@ -448,7 +449,8 @@ def test_icp_recovers_small_rigid_motion():
     R = small_rotation(rng, 10.0)
     tv = np.array([0.02, -0.03, 0.04])
     moved = tpl.with_vertices(tpl.vertices @ R.T + tv)
-    t = icp_point_to_plane(moved, tpl)
+    t, converged = icp_point_to_plane(moved, tpl)
+    assert converged
     recovered = t.apply(moved.vertices)
     np.testing.assert_allclose(recovered, tpl.vertices, atol=1e-6)
 
@@ -459,7 +461,7 @@ def test_icp_residual_not_worse_than_truth():
     R = small_rotation(rng, 8.0)
     tv = np.array([0.01, 0.02, -0.03])
     moved = tpl.with_vertices(tpl.vertices @ R.T + tv)
-    t = icp_point_to_plane(moved, tpl)
+    t, _ = icp_point_to_plane(moved, tpl)
     res_icp = point_to_plane_residual(t.apply(moved.vertices), tpl)
     res_truth = point_to_plane_residual((moved.vertices - tv) @ R, tpl)
     assert res_icp <= res_truth + 1e-8
@@ -474,9 +476,24 @@ def test_icp_hundred_seeded_trials():
         R = small_rotation(rng, 15.0)
         tv = rng.uniform(-0.1, 0.1, 3) * bbox
         moved = tpl.with_vertices(tpl.vertices @ R.T + tv)
-        t = icp_point_to_plane(moved, tpl)
+        t, converged = icp_point_to_plane(moved, tpl)
+        assert converged, f"seed {seed}"
         err = np.abs(t.apply(moved.vertices) - tpl.vertices).max()
         assert err < 1e-6, f"seed {seed}: {err}"
+
+
+def test_icp_reports_running_out_of_iterations():
+    tpl = make_template(13)
+    R = small_rotation(np.random.default_rng(12), 10.0)
+    moved = tpl.with_vertices(tpl.vertices @ R.T + [0.02, -0.03, 0.04])
+    t1, converged = icp_point_to_plane(moved, tpl, max_iter=1)
+    assert not converged
+    _, converged = icp_point_to_plane(moved, tpl, max_iter=0)
+    assert not converged
+    t, converged = icp_point_to_plane(moved, tpl)
+    assert converged
+    err = lambda tr: np.abs(tr.apply(moved.vertices) - tpl.vertices).max()
+    assert err(t) < 1e-6 < err(t1)
 
 
 def test_icp_too_few_vertices():
