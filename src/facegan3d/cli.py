@@ -177,23 +177,14 @@ def cmd_train(args) -> int:
 
 def _sample_maps(args, net, data_dir) -> np.ndarray:
     """Decode ``args.n`` draws from the latent Gaussian of ``args.label``
-    (the first one without a label). The Gaussians come from
-    ``args.gaussian`` when it exists; otherwise they are fitted on the
-    training maps and, with ``args.gaussian`` set, cached there."""
-    if args.gaussian and Path(args.gaussian).exists():
-        gs = io.load_gaussians(args.gaussian)
+    (the first one without a label), fitted on the training maps."""
+    data = pipeline.load_paired_datasets(data_dir)
+    train_ds = data["train"]
+    if train_ds.labels is not None:
+        gs = list(generation.fit_label_gaussians(
+            net, train_ds.x, train_ds.labels, data["meta"]["label_names"]).values())
     else:
-        data = pipeline.load_paired_datasets(data_dir)
-        train_ds = data["train"]
-        if train_ds.labels is not None:
-            per = generation.fit_label_gaussians(
-                net, train_ds.x, train_ds.labels, data["meta"]["label_names"])
-            gs = list(per.values())
-        else:
-            Z = generation.collect_bottlenecks(net, train_ds.x)
-            gs = [generation.fit_latent_gaussian(Z)]
-        if args.gaussian:
-            io.save_gaussians(args.gaussian, gs)
+        gs = [generation.fit_latent_gaussian(generation.collect_bottlenecks(net, train_ds.x))]
     g = gs[0]
     if args.label:
         match = [x for x in gs if x.label == args.label]
@@ -246,12 +237,13 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def _represent_summary(errs, args, seed):
+def _ced_summary(metric: str, errs, args):
+    """The report of an error distribution and its CED curve."""
     curve, auc, fr = evaluation.ced_auc_fr(errs, args.x_max, args.fail_threshold)
     return {
-        "metric": "generalization",
+        "metric": metric,
         "mean": errs.mean, "std": errs.std, "auc": auc, "fr": fr,
-        "x_max": args.x_max, "threshold": args.fail_threshold, "seed": seed,
+        "x_max": args.x_max, "threshold": args.fail_threshold, "seed": args.seed,
     }, curve
 
 
@@ -270,7 +262,7 @@ def cmd_evaluate(args) -> int:
             net = io.load_checkpoint(args.model)[0]
             rec = pipeline.gan_reconstructor(net, layout, meta["resolution"], landmarks)
         errs = evaluation.generalization_errors(rec, test_meshes)
-        summary, curve = _represent_summary(errs, args, args.seed)
+        summary, curve = _ced_summary("generalization", errs, args)
         io.write_metric_report(out, "represent", summary, curve)
         if args.pca_k or args.pca_var:
             from .pca import pca_fit, pca_reconstruct
@@ -279,8 +271,7 @@ def cmd_evaluate(args) -> int:
                             n_components=args.pca_k)
             perr = evaluation.generalization_errors(
                 lambda m: pca_reconstruct(model, m), test_meshes)
-            psummary, pcurve = _represent_summary(perr, args, args.seed)
-            psummary["metric"] = "generalization_pca"
+            psummary, pcurve = _ced_summary("generalization_pca", perr, args)
             psummary["pca_components"] = model.num_components
             io.write_metric_report(out, "represent_pca", psummary, pcurve)
         print(json.dumps(summary, sort_keys=True))
@@ -304,17 +295,11 @@ def cmd_evaluate(args) -> int:
 
         model_rmse, model_unconverged = rmse(preds)
         ident_rmse, ident_unconverged = rmse(identities)
-        errs = evaluation.ErrorDistribution(model_rmse)
-        curve, auc, fr = evaluation.ced_auc_fr(errs, args.x_max, args.fail_threshold)
-        summary = {
-            "metric": "rmse3d_translation",
-            "mean": errs.mean, "std": errs.std, "auc": auc, "fr": fr,
-            "x_max": args.x_max, "threshold": args.fail_threshold,
-            "seed": args.seed,
-            "identity_mean": float(np.mean(ident_rmse)),
-            "icp_unconverged": model_unconverged,
-            "identity_icp_unconverged": ident_unconverged,
-        }
+        summary, curve = _ced_summary(
+            "rmse3d_translation", evaluation.ErrorDistribution(model_rmse), args)
+        summary.update(identity_mean=float(np.mean(ident_rmse)),
+                       icp_unconverged=model_unconverged,
+                       identity_icp_unconverged=ident_unconverged)
         io.write_metric_report(out, "translate", summary, curve)
         print(json.dumps(summary, sort_keys=True))
         return EXIT_OK
@@ -383,11 +368,13 @@ def build_parser() -> _Parser:
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_train)
 
-    s = sub.add_parser("generate", help="sample new faces from the latent gaussian")
+    s = sub.add_parser("generate", help="sample new faces from the latent gaussian", description=(
+        "Fits a Gaussian to the bottleneck codes of --data's training maps "
+        "(one per label with labelled data) and decodes --n samples of it, "
+        "the one of --label when given, through the decoder alone."))
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--gaussian", default=None)
-    s.add_argument("--label", default=None)
+    s.add_argument("--label", default=None, help="the label whose Gaussian to sample")
     s.add_argument("--n", type=_positive_int, default=16)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -406,8 +393,9 @@ def build_parser() -> _Parser:
     s.add_argument("--data", required=True)
     s.add_argument("--model", required=True,
                    help="checkpoint path, or 'identity' for the pass-through model")
-    s.add_argument("--gaussian", default=None)
-    s.add_argument("--label", default=None)
+    s.add_argument("--label", default=None,
+                   help="specificity: the label whose Gaussian to sample, fitted "
+                        "afresh on the training maps as in generate")
     s.add_argument("--n", type=_positive_int, default=200)
     s.add_argument("--x-max", type=float, default=0.01)
     s.add_argument("--fail-threshold", type=float, default=0.01)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network
-from .training import condition_input
 
 
 @dataclass
@@ -48,7 +47,7 @@ def collect_bottlenecks(net: Network, maps: np.ndarray,
     cols = []
     for i in range(0, len(maps), batch):
         l = None if labels is None else labels[i:i + batch]
-        z, _ = net.encode(condition_input(maps[i:i + batch], l))
+        z, _ = net.encode(maps[i:i + batch], labels=l)
         cols.append(z.data.T.astype(np.float64))
     return np.concatenate(cols, axis=1)
 
@@ -71,7 +70,8 @@ def sample_latent(g: LatentGaussian, rng: np.random.Generator, n: int = 1) -> np
 
 
 def decode_batch(net: Network, zs: np.ndarray, batch: int = 64) -> np.ndarray:
-    """Decode latent columns (N_b, n) to maps (n, 3, H, W), skips zeroed."""
+    """Decode latent columns (N_b, n) to maps (n, 3, H, W), with no skip
+    features."""
     zs = np.asarray(zs, dtype=np.float32)
     outs = []
     for i in range(0, zs.shape[1], batch):

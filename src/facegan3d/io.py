@@ -1,7 +1,7 @@
 """On-disk formats: network checkpoints, UV map files, layout caches,
-latent Gaussian files, key=value configs and CSV/JSON reports.
+key=value configs and CSV/JSON reports.
 
-The four binary kinds share one container: the kind's 4-byte magic, then
+The three binary kinds share one container: the kind's 4-byte magic, then
 ``FORMAT_VERSION`` and the header length as little-endian uint32s, then a
 sorted-key UTF-8 JSON header with the kind's metadata and each array's
 name, dtype and shape, then the arrays' little-endian bytes in header
@@ -22,7 +22,6 @@ import numpy as np
 
 from .autodiff import AdamState, Tensor
 from .errors import DataFormatError
-from .generation import LatentGaussian
 from .geometry import UVLayout, UVMap
 from .model import NetConfig, NetParams, Network
 from .training import TrainState
@@ -30,7 +29,6 @@ from .training import TrainState
 CHECKPOINT_MAGIC = b"3DFG"
 UVMAP_MAGIC = b"UVF1"
 LAYOUT_MAGIC = b"UVL1"
-GAUSSIAN_MAGIC = b"GSN1"
 FORMAT_VERSION = 2
 
 _PREAMBLE = struct.Struct("<4sII")   # magic, version, header byte length
@@ -209,23 +207,6 @@ def save_layout(path, layout: UVLayout) -> None:
 
 def load_layout(path) -> UVLayout:
     return _load(path, LAYOUT_MAGIC, lambda meta, arrays: UVLayout(arrays["uv"], arrays["faces"]))
-
-
-# ---------------------------------------------------------------------------
-# latent gaussians
-
-
-def save_gaussians(path, gaussians: list[LatentGaussian]) -> None:
-    arrays = []
-    for i, g in enumerate(gaussians):
-        arrays += [(f"mean/{i}", g.mean, np.float64), (f"factor/{i}", g.factor, np.float64)]
-    _save(path, GAUSSIAN_MAGIC, {"labels": [g.label for g in gaussians]}, arrays)
-
-
-def load_gaussians(path) -> list[LatentGaussian]:
-    return _load(path, GAUSSIAN_MAGIC, lambda meta, arrays: [
-        LatentGaussian(arrays[f"mean/{i}"], arrays[f"factor/{i}"], label)
-        for i, label in enumerate(meta["labels"])])
 
 
 # ---------------------------------------------------------------------------

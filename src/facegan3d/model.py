@@ -1,6 +1,10 @@
 """The encoder / bottleneck / decoder network used for both the
 discriminator and the generator (their architectures are identical).
 
+The net's input is the 3 position channels of a UV map. With L labels
+the net itself appends one constant plane per entry of each sample's
+one-hot label vector, so its first conv sees 3+L channels.
+
 Layout for input resolution H (divisible by 32) and base filter count n:
 
 * encoder: 3x3 conv (3+L -> n) + ELU, then five conv blocks growing the
@@ -26,7 +30,7 @@ that a fresh net's outputs stay strictly inside (-1, 1).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,7 +137,10 @@ class NetParams:
 class ForwardPass:
     output: Tensor
     bottleneck: Tensor
-    skips: dict[int, Tensor] = field(default_factory=dict)
+
+
+def _leaf(arr: np.ndarray, tape: Tape | None) -> Tensor:
+    return tape.leaf(arr) if tape is not None else Tensor(arr)
 
 
 def _uniform(rng, shape, fan_in, dtype, gain=2.0):
@@ -206,21 +213,40 @@ class Network:
         t = self._conv(ad.conv_elu, t, f"{name}.conv1")
         return self._conv(ad.conv_elu, t, f"{name}.conv2")
 
-    def encode(self, x, tape: Tape | None = None) -> tuple[Tensor, dict[int, Tensor]]:
-        """Run the encoder + bottleneck1. Returns (latent, encoder features
-        keyed by downsample level)."""
+    def _input(self, x, tape: Tape | None, labels) -> Tensor:
+        """The encoder input: the (N, 3, H, W) maps ``x`` followed by one
+        constant plane per entry of the (N, L) one-hot ``labels``. An array
+        becomes one tape leaf; a Tensor on a tape stays on it."""
         cfg = self.config
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        if data.ndim != 4 or data.shape[1:] != (3, cfg.resolution, cfg.resolution):
+            raise ShapeError(f"expected maps (N, 3, {cfg.resolution}, {cfg.resolution}), "
+                             f"got {data.shape}")
+        L = cfg.label_channels
+        if labels is None:
+            if L:
+                raise ShapeError(f"the net takes {L} one-hot labels per map, got none")
+            return x if isinstance(x, Tensor) else _leaf(np.ascontiguousarray(data), tape)
+        labels = np.asarray(labels, dtype=np.float32)
+        if not L or labels.shape != (len(data), L):
+            raise ShapeError(f"the net takes {L} one-hot labels per map, got labels "
+                             f"{labels.shape} for {len(data)} maps")
+        if np.any((np.abs(labels) > 1e-6) & (np.abs(labels - 1) > 1e-6)) \
+                or np.any(np.abs(labels.sum(axis=1) - 1.0) > 1e-6):
+            raise ValueError(f"labels are not one-hot: {labels}")
+        planes = np.broadcast_to(labels[:, :, None, None],
+                                 labels.shape + data.shape[2:]).astype(np.float32)
         if isinstance(x, Tensor):
-            t = x
-        else:
-            arr = np.ascontiguousarray(x)
-            t = tape.leaf(arr) if tape is not None else Tensor(arr)
-        if t.data.ndim != 4 or t.data.shape[1] != cfg.in_channels \
-                or t.data.shape[2] != cfg.resolution or t.data.shape[3] != cfg.resolution:
-            raise ShapeError(
-                f"expected input (N, {cfg.in_channels}, {cfg.resolution}, "
-                f"{cfg.resolution}), got {t.data.shape}")
-        h = self._conv(ad.conv_elu, t, "enc.in")
+            return ad.concat_channels(x, _leaf(planes, tape))
+        return _leaf(np.concatenate([data.astype(np.float32, copy=False), planes], axis=1),
+                     tape)
+
+    def encode(self, x, tape: Tape | None = None,
+               labels=None) -> tuple[Tensor, dict[int, Tensor]]:
+        """Run the encoder + bottleneck1 on the maps ``x`` conditioned on
+        ``labels``. Returns (latent, encoder features keyed by downsample
+        level)."""
+        h = self._conv(ad.conv_elu, self._input(x, tape, labels), "enc.in")
         feats: dict[int, Tensor] = {}
         for k in range(1, 6):
             h = self._block(h, f"enc.block{k}")
@@ -232,50 +258,35 @@ class Network:
         z = ad.fully_connected(flat, self.params["b1.w"], self.params["b1.b"])
         return z, feats
 
-    def _decode_impl(self, zt: Tensor,
-                     skips: dict[int, Tensor] | None) -> tuple[Tensor, dict[int, Tensor]]:
+    def decode(self, z, tape: Tape | None = None,
+               skips: dict[int, Tensor] | None = None) -> Tensor:
+        """Run bottleneck2 + decoder only. ``skips`` maps level -> raw
+        encoder feature; only the configured skip levels are projected and
+        added, and without ``skips`` no skip feature is added at all (the
+        convention for latent-only generation, where no encoder features
+        exist)."""
         cfg = self.config
-        n = cfg.base_filters
-        h32 = cfg.resolution // 32
+        zt = z if isinstance(z, Tensor) else _leaf(np.atleast_2d(np.ascontiguousarray(z)), tape)
         if zt.data.ndim != 2 or zt.data.shape[1] != cfg.latent_dim:
             raise ShapeError(f"latent must be (N, {cfg.latent_dim}), got {zt.data.shape}")
+        n, h32 = cfg.base_filters, cfg.resolution // 32
         h = ad.fully_connected(zt, self.params["b2.w"], self.params["b2.b"])
         h = ad.reshape(h, (h.data.shape[0], n, h32, h32))
         level = 32
-        projected: dict[int, Tensor] = {}
         for k in range(1, 6):
-            if skips is not None and level in skips and level in cfg.skip_levels:
-                proj = ad.conv1x1(skips[level], self.params[f"skip{level}.w"],
-                                  self.params[f"skip{level}.b"])
-                projected[level] = proj
-                h = ad.add(h, proj)
+            if level in (skips or {}) and level in cfg.skip_levels:
+                h = ad.add(h, self._conv(ad.conv1x1, skips[level], f"skip{level}"))
             h = self._block(h, f"dec.block{k}")
             h = ad.upsample_nearest2(h)
             level //= 2
         h = self._block(h, "dec.block6")
-        return ad.tanh(self._conv(ad.conv2d, h, "dec.out")), projected
+        return ad.tanh(self._conv(ad.conv2d, h, "dec.out"))
 
-    def decode(self, z, tape: Tape | None = None,
-               skips: dict[int, Tensor] | None = None) -> Tensor:
-        """Run bottleneck2 + decoder only. ``skips`` maps level -> raw
-        encoder feature; absent levels contribute nothing (the convention
-        for latent-only generation, where no encoder features exist)."""
-        if isinstance(z, Tensor):
-            zt = z
-        else:
-            arr = np.ascontiguousarray(z)
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            zt = tape.leaf(arr) if tape is not None else Tensor(arr)
-        out, _ = self._decode_impl(zt, skips)
-        return out
-
-    def forward(self, x, tape: Tape | None = None) -> ForwardPass:
-        """Full autoencoding pass. x is (N, 3+L, H, W)."""
-        z, feats = self.encode(x, tape)
-        skips = {lv: feats[lv] for lv in self.config.skip_levels}
-        out, projected = self._decode_impl(z, skips)
-        return ForwardPass(out, z, projected)
+    def forward(self, x, tape: Tape | None = None, labels=None) -> ForwardPass:
+        """Full autoencoding pass of the (N, 3, H, W) maps ``x`` conditioned
+        on the (N, L) one-hot ``labels``."""
+        z, feats = self.encode(x, tape, labels=labels)
+        return ForwardPass(self.decode(z, tape, skips=feats), z)
 
 
 def clone_generator_from_discriminator(d: Network) -> Network:

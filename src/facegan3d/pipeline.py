@@ -31,7 +31,7 @@ from .geometry import (Mesh, UVLayout, UVMap, cylindrical_unwrap,
 from .io import load_layout, load_uvmap, save_layout, save_uvmap
 from .model import Network
 from .parallel import thread_map
-from .training import PairedDataset, condition_input
+from .training import PairedDataset
 
 TEST_FRACTION = 0.15
 _META_KEYS = ("center", "label_names", "landmarks", "noisy", "resolution", "scale",
@@ -201,11 +201,11 @@ def load_paired_datasets(data_dir) -> dict:
     data_dir = Path(data_dir)
     meta = load_meta(data_dir)
     label_names = meta["label_names"]
-    out = {"meta": meta, "layout": load_layout(data_dir / "layout.uvl")}
+    out = {"meta": meta}
     for split in ("train", "test"):
         stems = meta[split]
         if label_names:
-            xs, ys, ls, names = [], [], [], []
+            xs, ys, ls = [], [], []
             for stem in stems:
                 neutral = load_uvmap(data_dir / "maps" / f"{stem}.uvf").data
                 for j, label in enumerate(label_names):
@@ -214,15 +214,14 @@ def load_paired_datasets(data_dir) -> dict:
                     onehot = np.zeros(len(label_names), dtype=np.float32)
                     onehot[j] = 1.0
                     ls.append(onehot)
-                    names.append(f"{stem}.{label}")
-            ds = PairedDataset(np.stack(xs), np.stack(ys), np.stack(ls), names, split)
+            ds = PairedDataset(np.stack(xs), np.stack(ys), np.stack(ls))
         elif meta["noisy"]:
             y = _load_maps(data_dir, stems)
             x = _load_maps(data_dir, [f"{s}.noisy" for s in stems])
-            ds = PairedDataset(x, y, None, list(stems), split)
+            ds = PairedDataset(x, y)
         else:
             y = _load_maps(data_dir, stems)
-            ds = PairedDataset(y.copy(), y, None, list(stems), split)
+            ds = PairedDataset(y.copy(), y)
         out[split] = ds
     return out
 
@@ -255,5 +254,5 @@ def gan_reconstructor(net: Network, layout: UVLayout, resolution: int,
 
 def translate_map(net: Network, uvmap_data: np.ndarray,
                   onehot: np.ndarray | None = None) -> np.ndarray:
-    x = condition_input(uvmap_data[None], None if onehot is None else onehot[None])
-    return net.forward(x).output.data[0]
+    labels = None if onehot is None else onehot[None]
+    return net.forward(uvmap_data[None], labels=labels).output.data[0]

@@ -17,7 +17,7 @@ update's list (each update trains its net's ``params.trainable()``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ class PairedDataset:
     x: np.ndarray                      # (N, 3, H, W)
     y: np.ndarray                      # (N, 3, H, W)
     labels: np.ndarray | None = None   # (N, L) one-hot
-    names: list[str] = field(default_factory=list)
-    split: str = "train"
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float32)
@@ -90,30 +88,6 @@ class PairedDataset:
     @property
     def resolution(self) -> int:
         return self.x.shape[2]
-
-
-def _check_one_hot(l: np.ndarray):
-    if l.ndim != 1:
-        raise ShapeError(f"label must be a vector, got shape {l.shape}")
-    if np.any((np.abs(l) > 1e-6) & (np.abs(l - 1) > 1e-6)) or abs(l.sum() - 1.0) > 1e-6:
-        raise ValueError(f"label is not one-hot: {l}")
-
-
-def condition_input(x: np.ndarray, l: np.ndarray | None) -> np.ndarray:
-    """Append one constant channel per label entry after the 3 position
-    channels. x: (3, H, W) or (N, 3, H, W); l: (L,) or (N, L)."""
-    if l is None or (hasattr(l, "size") and l.size == 0):
-        return x
-    x = np.asarray(x, dtype=np.float32)
-    l = np.asarray(l, dtype=np.float32)
-    if x.ndim == 3:
-        _check_one_hot(l)
-        planes = np.broadcast_to(l[:, None, None], (l.shape[0],) + x.shape[1:])
-        return np.concatenate([x, planes], axis=0)
-    for row in l:
-        _check_one_hot(row)
-    planes = np.broadcast_to(l[:, :, None, None], l.shape + x.shape[2:])
-    return np.concatenate([x, planes.astype(np.float32)], axis=1)
 
 
 @dataclass
@@ -162,9 +136,9 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
         losses = []
         for idx in _batches(n, config.pretrain_batch, perm):
             y = dataset.y[idx]
-            y_in = condition_input(y, None if dataset.labels is None else dataset.labels[idx])
+            labels = None if dataset.labels is None else dataset.labels[idx]
             tape = Tape()
-            fp = network.forward(tape.leaf(y_in), tape)
+            fp = network.forward(y, tape, labels=labels)
             try:
                 loss = ad.l1_mean(tape.leaf(y), fp.output)
             except NonFiniteError as e:
@@ -199,16 +173,15 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
 
     # generator forward (kept on its tape for the G update)
     tape = Tape()
-    x_in = condition_input(x, labels)
-    g_fp = g_net.forward(tape.leaf(x_in), tape)
+    g_fp = g_net.forward(x, tape, labels=labels)
     gx = g_fp.output
 
     try:
         # ---- D update: generator output is a constant here
         tape_d = Tape()
         gx_const = gx.data.copy()
-        dy_fp = d_net.forward(tape_d.leaf(condition_input(y, labels)), tape_d)
-        dgx_fp = d_net.forward(tape_d.leaf(condition_input(gx_const, labels)), tape_d)
+        dy_fp = d_net.forward(y, tape_d, labels=labels)
+        dgx_fp = d_net.forward(gx_const, tape_d, labels=labels)
         loss_real = ad.l1_mean(tape_d.leaf(y), dy_fp.output)
         loss_fake_pre = ad.l1_mean(tape_d.leaf(gx_const), dgx_fp.output)
         l_d = ad.add(loss_real, ad.scale(loss_fake_pre, -config.lambda_adv))
@@ -220,14 +193,7 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
 
         # ---- G update: gradient flows through the updated D, whose
         # parameters are not in the list and so stay constant for this step
-        if labels is not None:
-            lplanes = np.broadcast_to(
-                labels[:, :, None, None].astype(np.float32),
-                labels.shape + gx.data.shape[2:]).copy()
-            gx_in = ad.concat_channels(gx, tape.leaf(lplanes))
-        else:
-            gx_in = gx
-        dgx_fp2 = d_net.forward(gx_in, tape)
+        dgx_fp2 = d_net.forward(gx, tape, labels=labels)
         loss_adv = ad.l1_mean(gx, dgx_fp2.output)
         loss_rec = ad.l1_mean(gx, tape.leaf(y))
         l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
@@ -302,6 +268,6 @@ def reconstruction_l1(net: Network, dataset: PairedDataset, batch: int = 32) -> 
     for i in range(0, len(dataset), batch):
         x = dataset.x[i:i + batch]
         labels = None if dataset.labels is None else dataset.labels[i:i + batch]
-        out = net.forward(condition_input(x, labels)).output.data
+        out = net.forward(x, labels=labels).output.data
         vals.append(np.mean(np.abs(out - dataset.y[i:i + batch]), axis=(1, 2, 3)))
     return float(np.mean(np.concatenate(vals)))

@@ -44,12 +44,12 @@ def test_every_command_runs_and_meshes_come_back_in_input_units(work):
     assert run("train", "--data", pre, "--pretrained", model, "--config",
                d / "pre2.cfg", "--seed", 0, "--out", d / "run") == 0
     assert run("generate", "--model", model, "--data", pre, "--n", 3,
-               "--gaussian", d / "z.gsn", "--out", d / "gen") == 0
+               "--out", d / "gen") == 0
     assert run("translate", "--model", d / "run" / "generator.ckpt", "--in", pre,
                "--out", d / "tr") == 0
     for task in ("represent", "translate", "specificity"):
         assert run("evaluate", "--task", task, "--data", pre, "--model", model,
-                   "--n", 3, "--gaussian", d / "z.gsn", "--out", d / "eval") == 0
+                   "--n", 3, "--out", d / "eval") == 0
     assert len(list((d / "gen").glob("*.obj"))) == 3
 
     meta = pipeline.load_meta(pre)
@@ -68,6 +68,35 @@ def test_every_command_runs_and_meshes_come_back_in_input_units(work):
         out = load_obj(d / "tr" / f"{stem}.obj")
         ratio = np.abs(out.vertices).max() / np.abs(raw.vertices).max()
         assert 0.05 < ratio < 20
+
+
+def test_labelled_run_conditions_on_the_label(tmp_path):
+    d = tmp_path
+    assert run("synth", "--subjects", 8, "--grid", 20, "--labels", 2, "--seed", 0,
+               "--out", d / "raw") == 0
+    assert run("preprocess", "--in", d / "raw", "--template", d / "raw" / "template.obj",
+               "--landmarks", d / "raw" / "landmarks.txt", "--res", 32, "--out", d / "pre") == 0
+    (d / "cfg").write_text(CONFIG.format(1))
+    assert run("train", "--data", d / "pre", "--config", d / "cfg", "--seed", 0,
+               "--out", d / "run") == 0
+    model = d / "run" / "generator.ckpt"
+    for label in ("label0", "label1"):
+        assert run("translate", "--model", model, "--in", d / "pre", "--label", label,
+                   "--out", d / label) == 0
+    assert run("generate", "--model", model, "--data", d / "pre", "--label", "label1",
+               "--n", 3, "--out", d / "gen") == 0
+    assert run("evaluate", "--task", "specificity", "--data", d / "pre", "--model", model,
+               "--label", "label1", "--n", 3, "--out", d / "eval") == 0
+
+    subjects = pipeline.load_meta(d / "pre")["subjects"]
+    for label in ("label0", "label1"):
+        assert sorted(p.stem for p in (d / label).glob("*.obj")) == sorted(subjects)
+    assert len(list((d / "gen").glob("*.obj"))) == 3
+    assert json.loads((d / "eval" / "specificity.json").read_text())["n"] == 3
+    for stem in subjects:
+        a = load_obj(d / "label0" / f"{stem}.obj").vertices
+        b = load_obj(d / "label1" / f"{stem}.obj").vertices
+        assert not np.array_equal(a, b)
 
 
 def assert_same_checkpoint(a_path, b_path):

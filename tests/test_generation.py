@@ -152,7 +152,7 @@ def test_map_to_mesh_input_units(net):
 
 def test_decoder_only_path_consistency(net):
     # decoding a collected bottleneck equals the full forward when the skip
-    # features are substituted; with zeroed skips it is the decoder-only path
+    # features are substituted; with no skip features it is the decoder-only path
     x = maps(1, seed=6)
     fp = net.forward(x)
     dec = decode_batch(net, fp.bottleneck.data.T)

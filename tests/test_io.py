@@ -1,5 +1,5 @@
-"""The one binary container behind checkpoints, UV maps, layouts and latent
-Gaussians: bitwise round trips, every truncation, trailing bytes, foreign
+"""The one binary container behind checkpoints, UV maps and layouts:
+bitwise round trips, every truncation, trailing bytes, foreign
 magics and versions, malformed headers, and atomic writes."""
 
 import json
@@ -12,7 +12,6 @@ import pytest
 from facegan3d import io
 from facegan3d.autodiff import AdamState
 from facegan3d.errors import DataFormatError
-from facegan3d.generation import LatentGaussian
 from facegan3d.geometry import UVLayout, UVMap
 from facegan3d.model import NetConfig, Network
 
@@ -43,12 +42,6 @@ def tiny_layout():
                     np.array([[0, 1, 2], [1, 3, 2]]))
 
 
-def tiny_gaussians():
-    rng = np.random.default_rng(2)
-    return [LatentGaussian(rng.standard_normal(3), rng.standard_normal((3, 2)), "smile"),
-            LatentGaussian(rng.standard_normal(3), rng.standard_normal((3, 4)))]
-
-
 HISTORY = [[0.5, 0.25, 0.125], [0.1, 1e-300, -0.0]]
 
 
@@ -62,13 +55,11 @@ KINDS = {
     "checkpoint": (save_tiny_checkpoint, io.load_checkpoint),
     "uvmap": (lambda p: io.save_uvmap(p, tiny_map()), io.load_uvmap),
     "layout": (lambda p: io.save_layout(p, tiny_layout()), io.load_layout),
-    "gaussians": (lambda p: io.save_gaussians(p, tiny_gaussians()), io.load_gaussians),
 }
 RESAVE = {
     "checkpoint": lambda p, obj: io.save_checkpoint(p, obj[0], **obj[1]),
     "uvmap": io.save_uvmap,
     "layout": io.save_layout,
-    "gaussians": io.save_gaussians,
 }
 
 
@@ -107,7 +98,7 @@ def test_checkpoint_without_training_state_has_empty_meta(tmp_path):
     assert meta == {} and back.params.checksum() == net.params.checksum()
 
 
-def test_uvmap_layout_and_gaussians_round_trip_bitwise(tmp_path):
+def test_uvmap_and_layout_round_trip_bitwise(tmp_path):
     m = tiny_map()
     io.save_uvmap(tmp_path / "m.uvf", m)
     got = io.load_uvmap(tmp_path / "m.uvf")
@@ -118,13 +109,6 @@ def test_uvmap_layout_and_gaussians_round_trip_bitwise(tmp_path):
     io.save_layout(tmp_path / "l.uvl", lay)
     got = io.load_layout(tmp_path / "l.uvl")
     assert got.uv.tobytes() == lay.uv.tobytes() and got.faces.tobytes() == lay.faces.tobytes()
-
-    gs = tiny_gaussians()
-    io.save_gaussians(tmp_path / "g.gsn", gs)
-    got = io.load_gaussians(tmp_path / "g.gsn")
-    assert [g.label for g in got] == ["smile", None]
-    for a, b in zip(gs, got):
-        assert b.mean.tobytes() == a.mean.tobytes() and b.factor.tobytes() == a.factor.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -138,7 +122,7 @@ def test_resave_reproduces_the_file_bytes(tmp_path, kind):
     assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["uvmap", "layout", "gaussians"])
+@pytest.mark.parametrize("kind", ["uvmap", "layout"])
 def test_every_truncation_is_a_data_error(tmp_path, kind):
     save, load = KINDS[kind]
     save(tmp_path / "a")
@@ -214,9 +198,6 @@ def test_malformed_header_is_a_data_error(tmp_path, old, new, message):
     (io.LAYOUT_MAGIC, {},
      [("uv", tiny_layout().uv, np.float64), ("faces", np.zeros((2, 2)), np.int32)],
      io.load_layout),
-    (io.GAUSSIAN_MAGIC, {"labels": [None]},
-     [("mean/0", np.zeros(3), np.float64), ("factor/0", np.zeros((2, 2)), np.float64)],
-     io.load_gaussians),
 ])
 def test_inconsistent_shapes_are_data_errors(tmp_path, magic, meta, arrays, load):
     io._save(tmp_path / "f", magic, meta, arrays)

@@ -29,8 +29,9 @@ def test_forward_shape_contract():
 def test_forward_shapes_with_labels(labels):
     cfg = NetConfig(resolution=32, base_filters=2, latent_dim=4, label_channels=labels)
     net = Network.build(cfg, np.random.default_rng(0))
-    x = np.zeros((2, 3 + labels, 32, 32), dtype=np.float32)
-    assert net.forward(x).output.data.shape == (2, 3, 32, 32)
+    x = np.zeros((2, 3, 32, 32), dtype=np.float32)
+    onehot = np.eye(labels, dtype=np.float32)[[0, labels - 1]] if labels else None
+    assert net.forward(x, labels=onehot).output.data.shape == (2, 3, 32, 32)
 
 
 def test_parameter_count_matches_layer_arithmetic():
@@ -160,21 +161,21 @@ def _reachable_excluding(tape, start_id, cut_edges):
 
 
 def test_bottleneck_factorization_structural():
-    # with the bottleneck1->bottleneck2 edge and the declared skip
-    # projections cut, no path leads from the input to the output
+    # with the bottleneck1->bottleneck2 edge and the skip projections (the
+    # outputs of the tape's conv1x1 records) cut, no path leads from the
+    # input to the output
     net = small_net(13)
     tape = ad.Tape()
     x = tape.leaf(np.random.default_rng(14).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32))
     fp = net.forward(x, tape)
 
+    projections = {rec.output.node_id for rec in tape.records if rec.op == "conv1x1"}
+    assert len(projections) == len(net.config.skip_levels)
     cut = set()
     for rec in tape.records:
         for t in rec.inputs:
-            if t.node_id == fp.bottleneck.node_id:
+            if t.node_id == fp.bottleneck.node_id or t.node_id in projections:
                 cut.add((t.node_id, id(rec)))
-            for proj in fp.skips.values():
-                if t.node_id == proj.node_id:
-                    cut.add((t.node_id, id(rec)))
     assert len(cut) >= 1 + len(net.config.skip_levels)
 
     reach_full = _reachable_excluding(tape, x.node_id, set())
@@ -214,7 +215,7 @@ def test_decode_matches_forward_when_skips_substituted():
     skips = {lv: ad.Tensor(feats[lv].data) for lv in net.config.skip_levels}
     again = net.decode(fp.bottleneck.data, skips=skips)
     np.testing.assert_array_equal(again.data, fp.output.data)
-    # decoder-only path (zero skips) is deterministic
+    # the decoder-only path (no skip features) is deterministic
     d1 = net.decode(fp.bottleneck.data)
     d2 = net.decode(fp.bottleneck.data)
     assert d1.data.tobytes() == d2.data.tobytes()

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from facegan3d import autodiff as ad
-from facegan3d.model import NetConfig, clone_generator_from_discriminator, freeze_decoder
-from facegan3d.training import (PairedDataset, TrainConfig, adversarial_step,
-                                condition_input, lr_at, pretrain_discriminator,
-                                reconstruction_l1, train)
+from facegan3d.errors import ShapeError
+from facegan3d.model import (NetConfig, Network, clone_generator_from_discriminator,
+                             freeze_decoder)
+from facegan3d.training import (PairedDataset, TrainConfig, adversarial_step, lr_at,
+                                pretrain_discriminator, reconstruction_l1, train)
 
 NCFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
@@ -26,34 +27,57 @@ def toy_dataset(n=8, seed=0, labels=None):
 # conditioning
 
 
+def encoder_input(labels_per_map, x, labels=None, on_tape=False):
+    """The tensor that a net with ``labels_per_map`` labels feeds its first
+    conv when given the maps ``x`` (as a tensor on the tape with
+    ``on_tape``) and ``labels``."""
+    net = Network.build(NetConfig(resolution=32, base_filters=1, latent_dim=2,
+                                  label_channels=labels_per_map), np.random.default_rng(0))
+    tape = ad.Tape()
+    net.forward(tape.leaf(x) if on_tape else x, tape, labels=labels)
+    return next(rec for rec in tape.records if rec.op == "conv_elu").inputs[0]
+
+
 def test_condition_no_labels_is_passthrough():
-    x = np.zeros((3, 8, 8), dtype=np.float32)
-    assert condition_input(x, None) is x
+    x = np.zeros((1, 3, 32, 32), dtype=np.float32)
+    assert encoder_input(0, x).data is x
 
 
 def test_condition_appends_constant_planes():
-    x = np.random.default_rng(0).standard_normal((3, 4, 4)).astype(np.float32)
-    out = condition_input(x, np.array([0.0, 1.0, 0.0]))
-    assert out.shape == (6, 4, 4)
-    np.testing.assert_array_equal(out[:3], x)
-    np.testing.assert_array_equal(out[3], 0.0)
-    np.testing.assert_array_equal(out[4], 1.0)
-    np.testing.assert_array_equal(out[5], 0.0)
+    x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    out = encoder_input(3, x, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])).data
+    assert out.shape == (2, 6, 32, 32)
+    np.testing.assert_array_equal(out[:, :3], x)
+    for plane, value in zip(out[:, 3:].reshape(6, 32, 32), (0, 1, 0, 0, 0, 1)):
+        np.testing.assert_array_equal(plane, value)
+    # the G update's path: the maps are a tensor on the tape, and the planes
+    # are appended there, to the same bytes
+    again = encoder_input(3, x, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), on_tape=True)
+    assert again.data.tobytes() == out.tobytes()
 
 
 def test_condition_swapping_label_keeps_positions_bitwise():
-    x = np.random.default_rng(1).standard_normal((3, 4, 4)).astype(np.float32)
-    a = condition_input(x, np.array([1.0, 0.0]))
-    b = condition_input(x, np.array([0.0, 1.0]))
-    assert a[:3].tobytes() == b[:3].tobytes()
-    assert a[3:].tobytes() != b[3:].tobytes()
+    x = np.random.default_rng(1).standard_normal((1, 3, 32, 32)).astype(np.float32)
+    a = encoder_input(2, x, np.array([[1.0, 0.0]])).data
+    b = encoder_input(2, x, np.array([[0.0, 1.0]])).data
+    assert a[:, :3].tobytes() == b[:, :3].tobytes()
+    assert a[:, 3:].tobytes() != b[:, 3:].tobytes()
 
 
 def test_condition_rejects_non_one_hot():
-    x = np.zeros((3, 4, 4), dtype=np.float32)
+    x = np.zeros((1, 3, 32, 32), dtype=np.float32)
     for bad in ([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]):
-        with pytest.raises(ValueError):
-            condition_input(x, np.array(bad))
+        with pytest.raises(ValueError, match="one-hot"):
+            encoder_input(2, x, np.array([bad]))
+
+
+@pytest.mark.parametrize("labels_per_map, labels", [(0, [[1.0]]), (2, None),
+                                                    (2, [[0.0, 0.0, 1.0]]),
+                                                    (2, [[1.0, 0.0], [0.0, 1.0]])])
+def test_condition_label_count_mismatch_is_a_shape_error(labels_per_map, labels):
+    x = np.zeros((1, 3, 32, 32), dtype=np.float32)
+    with pytest.raises(ShapeError, match="labels"):
+        encoder_input(labels_per_map, x, None if labels is None else np.array(labels))
 
 
 # ---------------------------------------------------------------------------
