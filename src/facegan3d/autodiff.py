@@ -9,7 +9,10 @@ elementwise-mean L1 loss, plus a handful of scalar glue ops. ELU has
 alpha = 1 throughout. Forward values are plain ndarrays held by
 :class:`Tensor`; executing an op with any input attached to a
 :class:`Tape` records the op so that :func:`backward` can replay the tape
-in reverse.
+in reverse. :func:`backward` consumes the tape: it drops each record once
+that record's backward has run, so a tape takes one :func:`backward`, and
+a step's activations are freed by refcount when the step ends, not when
+the cyclic garbage collector next runs.
 
 Training runs in float32; gradient checking should build the graph in
 float64 (see :func:`check_gradients`).
@@ -70,18 +73,25 @@ class _Record:
 
 class Tape:
     """Ordered list of recorded ops. Construction order is execution order,
-    so the list is topologically sorted by definition."""
+    so the list is topologically sorted by definition. :func:`backward`
+    empties it and marks it consumed; a consumed tape records no more ops."""
 
     def __init__(self):
         self.records: list[_Record] = []
         self._produced: set[int] = set()
+        self.consumed = False
 
     def leaf(self, data, name: str | None = None) -> Tensor:
         t = data if isinstance(data, Tensor) else Tensor(data, name)
         t._tape = self
         return t
 
+    def _check_open(self):
+        if self.consumed:
+            raise ValueError("this tape is consumed: backward has walked it")
+
     def _add(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
+        self._check_open()
         output._tape = self
         self._produced.add(output.node_id)
         self.records.append(_Record(op, inputs, output, backward_fn))
@@ -120,18 +130,24 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> None:
     """Accumulate d loss / d p into ``p.grad`` for each ``p`` in ``params``.
 
-    Walks the tape once, in reverse. Only ``params`` and the tape's own
+    Walks the tape once, in reverse, and consumes it: each record is
+    dropped once its backward has run, which frees that op's saved inputs
+    and its output grad, and the tape is left empty and marked consumed, so
+    a tape takes one ``backward``. Only ``params`` and the tape's own
     intermediates get gradients, so each op computes only the input
-    gradients in that set; intermediate grads are freed as soon as their
-    record has been processed. Unreachable params get zero grads.
+    gradients in that set. Unreachable params get zero grads.
     """
+    tape._check_open()
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if tape is not loss._tape:
         raise ValueError("loss does not live on this tape")
+    tape.consumed = True
     wanted = {p.node_id for p in params}
     loss.grad = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
+    records = tape.records
+    while records:
+        rec = records.pop()
         g = rec.output.grad
         if g is None:
             continue
@@ -147,6 +163,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> None:
             else:
                 t.grad += gi
         rec.output.grad = None
+    tape._produced.clear()
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -346,6 +363,7 @@ def elu(x: Tensor, inplace: bool = False) -> Tensor:
         return _emit("elu", (x,), out, bwd)
     tape = x._tape
     if tape is not None:
+        tape._check_open()
         rec = tape.records[-1] if tape.records else None
         if rec is None or rec.output is not x or rec.op != "conv2d":
             raise ValueError("in-place elu needs the output of the last recorded op, a conv2d")
@@ -528,7 +546,10 @@ def check_gradients(build: Callable[[], tuple[Tape, Tensor]],
 
     ``build`` must construct a fresh (tape, scalar loss) from the parameters'
     current data every call. Parameters should be float64; finite differences
-    at float32 are meaningless. Returns the worst relative error.
+    at float32 are meaningless. Returns the worst relative error. Only the
+    first tape is walked; the finite-difference tapes are read for their loss
+    and left un-walked, to the cyclic garbage collector (this is test
+    infrastructure, not a training path).
 
     ``denominator`` picks the relative-error scale: "elementwise" divides
     each |analytic - numeric| by that coordinate's own magnitude (floored at

@@ -175,19 +175,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sample_maps(args, net, data_dir) -> np.ndarray:
+def _sample_maps(args, net, data_dir, meta) -> np.ndarray:
     """Decode ``args.n`` draws from the latent Gaussian of ``args.label``
-    (the first one without a label), fitted on the training maps."""
-    data = pipeline.load_paired_datasets(data_dir)
-    train_ds = data["train"]
-    if train_ds.labels is not None:
-        gs = list(generation.fit_label_gaussians(
-            net, train_ds.x, train_ds.labels, data["meta"]["label_names"]).values())
+    (the first one without a label), fitted on the training inputs."""
+    x, labels = pipeline.load_inputs(data_dir, meta, "train")
+    if labels is not None:
+        gs = list(generation.fit_label_gaussians(net, x, labels, meta["label_names"]).values())
     else:
-        gs = [generation.fit_latent_gaussian(generation.collect_bottlenecks(net, train_ds.x))]
+        gs = [generation.fit_latent_gaussian(generation.collect_bottlenecks(net, x))]
     g = gs[0]
     if args.label:
-        match = [x for x in gs if x.label == args.label]
+        match = [c for c in gs if c.label == args.label]
         if not match:
             raise DataFormatError(f"no gaussian for label {args.label!r}; "
                                   f"have {[g.label for g in gs]}")
@@ -201,7 +199,7 @@ def cmd_generate(args) -> int:
     data_dir = Path(args.data)
     meta = pipeline.load_meta(data_dir)
     layout = io.load_layout(data_dir / "layout.uvl")
-    maps = _sample_maps(args, net, data_dir)
+    maps = _sample_maps(args, net, data_dir, meta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, m in enumerate(maps):
@@ -306,7 +304,7 @@ def cmd_evaluate(args) -> int:
 
     # specificity
     net = io.load_checkpoint(args.model)[0]
-    maps = _sample_maps(args, net, data_dir)
+    maps = _sample_maps(args, net, data_dir, meta)
     mean, std, _ = evaluation.specificity(
         lambda i: pipeline.map_to_mesh(maps[i], layout, landmarks), test_meshes,
         n_samples=args.n)

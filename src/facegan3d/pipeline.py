@@ -192,6 +192,19 @@ def _load_maps(data_dir: Path, keys: list[str]) -> np.ndarray:
     return np.stack([load_uvmap(data_dir / "maps" / f"{k}.uvf").data for k in keys])
 
 
+def load_inputs(data_dir, meta: dict, split: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The network inputs of a split and their one-hot labels (None when
+    unlabelled): each neutral map once per label, else the noisy maps, else
+    the maps themselves. Targets are not read."""
+    data_dir = Path(data_dir)
+    stems, label_names = meta[split], meta["label_names"]
+    if label_names:
+        L = len(label_names)
+        x = np.repeat(_load_maps(data_dir, stems), L, axis=0)
+        return x, np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
+    return _load_maps(data_dir, [f"{s}.noisy" for s in stems] if meta["noisy"] else stems), None
+
+
 def load_paired_datasets(data_dir) -> dict:
     """Assemble train/test PairedDatasets from a preprocessed directory.
 
@@ -203,26 +216,14 @@ def load_paired_datasets(data_dir) -> dict:
     label_names = meta["label_names"]
     out = {"meta": meta}
     for split in ("train", "test"):
-        stems = meta[split]
+        x, labels = load_inputs(data_dir, meta, split)
         if label_names:
-            xs, ys, ls = [], [], []
-            for stem in stems:
-                neutral = load_uvmap(data_dir / "maps" / f"{stem}.uvf").data
-                for j, label in enumerate(label_names):
-                    xs.append(neutral)
-                    ys.append(load_uvmap(data_dir / "maps" / f"{stem}.{label}.uvf").data)
-                    onehot = np.zeros(len(label_names), dtype=np.float32)
-                    onehot[j] = 1.0
-                    ls.append(onehot)
-            ds = PairedDataset(np.stack(xs), np.stack(ys), np.stack(ls))
+            y = _load_maps(data_dir, [f"{s}.{label}" for s in meta[split] for label in label_names])
         elif meta["noisy"]:
-            y = _load_maps(data_dir, stems)
-            x = _load_maps(data_dir, [f"{s}.noisy" for s in stems])
-            ds = PairedDataset(x, y)
+            y = _load_maps(data_dir, meta[split])
         else:
-            y = _load_maps(data_dir, stems)
-            ds = PairedDataset(y.copy(), y)
-        out[split] = ds
+            y = x.copy()
+        out[split] = PairedDataset(x, y, labels)
     return out
 
 

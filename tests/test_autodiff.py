@@ -318,13 +318,52 @@ def test_tape_is_topologically_ordered():
     y = ad.upsample_nearest2(x)
     z = ad.avg_pool2(y)
     loss = ad.sum_all(z)
-    ad.backward(tape, loss, params=[x])
+    # the order is fixed at construction; backward then consumes the records
+    assert [rec.op for rec in tape.records] == ["upsample_nearest2", "avg_pool2", "sum_all"]
     seen = set()
     for rec in tape.records:
         for t in rec.inputs:
             if tape.is_intermediate(t):
                 assert t.node_id in seen
         seen.add(rec.output.node_id)
+    ad.backward(tape, loss, params=[x])
+    assert tape.records == [] and tape.consumed
+    assert not tape.is_intermediate(y)
+
+
+def test_consumed_tape_refuses_a_second_backward_and_new_ops():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones(3))
+    y = ad.scale(x, 2.0)
+    loss = ad.sum_all(y)
+    ad.backward(tape, loss, params=[x])
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(tape, loss, params=[x])
+    with pytest.raises(ValueError, match="consumed"):
+        ad.scale(y, 3.0)
+    with pytest.raises(ValueError, match="consumed"):
+        ad.elu(y, inplace=True)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_backward_drops_each_record_once_processed():
+    """Each op's saved inputs are released during the walk: by the time the
+    first op's backward runs, the later records are already off the tape."""
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((1, 1, 2, 2)))
+    loss = ad.sum_all(ad.avg_pool2(ad.upsample_nearest2(x)))
+    first = tape.records[0]
+    left_on_tape = []
+    fn = first.backward_fn
+
+    def spy(g, needs):
+        left_on_tape.append(len(tape.records))
+        return fn(g, needs)
+
+    first.backward_fn = spy
+    ad.backward(tape, loss, params=[x])
+    assert left_on_tape == [0]
 
 
 def test_mixed_tapes_rejected():

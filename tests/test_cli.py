@@ -70,25 +70,32 @@ def test_every_command_runs_and_meshes_come_back_in_input_units(work):
         assert 0.05 < ratio < 20
 
 
-def test_labelled_run_conditions_on_the_label(tmp_path):
-    d = tmp_path
+@pytest.fixture(scope="module")
+def labelled_pre(tmp_path_factory):
+    """A preprocessed 8-subject set with two labels."""
+    d = tmp_path_factory.mktemp("labelled")
     assert run("synth", "--subjects", 8, "--grid", 20, "--labels", 2, "--seed", 0,
                "--out", d / "raw") == 0
     assert run("preprocess", "--in", d / "raw", "--template", d / "raw" / "template.obj",
                "--landmarks", d / "raw" / "landmarks.txt", "--res", 32, "--out", d / "pre") == 0
+    return d / "pre"
+
+
+def test_labelled_run_conditions_on_the_label(tmp_path, labelled_pre):
+    d, pre = tmp_path, labelled_pre
     (d / "cfg").write_text(CONFIG.format(1))
-    assert run("train", "--data", d / "pre", "--config", d / "cfg", "--seed", 0,
+    assert run("train", "--data", pre, "--config", d / "cfg", "--seed", 0,
                "--out", d / "run") == 0
     model = d / "run" / "generator.ckpt"
     for label in ("label0", "label1"):
-        assert run("translate", "--model", model, "--in", d / "pre", "--label", label,
+        assert run("translate", "--model", model, "--in", pre, "--label", label,
                    "--out", d / label) == 0
-    assert run("generate", "--model", model, "--data", d / "pre", "--label", "label1",
+    assert run("generate", "--model", model, "--data", pre, "--label", "label1",
                "--n", 3, "--out", d / "gen") == 0
-    assert run("evaluate", "--task", "specificity", "--data", d / "pre", "--model", model,
+    assert run("evaluate", "--task", "specificity", "--data", pre, "--model", model,
                "--label", "label1", "--n", 3, "--out", d / "eval") == 0
 
-    subjects = pipeline.load_meta(d / "pre")["subjects"]
+    subjects = pipeline.load_meta(pre)["subjects"]
     for label in ("label0", "label1"):
         assert sorted(p.stem for p in (d / label).glob("*.obj")) == sorted(subjects)
     assert len(list((d / "gen").glob("*.obj"))) == 3
@@ -215,6 +222,51 @@ def test_labelled_model_in_represent_exits_data_error(work, labelled_model):
 def test_labelled_model_in_translate_without_label_exits_data_error(work, labelled_model):
     assert run("translate", "--model", labelled_model, "--in", work / "pre",
                "--out", work / "tr_bad") == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_sampling_reads_only_the_training_inputs(work, labelled_pre, labelled_model,
+                                                 labelled, tmp_path, monkeypatch):
+    """generate and specificity fit their Gaussian on the training inputs,
+    so they load one map per training subject (the noisy map, or the
+    neutral one), no targets and nothing of the test split."""
+    pre, model = (labelled_pre, labelled_model) if labelled else (work / "pre", work / "model.ckpt")
+    label = ("--label", "label1") if labelled else ()
+    meta = pipeline.load_meta(pre)
+    loaded = []
+    real = pipeline.load_uvmap
+    monkeypatch.setattr(pipeline, "load_uvmap", lambda path: loaded.append(path.stem) or real(path))
+    assert run("generate", "--model", model, "--data", pre, *label, "--n", 2,
+               "--out", tmp_path / "gen") == 0
+    inputs = meta["train"] if labelled else [f"{s}.noisy" for s in meta["train"]]
+    assert sorted(loaded) == inputs and len(inputs) == 7
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_paired_datasets_pair_each_input_with_its_target(work, labelled_pre, labelled):
+    """Labelled: (neutral, one-hot j) -> the label-j map, per subject and
+    label in order. Noisy: the noisy map -> the clean one."""
+    pre = labelled_pre if labelled else work / "pre"
+    meta = pipeline.load_meta(pre)
+    data = pipeline.load_paired_datasets(pre)
+
+    def uvf(key):
+        return io.load_uvmap(pre / "maps" / f"{key}.uvf").data.tobytes()
+
+    for split in ("train", "test"):
+        ds = data[split]
+        names = meta["label_names"] or [None]
+        pairs = [(stem, j, name) for stem in meta[split] for j, name in enumerate(names)]
+        assert len(ds) == len(pairs)
+        assert (ds.labels is None) != labelled
+        for i, (stem, j, name) in enumerate(pairs):
+            if labelled:
+                assert ds.x[i].tobytes() == uvf(stem)
+                assert ds.y[i].tobytes() == uvf(f"{stem}.{name}")
+                assert ds.labels[i].tolist() == [float(k == j) for k in range(len(names))]
+            else:
+                assert ds.x[i].tobytes() == uvf(f"{stem}.noisy")
+                assert ds.y[i].tobytes() == uvf(stem)
 
 
 def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):

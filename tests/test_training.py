@@ -1,6 +1,10 @@
 """Training protocol: conditioning, the lr schedule, pretraining
 convergence, the adversarial step against a straight-line loss
-recomputation, gradient isolation and the freeze contract."""
+recomputation, gradient isolation, the freeze contract, and that a step
+leaves no tape alive."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +156,38 @@ def _pair(seed=4):
     freeze_decoder(d_net.params)
     freeze_decoder(g_net.params)
     return ds, d_net, g_net, cfg
+
+
+def _live_tapes() -> int:
+    return sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+
+
+def test_steps_free_their_tapes_without_the_cyclic_collector():
+    """backward consumes each tape, so with the cyclic collector off no
+    tape outlives pretraining or a step, and memory stays flat across
+    steps (a kept tape holds every activation of its passes)."""
+    ds = toy_dataset(n=4, seed=13)
+    ncfg = NetConfig(resolution=32, base_filters=4, latent_dim=4)
+    cfg = TrainConfig(lr=1e-3, pretrain_epochs=1, pretrain_batch=4, batch=4, seed=13)
+    adam_d, adam_g = ad.AdamState(), ad.AdamState()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        d_net, _ = pretrain_discriminator(ds, ncfg, cfg)
+        assert _live_tapes() == 0
+        g_net = clone_generator_from_discriminator(d_net)
+        freeze_decoder(d_net.params)
+        freeze_decoder(g_net.params)
+        sizes = []
+        for _ in range(3):
+            adversarial_step((ds.x, ds.y, None), d_net, g_net, adam_d, adam_g, 1e-3, cfg)
+            assert _live_tapes() == 0
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        assert abs(sizes[2] - sizes[0]) <= 0.25 * 2**20, sizes
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def test_step_with_zero_lambda_adv_is_pure_autoencoder_update():
