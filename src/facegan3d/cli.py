@@ -1,9 +1,10 @@
 """Command-line pipeline: synth -> preprocess -> pretrain -> train ->
 generate / translate / evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error (including a
-model whose input channels do not match the data, e.g. a labelled model
-on unlabelled maps), 3 numerical failure (NaN abort).
+Exit codes: 0 success, 1 usage error (an out-of-range option value too),
+2 data/format error (e.g. a labelled model on unlabelled maps, or a
+training split too small to fit a Gaussian or PCA on), 3 numerical
+failure (a NaN abort, naming the training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units;
 ``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
@@ -16,9 +17,8 @@ DIR/pretrained.loss.csv. Each checkpoint is replaced on every due epoch
 (each ``checkpoint_every``-th and a phase's last) and carries its Adam
 moments, epoch, RNG state and loss history, so ``pretrain --resume M`` and
 ``train --resume DIR`` continue bitwise as if uninterrupted. ``train
---resume`` reads only DIR's two network checkpoints, no numbered
-d_*.ckpt/g_*.ckpt; resume a pretraining interrupted inside ``train`` with
-``pretrain --resume DIR/pretrained.ckpt``.
+--resume`` reads DIR's two network checkpoints; resume a pretraining
+interrupted inside ``train`` with ``pretrain --resume DIR/pretrained.ckpt``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import evaluation, generation, io, pipeline
 from .errors import DataFormatError, NonFiniteError, NumericalError, ShapeError
 from .geometry import load_obj, save_obj
 from .model import NetConfig
-from .synthetic import synth_dataset
+from .synthetic import MAX_LABELS, synth_dataset
 from .training import (TrainConfig, pretrain_discriminator, reconstruction_l1,
                        train)
 
@@ -52,18 +52,22 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _checked(cast, ok, rule: str):
+    """An argparse ``type`` that casts its text and rejects a value that
+    fails ``ok`` (NaN fails every comparison) as a usage error."""
+    def parse(text: str):
+        v = cast(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {v}")
+        return v
+    parse.__name__ = cast.__name__   # argparse names it in "invalid <type> value"
+    return parse
 
 
-def _fraction(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {v}")
-    return v
+_positive_int = _checked(int, lambda n: n >= 1, ">= 1")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_positive_float = _checked(float, lambda v: 0.0 < v < np.inf, "finite and > 0")
+_non_negative = _checked(float, lambda v: v >= 0.0, ">= 0")
 
 
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
@@ -119,7 +123,7 @@ def _checkpoint_writer(paths):
     """A phase's ``checkpoint_fn``: writes each network, with its Adam
     moments and the phase state, to its path (D's first, then G's)."""
     def write(state, *nets):
-        for path, net, adam in zip(paths, nets, (state.adam_d, state.adam_g)):
+        for path, net, adam in zip(paths, nets, state.adams):
             io.save_checkpoint(path, net, adam=adam, rng_state=state.rng_state,
                                epoch=state.epoch, history=state.history)
     return write
@@ -175,9 +179,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _need_two_train_subjects(data_dir, meta, fit: str):
+    if len(meta["train"]) < 2:
+        raise DataFormatError(f"{data_dir}: fitting {fit} needs at least 2 training "
+                              f"subjects, the split has {len(meta['train'])}")
+
+
 def _sample_maps(args, net, data_dir, meta) -> np.ndarray:
     """Decode ``args.n`` draws from the latent Gaussian of ``args.label``
     (the first one without a label), fitted on the training inputs."""
+    _need_two_train_subjects(data_dir, meta, "a latent Gaussian")
     x, labels = pipeline.load_inputs(data_dir, meta, "train")
     if labels is not None:
         gs = list(generation.fit_label_gaussians(net, x, labels, meta["label_names"]).values())
@@ -222,11 +233,9 @@ def cmd_translate(args) -> int:
         onehot = np.zeros(len(label_names), dtype=np.float32)
         onehot[label_names.index(args.label)] = 1.0
     stems = meta[args.split] if args.split in ("train", "test") else meta["subjects"]
-    use_noisy = bool(meta["noisy"]) and not label_names
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stem in stems:
-        key = f"{stem}.noisy" if use_noisy else stem
+    for stem, key in zip(stems, pipeline.input_keys(meta, stems)):
         uvm = io.load_uvmap(data_dir / "maps" / f"{key}.uvf")
         result = pipeline.translate_map(net, uvm.data, onehot)
         save_obj(out / f"{stem}.obj",
@@ -254,6 +263,8 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
 
     if args.task == "represent":
+        if args.pca_k or args.pca_var:
+            _need_two_train_subjects(data_dir, meta, "PCA")
         if args.model == "identity":
             rec = lambda mesh: mesh
         else:
@@ -321,10 +332,10 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic raw dataset")
-    s.add_argument("--subjects", type=int, required=True)
-    s.add_argument("--modes", type=int, default=8)
+    s.add_argument("--subjects", type=_positive_int, required=True)
+    s.add_argument("--modes", type=_positive_int, default=8)
     s.add_argument("--noise", type=float, default=0.0)
-    s.add_argument("--labels", type=int, default=0)
+    s.add_argument("--labels", type=int, default=0, choices=range(MAX_LABELS + 1))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--grid", type=int, default=45)
     s.add_argument("--amplitude", type=float, default=0.12)
@@ -335,7 +346,7 @@ def build_parser() -> _Parser:
     s.add_argument("--in", dest="in_dir", required=True)
     s.add_argument("--template", required=True)
     s.add_argument("--landmarks", required=True)
-    s.add_argument("--res", type=int, default=32)
+    s.add_argument("--res", type=_positive_int, default=32)
     s.add_argument("--layout", default=None, help="precomputed layout override")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -353,8 +364,7 @@ def build_parser() -> _Parser:
         "Writes OUT/discriminator.ckpt, OUT/generator.ckpt and OUT/loss.csv; "
         "without --pretrained, pretraining first writes OUT/pretrained.ckpt and "
         "OUT/pretrained.loss.csv. --resume reads DIR/discriminator.ckpt and "
-        "DIR/generator.ckpt, not numbered d_*.ckpt/g_*.ckpt files. Resume a "
-        "pretraining interrupted inside train with "
+        "DIR/generator.ckpt. Resume a pretraining interrupted inside train with "
         "'pretrain --resume OUT/pretrained.ckpt'."))
     s.add_argument("--data", required=True)
     start = s.add_mutually_exclusive_group()
@@ -395,9 +405,9 @@ def build_parser() -> _Parser:
                    help="specificity: the label whose Gaussian to sample, fitted "
                         "afresh on the training maps as in generate")
     s.add_argument("--n", type=_positive_int, default=200)
-    s.add_argument("--x-max", type=float, default=0.01)
+    s.add_argument("--x-max", type=_positive_float, default=0.01)
     s.add_argument("--fail-threshold", type=float, default=0.01)
-    s.add_argument("--crop-radius", type=float, default=np.inf,
+    s.add_argument("--crop-radius", type=_non_negative, default=np.inf,
                    help="3DRMSE radius around the nose tip, in input units "
                         "(default: the whole face)")
     s.add_argument("--pca-k", type=_positive_int, default=None)

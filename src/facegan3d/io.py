@@ -156,9 +156,9 @@ def load_checkpoint(path) -> tuple[Network, dict]:
 
 def load_resumable(*paths) -> tuple[list[Network], TrainState]:
     """The networks of one phase's checkpoints (D alone while pretraining,
-    then D and G) and the state to resume that phase from. A checkpoint
-    without the state, or D and G saved at different epochs, is a
-    DataFormatError."""
+    then D and G) and the state to resume that phase from, with one Adam
+    state per checkpoint. A checkpoint without the state, or D and G saved
+    at different epochs, is a DataFormatError."""
     nets, metas = zip(*(load_checkpoint(p) for p in paths))
     for path, meta in zip(paths, metas):
         missing = [key for key in ("adam", "rng_state", "epoch", "history") if key not in meta]
@@ -167,8 +167,8 @@ def load_resumable(*paths) -> tuple[list[Network], TrainState]:
     if len({meta["epoch"] for meta in metas}) > 1:
         raise DataFormatError("checkpoints saved at different epochs: " + ", ".join(
             f"{p} at {meta['epoch']}" for p, meta in zip(paths, metas)))
-    d, g = metas[0], metas[1] if len(metas) > 1 else None
-    return list(nets), TrainState(d["epoch"], d["adam"], None if g is None else g["adam"],
+    d = metas[0]
+    return list(nets), TrainState(d["epoch"], tuple(meta["adam"] for meta in metas),
                                   d["rng_state"], d["history"])
 
 

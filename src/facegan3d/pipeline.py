@@ -192,17 +192,24 @@ def _load_maps(data_dir: Path, keys: list[str]) -> np.ndarray:
     return np.stack([load_uvmap(data_dir / "maps" / f"{k}.uvf").data for k in keys])
 
 
+def input_keys(meta: dict, stems: list[str]) -> list[str]:
+    """The map keys of the network inputs of ``stems``: the neutral maps
+    when the set is labelled, else their noisy companions when it has any,
+    else the maps themselves."""
+    if meta["noisy"] and not meta["label_names"]:
+        return [f"{s}.noisy" for s in stems]
+    return list(stems)
+
+
 def load_inputs(data_dir, meta: dict, split: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The network inputs of a split and their one-hot labels (None when
-    unlabelled): each neutral map once per label, else the noisy maps, else
-    the maps themselves. Targets are not read."""
-    data_dir = Path(data_dir)
-    stems, label_names = meta[split], meta["label_names"]
-    if label_names:
-        L = len(label_names)
-        x = np.repeat(_load_maps(data_dir, stems), L, axis=0)
-        return x, np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
-    return _load_maps(data_dir, [f"{s}.noisy" for s in stems] if meta["noisy"] else stems), None
+    """The network inputs of a split (see :func:`input_keys`) and their
+    one-hot labels (None when unlabelled), each neutral map once per label.
+    Targets are not read."""
+    stems, L = meta[split], len(meta["label_names"])
+    x = _load_maps(Path(data_dir), input_keys(meta, stems))
+    if not L:
+        return x, None
+    return np.repeat(x, L, axis=0), np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
 
 
 def load_paired_datasets(data_dir) -> dict:

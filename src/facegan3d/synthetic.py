@@ -36,6 +36,7 @@ _LABEL_BLOBS = (
     (0.32, 0.40, 0.12, 0.12, 1.0),      # left cheek
     (0.68, 0.40, 0.12, 0.12, 1.0),      # right cheek
 )
+MAX_LABELS = len(_LABEL_BLOBS)
 
 
 def _blob(s, t, cs, ct, ws, wt):
@@ -119,8 +120,8 @@ def synth_dataset(n_subjects: int, n_modes: int, noise: float = 0.0,
     """Deterministic synthetic population. Same seed, same bits."""
     if n_modes < 1:
         raise ValueError("need at least one deformation mode")
-    if labels > len(_LABEL_BLOBS):
-        raise ValueError(f"at most {len(_LABEL_BLOBS)} labels supported")
+    if labels > MAX_LABELS:
+        raise ValueError(f"at most {MAX_LABELS} labels supported")
     rng = np.random.default_rng(seed)
     template = make_template(grid)
     s, t = _grid(grid)

@@ -3,8 +3,12 @@
 Phase 1 (``pretrain_discriminator``) pre-trains the discriminator as a
 plain autoencoder on the real target maps. Phase 2 (``train``) clones the
 generator from it, freezes both decoders, and alternates one discriminator
-update and one generator update per batch. Both phases resume from a
-``TrainState`` and hand one to their ``checkpoint_fn`` on each due epoch.
+update and one generator update per batch. Both phases run through one
+epoch loop, ``_run_phase``, which owns the lr schedule, the shuffle, the
+batching, the per-epoch loss means and the checkpoint cadence: it resumes
+from a ``TrainState`` and hands one to the phase's ``checkpoint_fn`` on
+each due epoch; a phase supplies only its per-batch step.
+
 With L(v) = ||v - D(v)||_1 (elementwise mean):
 
     L_D = E[L(y)] - lambda_adv * E[L(G(x))]
@@ -81,6 +85,10 @@ class PairedDataset:
     def __len__(self):
         return len(self.x)
 
+    def batch(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The samples at ``idx`` (an index array or a slice) as (x, y, labels)."""
+        return self.x[idx], self.y[idx], None if self.labels is None else self.labels[idx]
+
     @property
     def num_label_channels(self) -> int:
         return 0 if self.labels is None else self.labels.shape[1]
@@ -94,8 +102,7 @@ class PairedDataset:
 class TrainState:
     """Everything needed to resume a phase mid-run."""
     epoch: int                      # last completed epoch
-    adam_d: AdamState
-    adam_g: AdamState | None        # None while pretraining
+    adams: tuple[AdamState, ...]    # one per network, D first
     rng_state: dict
     history: list                   # the per-epoch losses of epochs 1..epoch
 
@@ -106,9 +113,34 @@ def _checkpoint_due(epoch: int, last: int, config: TrainConfig) -> bool:
     return epoch == last or (every > 0 and epoch % every == 0)
 
 
-def _batches(n: int, batch: int, perm: np.ndarray):
-    for i in range(0, n, batch):
-        yield perm[i:i + batch]
+def _run_phase(phase: str, dataset: PairedDataset, config: TrainConfig, batch: int,
+               last: int, rng: np.random.Generator, nets: tuple[Network, ...],
+               state: TrainState | None, step, checkpoint_fn) -> list:
+    """The epoch loop of both phases. From ``state``, or else from epoch 0
+    with fresh Adam moments per net and ``rng`` as it stands, each epoch
+    up to ``last`` shuffles the dataset and calls ``step(batch, adams, lr)``
+    on each ``batch``-sized slice of it; ``step`` returns the batch's
+    losses as floats. Returns the per-epoch mean losses of every epoch so
+    far; on a due epoch calls ``checkpoint_fn(state, *nets)``. A
+    non-finite value anywhere in a step is a NumericalError naming the
+    phase and epoch."""
+    state = state or TrainState(0, tuple(AdamState() for _ in nets), rng.bit_generator.state, [])
+    rng.bit_generator.state = state.rng_state
+    history = list(state.history)
+    n = len(dataset)
+    for epoch in range(state.epoch + 1, last + 1):
+        lr = lr_at(epoch, config)
+        perm = rng.permutation(n)
+        try:
+            losses = [step(dataset.batch(perm[i:i + batch]), state.adams, lr)
+                      for i in range(0, n, batch)]
+        except NonFiniteError as e:
+            raise NumericalError(f"{phase} epoch {epoch}: {e}") from e
+        history.append(np.mean(losses, axis=0).tolist())
+        if checkpoint_fn is not None and _checkpoint_due(epoch, last, config):
+            checkpoint_fn(TrainState(epoch, state.adams, rng.bit_generator.state, history),
+                          *nets)
+    return history
 
 
 def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
@@ -125,104 +157,67 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
     rng = np.random.default_rng(config.seed)
     if network is None:
         network = Network.build(net_config, rng)
-    state = state or TrainState(0, AdamState(), None, rng.bit_generator.state, [])
-    rng.bit_generator.state = state.rng_state
-    adam, history = state.adam_d, list(state.history)
     params = network.params.trainable()
-    n = len(dataset)
-    for epoch in range(state.epoch + 1, config.pretrain_epochs + 1):
-        lr = lr_at(epoch, config)
-        perm = rng.permutation(n)
-        losses = []
-        for idx in _batches(n, config.pretrain_batch, perm):
-            y = dataset.y[idx]
-            labels = None if dataset.labels is None else dataset.labels[idx]
-            tape = Tape()
-            fp = network.forward(y, tape, labels=labels)
-            try:
-                loss = ad.l1_mean(tape.leaf(y), fp.output)
-            except NonFiniteError as e:
-                raise NumericalError(f"pretrain epoch {epoch}: {e}") from e
-            ad.zero_grad(params)
-            ad.backward(tape, loss, params=params)
-            ad.adam_step(params, adam, lr)
-            losses.append(float(loss.data))
-        history.append(float(np.mean(losses)))
-        if not np.isfinite(history[-1]):
-            raise NumericalError(f"pretrain diverged at epoch {epoch}: loss={history[-1]}")
-        if checkpoint_fn is not None and _checkpoint_due(epoch, config.pretrain_epochs, config):
-            checkpoint_fn(TrainState(epoch, adam, None, rng.bit_generator.state, history),
-                          network)
+
+    def step(batch, adams, lr):
+        _, y, labels = batch
+        tape = Tape()
+        fp = network.forward(y, tape, labels=labels)
+        loss = ad.l1_mean(tape.leaf(y), fp.output)
+        ad.zero_grad(params)
+        ad.backward(tape, loss, params=params)
+        ad.adam_step(params, adams[0], lr)
+        return float(loss.data)
+
+    history = _run_phase("pretrain", dataset, config, config.pretrain_batch,
+                         config.pretrain_epochs, rng, (network,), state, step, checkpoint_fn)
     return network, history
 
 
 def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
                      d_net: Network, g_net: Network,
                      adam_d: AdamState, adam_g: AdamState,
-                     lr: float, config: TrainConfig,
-                     return_internals: bool = False):
-    """One D update followed by one G update on a batch.
-
-    Returns (L_D, L_G, L_rec) as floats; with ``return_internals`` also a
-    dict of the raw forward outputs the losses were computed from, for
-    recomputing the loss formulas outside the engine.
-    """
+                     lr: float, config: TrainConfig) -> tuple[float, float, float]:
+    """One D update followed by one G update on a batch. Returns (L_D, L_G,
+    L_rec) as floats."""
     x, y, labels = batch
     d_params = d_net.params.trainable()
     g_params = g_net.params.trainable()
 
     # generator forward (kept on its tape for the G update)
     tape = Tape()
-    g_fp = g_net.forward(x, tape, labels=labels)
-    gx = g_fp.output
+    gx = g_net.forward(x, tape, labels=labels).output
 
-    try:
-        # ---- D update: generator output is a constant here
-        tape_d = Tape()
-        gx_const = gx.data.copy()
-        dy_fp = d_net.forward(y, tape_d, labels=labels)
-        dgx_fp = d_net.forward(gx_const, tape_d, labels=labels)
-        loss_real = ad.l1_mean(tape_d.leaf(y), dy_fp.output)
-        loss_fake_pre = ad.l1_mean(tape_d.leaf(gx_const), dgx_fp.output)
-        l_d = ad.add(loss_real, ad.scale(loss_fake_pre, -config.lambda_adv))
-        ad.zero_grad(d_params)
-        ad.backward(tape_d, l_d, params=d_params)
-        ad.adam_step(d_params, adam_d, lr)
-        # all of D, frozen decoder too, so the G update's isolation shows
-        ad.zero_grad(d_net.params.tensors())
+    # ---- D update: generator output is a constant here
+    tape_d = Tape()
+    gx_const = gx.data.copy()
+    dy_fp = d_net.forward(y, tape_d, labels=labels)
+    dgx_fp = d_net.forward(gx_const, tape_d, labels=labels)
+    loss_real = ad.l1_mean(tape_d.leaf(y), dy_fp.output)
+    loss_fake = ad.l1_mean(tape_d.leaf(gx_const), dgx_fp.output)
+    l_d = ad.add(loss_real, ad.scale(loss_fake, -config.lambda_adv))
+    ad.zero_grad(d_params)
+    ad.backward(tape_d, l_d, params=d_params)
+    ad.adam_step(d_params, adam_d, lr)
+    # all of D, frozen decoder too, so the G update's isolation shows
+    ad.zero_grad(d_net.params.tensors())
 
-        # ---- G update: gradient flows through the updated D, whose
-        # parameters are not in the list and so stay constant for this step
-        dgx_fp2 = d_net.forward(gx, tape, labels=labels)
-        loss_adv = ad.l1_mean(gx, dgx_fp2.output)
-        loss_rec = ad.l1_mean(gx, tape.leaf(y))
-        l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
-        ad.zero_grad(g_params)
-        ad.backward(tape, l_g, params=g_params)
-        ad.adam_step(g_params, adam_g, lr)
-    except NonFiniteError as e:
-        raise NumericalError(str(e)) from e
-
-    vals = (float(l_d.data), float(l_g.data), float(loss_rec.data))
-    if not return_internals:
-        return vals
-    internals = {
-        "x": x.copy(), "y": y.copy(), "gx": gx_const,
-        "d_y": dy_fp.output.data.copy(),
-        "d_gx_pre": dgx_fp.output.data.copy(),
-        "d_gx_post": dgx_fp2.output.data.copy(),
-        "loss_real": float(loss_real.data),
-        "loss_fake_pre": float(loss_fake_pre.data),
-        "loss_adv": float(loss_adv.data),
-    }
-    return vals, internals
+    # ---- G update: gradient flows through the updated D, whose
+    # parameters are not in the list and so stay constant for this step
+    loss_adv = ad.l1_mean(gx, d_net.forward(gx, tape, labels=labels).output)
+    loss_rec = ad.l1_mean(gx, tape.leaf(y))
+    l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
+    ad.zero_grad(g_params)
+    ad.backward(tape, l_g, params=g_params)
+    ad.adam_step(g_params, adam_g, lr)
+    return float(l_d.data), float(l_g.data), float(loss_rec.data)
 
 
 @dataclass
 class TrainResult:
     discriminator: Network
     generator: Network
-    history: list[tuple[float, float, float]]   # (L_D, L_G, L_rec) per epoch
+    history: list[list[float]]   # [L_D, L_G, L_rec] per epoch
 
 
 def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
@@ -236,27 +231,13 @@ def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
         g_net = clone_generator_from_discriminator(d_net)
         freeze_decoder(d_net.params)
         freeze_decoder(g_net.params)
-    rng = np.random.default_rng(config.seed + 1)
-    state = state or TrainState(0, AdamState(), AdamState(), rng.bit_generator.state, [])
-    rng.bit_generator.state = state.rng_state
-    adam_d, adam_g, history = state.adam_d, state.adam_g, list(state.history)
-    n = len(dataset)
-    for epoch in range(state.epoch + 1, config.epochs + 1):
-        lr = lr_at(epoch, config)
-        perm = rng.permutation(n)
-        epoch_vals = []
-        for idx in _batches(n, config.batch, perm):
-            labels = None if dataset.labels is None else dataset.labels[idx]
-            try:
-                vals = adversarial_step((dataset.x[idx], dataset.y[idx], labels),
-                                        d_net, g_net, adam_d, adam_g, lr, config)
-            except NumericalError as e:
-                raise NumericalError(f"adversarial epoch {epoch}: {e}") from e
-            epoch_vals.append(vals)
-        history.append(tuple(float(v) for v in np.mean(epoch_vals, axis=0)))
-        if checkpoint_fn is not None and _checkpoint_due(epoch, config.epochs, config):
-            checkpoint_fn(TrainState(epoch, adam_d, adam_g, rng.bit_generator.state, history),
-                          d_net, g_net)
+
+    def step(batch, adams, lr):
+        return adversarial_step(batch, d_net, g_net, *adams, lr, config)
+
+    history = _run_phase("adversarial", dataset, config, config.batch, config.epochs,
+                         np.random.default_rng(config.seed + 1), (d_net, g_net), state,
+                         step, checkpoint_fn)
     return TrainResult(d_net, g_net, history)
 
 
@@ -266,8 +247,7 @@ def reconstruction_l1(net: Network, dataset: PairedDataset, batch: int = 32) -> 
         raise ValueError("empty dataset")
     vals = []
     for i in range(0, len(dataset), batch):
-        x = dataset.x[i:i + batch]
-        labels = None if dataset.labels is None else dataset.labels[i:i + batch]
+        x, y, labels = dataset.batch(slice(i, i + batch))
         out = net.forward(x, labels=labels).output.data
-        vals.append(np.mean(np.abs(out - dataset.y[i:i + batch]), axis=(1, 2, 3)))
+        vals.append(np.mean(np.abs(out - y), axis=(1, 2, 3)))
     return float(np.mean(np.concatenate(vals)))

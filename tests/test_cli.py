@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from facegan3d import autodiff as ad
 from facegan3d import cli, io, pipeline
 from facegan3d.geometry import centroid_size, load_obj, procrustes_points
 from facegan3d.model import NetConfig, Network
@@ -313,6 +314,99 @@ def test_pca_option_out_of_range_is_a_usage_error(work, option, capsys):
     err = capsys.readouterr().err
     assert option[0] in err and "Traceback" not in err
     assert not (work / "pca_bad").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--subjects", 2, "--modes", 0),
+    ("synth", "--subjects", 2, "--labels", 9),
+    ("synth", "--subjects", -1),
+    ("preprocess", "--in", "raw", "--template", "t.obj", "--landmarks", "l.txt", "--res", 0),
+    ("evaluate", "--task", "represent", "--data", "pre", "--model", "identity", "--x-max", 0),
+    ("evaluate", "--task", "translate", "--data", "pre", "--model", "m.ckpt",
+     "--crop-radius", -1),
+])
+def test_out_of_range_option_is_a_usage_error(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, "--out", tmp_path / "out")
+    assert exit_info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(argv[-2]) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def two_subjects(tmp_path_factory):
+    """A preprocessed 2-subject set (1 training map, 1 test map) and an
+    untrained model for it."""
+    d = tmp_path_factory.mktemp("two")
+    assert run("synth", "--subjects", 2, "--grid", 20, "--out", d / "raw") == 0
+    assert run("preprocess", "--in", d / "raw", "--template", d / "raw" / "template.obj",
+               "--landmarks", d / "raw" / "landmarks.txt", "--res", 32, "--out", d / "pre") == 0
+    io.save_checkpoint(d / "model.ckpt",
+                       Network.build(NetConfig(32, 2, 4), np.random.default_rng(0)))
+    return d
+
+
+@pytest.mark.parametrize("command", [
+    ("generate",),
+    ("evaluate", "--task", "specificity", "--n", 2),
+    ("evaluate", "--task", "represent", "--pca-k", 2),
+])
+def test_too_small_training_split_exits_data_error(two_subjects, command, capsys):
+    d = two_subjects
+    assert len(pipeline.load_meta(d / "pre")["train"]) == 1
+    assert run(*command, "--data", d / "pre", "--model", d / "model.ckpt",
+               "--out", d / "out") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "at least 2 training subjects" in err and "Traceback" not in err
+    assert not (d / "out").exists()
+
+
+@pytest.mark.parametrize("command, poison_after, message", [
+    ("pretrain", 3, "pretrain epoch 2"),        # 2 batches of 7 maps, 1 update each
+    ("train", 5, "adversarial epoch 2"),        # 2 batches, a D and a G update each
+])
+def test_non_finite_step_exits_numeric_naming_phase_and_epoch(work, tmp_path, monkeypatch,
+                                                              capsys, command, poison_after,
+                                                              message):
+    """A NaN written into a parameter by an Adam update makes the next
+    forward non-finite: exit 3 with the phase and epoch, and the failed
+    epoch writes no checkpoint, so epoch 1's stay whole."""
+    (tmp_path / "cfg").write_text(ADV_CONFIG.format(2))
+    real, calls = ad.adam_step, []
+
+    def poisoning(params, state, lr):
+        real(params, state, lr)
+        calls.append(1)
+        if len(calls) == poison_after:
+            params[0].data[...] = np.nan
+
+    monkeypatch.setattr(ad, "adam_step", poisoning)
+    if command == "pretrain":
+        argv, out, names = ("pretrain",), tmp_path / "run" / "model.ckpt", ["model.ckpt"]
+    else:
+        argv = ("train", "--pretrained", work / "model.ckpt")
+        out, names = tmp_path / "run", ["discriminator.ckpt", "generator.ckpt"]
+    assert run(*argv, "--data", work / "pre", "--config", tmp_path / "cfg", "--seed", 0,
+               "--out", out) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert message in err and "non-finite" in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
+    for name in names:
+        assert io.load_checkpoint(tmp_path / "run" / name)[1]["epoch"] == 1
+
+
+def test_resumable_state_holds_one_adam_state_per_checkpoint(work, tmp_path):
+    assert run("train", "--data", work / "pre", "--pretrained", work / "model.ckpt",
+               "--config", work / "pre1.cfg", "--seed", 0, "--out", tmp_path) == 0
+    for paths in ([work / "model.ckpt"],
+                  [tmp_path / "discriminator.ckpt", tmp_path / "generator.ckpt"]):
+        nets, state = io.load_resumable(*paths)
+        assert len(state.adams) == len(nets) == len(paths)
+        for net, adam in zip(nets, state.adams):
+            # each net's own moments, for exactly its trainable tensors
+            assert set(adam.m) == {p.node_id for p in net.params.trainable()}
 
 
 def test_translate_report_counts_unconverged_icp(work):

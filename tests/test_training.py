@@ -208,13 +208,25 @@ def test_step_with_zero_lambda_adv_is_pure_autoencoder_update():
     assert d_net.params.checksum() == ref.params.checksum()
 
 
+def step_with_recomputed_outputs(seed):
+    """One adversarial step, and the outputs its losses come from, each
+    recomputed off the tape: G(x) from G before the step, D(y) and D(G(x))
+    from a clone of D taken before the step, and D(G(x)) again from D
+    after its update, which the G update differentiates through."""
+    ds, d_net, g_net, cfg = _pair(seed)
+    x, y = ds.x[:2], ds.y[:2]
+    d_pre = clone_generator_from_discriminator(d_net)
+    gx = g_net.forward(x).output.data
+    vals = adversarial_step((x, y, None), d_net, g_net, ad.AdamState(), ad.AdamState(),
+                            1e-3, cfg)
+    outputs = {"y": y, "gx": gx, "d_y": d_pre.forward(y).output.data,
+               "d_gx_pre": d_pre.forward(gx).output.data,
+               "d_gx_post": d_net.forward(gx).output.data}
+    return vals, outputs, cfg
+
+
 def test_step_losses_match_straight_line_recomputation():
-    ds, d_net, g_net, cfg = _pair(5)
-    batch = (ds.x[:2], ds.y[:2], None)
-    vals, it = adversarial_step(batch, d_net, g_net, ad.AdamState(), ad.AdamState(),
-                                1e-3, cfg, return_internals=True)
-    l_d, l_g, l_rec = vals
-    # straight-line recomputation of the two objectives from logged outputs
+    (l_d, l_g, l_rec), it, cfg = step_with_recomputed_outputs(5)
     expect_ld = np.abs(it["y"] - it["d_y"]).mean() \
         - cfg.lambda_adv * np.abs(it["gx"] - it["d_gx_pre"]).mean()
     expect_rec = np.abs(it["gx"] - it["y"]).mean()
@@ -226,13 +238,10 @@ def test_step_losses_match_straight_line_recomputation():
 
 def test_loss_identity_recovers_real_term():
     # L_D + lambda_adv * E[L(G(x))] == E[L(y)] on the same batch
-    ds, d_net, g_net, cfg = _pair(6)
-    vals, it = adversarial_step((ds.x[:2], ds.y[:2], None), d_net, g_net,
-                                ad.AdamState(), ad.AdamState(), 1e-3, cfg,
-                                return_internals=True)
-    l_d = vals[0]
-    assert l_d + cfg.lambda_adv * it["loss_fake_pre"] == pytest.approx(
-        it["loss_real"], rel=1e-6)
+    (l_d, _, _), it, cfg = step_with_recomputed_outputs(6)
+    loss_fake = np.abs(it["gx"] - it["d_gx_pre"]).mean()
+    assert l_d + cfg.lambda_adv * loss_fake == pytest.approx(
+        np.abs(it["y"] - it["d_y"]).mean(), rel=1e-6)
 
 
 def test_gradient_isolation():
