@@ -2,8 +2,9 @@
 generate / translate / evaluate.
 
 Exit codes: 0 success, 1 usage error (an out-of-range option value too),
-2 data/format error (e.g. a labelled model on unlabelled maps, or a
-training split too small to fit a Gaussian or PCA on), 3 numerical
+2 data/format error (e.g. a labelled model on unlabelled maps, a
+training split too small to fit a Gaussian or PCA on, or ``evaluate`` on
+an empty test split), 3 numerical
 failure (a NaN abort, naming the training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units;
@@ -257,6 +258,9 @@ def _ced_summary(metric: str, errs, args):
 def cmd_evaluate(args) -> int:
     data_dir = Path(args.data)
     meta = pipeline.load_meta(data_dir)
+    if not meta["test"]:
+        raise DataFormatError(f"{data_dir}: the test split is empty, and every task "
+                              "scores the test meshes")
     layout = io.load_layout(data_dir / "layout.uvl")
     landmarks = meta["landmarks"]
     test_meshes = pipeline.load_aligned_meshes(data_dir, meta["test"], landmarks)

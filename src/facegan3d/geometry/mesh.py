@@ -42,9 +42,6 @@ class Mesh:
     def with_vertices(self, vertices: np.ndarray) -> "Mesh":
         return Mesh(np.asarray(vertices, dtype=np.float64), self.faces, dict(self.landmarks))
 
-    def copy(self) -> "Mesh":
-        return Mesh(self.vertices.copy(), self.faces.copy(), dict(self.landmarks))
-
     def bbox_diagonal(self) -> float:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)

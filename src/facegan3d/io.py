@@ -111,8 +111,7 @@ def save_checkpoint(path, net: Network, adam: AdamState | None = None,
     params = net.params
     names = params.names()
     meta: dict = {"config": dataclasses.asdict(net.config),
-                  "params": [[n, params.group_of(n)] for n in names],
-                  "frozen": sorted(params.frozen_groups)}
+                  "params": [[n, params.group_of(n)] for n in names]}
     arrays = [(f"param/{n}", params[n].data, np.float32) for n in names]
     if adam is not None:
         meta["adam"] = {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps}
@@ -131,8 +130,6 @@ def _decode_checkpoint(meta: dict, arrays: dict) -> tuple[Network, dict]:
     params = NetParams()
     for name, group in meta["params"]:
         params.add(name, Tensor(arrays[f"param/{name}"]), group)
-    for group in meta["frozen"]:
-        params.set_frozen(group, True)
     cfg = NetConfig(**{**meta["config"], "skip_levels": tuple(meta["config"]["skip_levels"])})
     out = {key: meta[key] for key in ("rng_state", "epoch", "history") if key in meta}
     if "adam" in meta:

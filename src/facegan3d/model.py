@@ -19,7 +19,8 @@ A conv block is two 3x3 convs, each followed by ELU: two ``conv_elu``
 ops, which fuse conv, bias and ELU. Encoder features at
 the configured skip resolutions pass through learned 1x1 projections and
 are added to the matching decoder stage inputs; the projections belong to
-the decoder parameter group, so they freeze together with it.
+the decoder parameter group, so the adversarial phase, which trains only
+the encoder and bottlenecks, leaves them as pretrained.
 
 Weights are drawn uniform and biases start at 0. Every conv that ELU
 follows, the bottleneck FCs and the skip projections use He's bound
@@ -66,20 +67,16 @@ class NetConfig:
 
 class NetParams:
     """Ordered named parameter tensors, partitioned into encoder /
-    bottleneck1 / bottleneck2 / decoder groups with per-group freezing:
-    :meth:`trainable` is the list that backward and Adam act on."""
+    bottleneck1 / bottleneck2 / decoder groups."""
 
     def __init__(self):
-        self._order: list[str] = []
         self._tensors: dict[str, Tensor] = {}
         self._groups: dict[str, str] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, tensor: Tensor, group: str):
         if group not in GROUPS or name in self._tensors:
             raise ValueError(f"parameter {name!r}: unknown group {group!r} or a duplicate name")
         tensor.name = name
-        self._order.append(name)
         self._tensors[name] = tensor
         self._groups[name] = group
 
@@ -87,49 +84,32 @@ class NetParams:
         return self._tensors[name]
 
     def names(self) -> list[str]:
-        return list(self._order)
+        return list(self._tensors)
 
-    def tensors(self) -> list[Tensor]:
-        return [self._tensors[n] for n in self._order]
+    def tensors(self, *groups: str) -> list[Tensor]:
+        """The tensors of the named groups, or of all groups when none is
+        named, in order."""
+        return [t for n, t in self._tensors.items() if not groups or self._groups[n] in groups]
 
     def group_of(self, name: str) -> str:
         return self._groups[name]
-
-    @property
-    def frozen_groups(self) -> frozenset[str]:
-        return frozenset(self._frozen)
-
-    def set_frozen(self, group: str, frozen: bool):
-        if group not in GROUPS:
-            raise ValueError(f"unknown group {group!r}")
-        if frozen:
-            self._frozen.add(group)
-        else:
-            self._frozen.discard(group)
-
-    def trainable(self) -> list[Tensor]:
-        """The tensors outside the frozen groups, in order."""
-        return [self._tensors[n] for n in self._order
-                if self._groups[n] not in self._frozen]
 
     def num_parameters(self) -> int:
         return sum(t.data.size for t in self.tensors())
 
     def checksum(self, group: str | None = None) -> str:
         h = hashlib.sha256()
-        for n in self._order:
+        for n, t in self._tensors.items():
             if group is None or self._groups[n] == group:
                 h.update(n.encode())
-                h.update(np.ascontiguousarray(self._tensors[n].data).tobytes())
+                h.update(np.ascontiguousarray(t.data).tobytes())
         return h.hexdigest()
 
     def clone(self) -> "NetParams":
+        """A deep copy: the clone never aliases this storage."""
         out = NetParams()
-        for n in self._order:
-            out._order.append(n)
-            out._tensors[n] = Tensor(self._tensors[n].data.copy(), name=n)
-            out._groups[n] = self._groups[n]
-        out._frozen = set(self._frozen)
+        for n, t in self._tensors.items():
+            out.add(n, Tensor(t.data.copy()), self._groups[n])
         return out
 
 
@@ -287,18 +267,6 @@ class Network:
         on the (N, L) one-hot ``labels``."""
         z, feats = self.encode(x, tape, labels=labels)
         return ForwardPass(self.decode(z, tape, skips=feats), z)
-
-
-def clone_generator_from_discriminator(d: Network) -> Network:
-    """Deep copy: the clone never aliases the source's parameter storage."""
-    return Network(d.config, d.params.clone())
-
-
-def freeze_decoder(params: NetParams, frozen: bool = True) -> None:
-    """Freeze the decoder group (which includes the tanh head and the skip
-    projections): it leaves :meth:`NetParams.trainable`, so the optimizer
-    leaves it bit-identical."""
-    params.set_frozen("decoder", frozen)
 
 
 def expected_parameter_count(config: NetConfig) -> int:

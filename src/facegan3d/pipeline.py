@@ -188,7 +188,11 @@ def load_meta(data_dir) -> dict:
     return meta
 
 
-def _load_maps(data_dir: Path, keys: list[str]) -> np.ndarray:
+def _load_maps(data_dir: Path, meta: dict, keys: list[str]) -> np.ndarray:
+    """The (len(keys), 3, res, res) stack of the maps ``keys``; an empty
+    split gives an empty stack."""
+    if not keys:
+        return np.zeros((0, 3, meta["resolution"], meta["resolution"]), dtype=np.float32)
     return np.stack([load_uvmap(data_dir / "maps" / f"{k}.uvf").data for k in keys])
 
 
@@ -206,7 +210,7 @@ def load_inputs(data_dir, meta: dict, split: str) -> tuple[np.ndarray, np.ndarra
     one-hot labels (None when unlabelled), each neutral map once per label.
     Targets are not read."""
     stems, L = meta[split], len(meta["label_names"])
-    x = _load_maps(Path(data_dir), input_keys(meta, stems))
+    x = _load_maps(Path(data_dir), meta, input_keys(meta, stems))
     if not L:
         return x, None
     return np.repeat(x, L, axis=0), np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
@@ -225,9 +229,10 @@ def load_paired_datasets(data_dir) -> dict:
     for split in ("train", "test"):
         x, labels = load_inputs(data_dir, meta, split)
         if label_names:
-            y = _load_maps(data_dir, [f"{s}.{label}" for s in meta[split] for label in label_names])
+            y = _load_maps(data_dir, meta,
+                           [f"{s}.{label}" for s in meta[split] for label in label_names])
         elif meta["noisy"]:
-            y = _load_maps(data_dir, meta[split])
+            y = _load_maps(data_dir, meta, meta[split])
         else:
             y = x.copy()
         out[split] = PairedDataset(x, y, labels)

@@ -1,13 +1,15 @@
 """Two-phase training protocol.
 
-Phase 1 (``pretrain_discriminator``) pre-trains the discriminator as a
-plain autoencoder on the real target maps. Phase 2 (``train``) clones the
-generator from it, freezes both decoders, and alternates one discriminator
-update and one generator update per batch. Both phases run through one
-epoch loop, ``_run_phase``, which owns the lr schedule, the shuffle, the
-batching, the per-epoch loss means and the checkpoint cadence: it resumes
-from a ``TrainState`` and hands one to the phase's ``checkpoint_fn`` on
-each due epoch; a phase supplies only its per-batch step.
+Phase 1 (``pretrain_discriminator``) pre-trains all of the discriminator
+as a plain autoencoder on the real target maps. Phase 2 (``train``) clones
+the generator from it and alternates one discriminator update and one
+generator update per batch; each update trains only its net's
+``ADVERSARIAL_GROUPS``, so both decoders stay as pretrained. Both phases
+run through one epoch loop, ``_run_phase``, which owns the lr schedule,
+the shuffle, the batching, the per-epoch loss means and the checkpoint
+cadence: it resumes from a ``TrainState`` and hands one to the phase's
+``checkpoint_fn`` on each due epoch; a phase supplies only its per-batch
+step.
 
 With L(v) = ||v - D(v)||_1 (elementwise mean):
 
@@ -16,7 +18,7 @@ With L(v) = ||v - D(v)||_1 (elementwise mean):
 
 During the D update the generator output is detached; during the G update
 the gradient flows through all of D but D's parameters are not in the G
-update's list (each update trains its net's ``params.trainable()``).
+update's list (each update trains its own net's ``ADVERSARIAL_GROUPS``).
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
 from .errors import NonFiniteError, NumericalError, ShapeError
-from .model import (NetConfig, Network, clone_generator_from_discriminator,
-                    freeze_decoder)
+from .model import NetConfig, Network
+
+# The parameter groups of D and G that the adversarial phase trains; both
+# decoders (with the skip projections) stay as pretrained.
+ADVERSARIAL_GROUPS = ("encoder", "bottleneck1", "bottleneck2")
 
 
 @dataclass
@@ -157,7 +162,7 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
     rng = np.random.default_rng(config.seed)
     if network is None:
         network = Network.build(net_config, rng)
-    params = network.params.trainable()
+    params = network.params.tensors()
 
     def step(batch, adams, lr):
         _, y, labels = batch
@@ -181,8 +186,8 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     """One D update followed by one G update on a batch. Returns (L_D, L_G,
     L_rec) as floats."""
     x, y, labels = batch
-    d_params = d_net.params.trainable()
-    g_params = g_net.params.trainable()
+    d_params = d_net.params.tensors(*ADVERSARIAL_GROUPS)
+    g_params = g_net.params.tensors(*ADVERSARIAL_GROUPS)
 
     # generator forward (kept on its tape for the G update)
     tape = Tape()
@@ -199,7 +204,7 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     ad.zero_grad(d_params)
     ad.backward(tape_d, l_d, params=d_params)
     ad.adam_step(d_params, adam_d, lr)
-    # all of D, frozen decoder too, so the G update's isolation shows
+    # all of D, decoder too, so the G update's isolation shows
     ad.zero_grad(d_net.params.tensors())
 
     # ---- G update: gradient flows through the updated D, whose
@@ -223,14 +228,13 @@ class TrainResult:
 def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
           g_net: Network | None = None, state: TrainState | None = None,
           checkpoint_fn=None) -> TrainResult:
-    """The adversarial phase. Without ``g_net``, G is cloned from the
-    pretrained ``d_net`` and both decoders are frozen; with ``g_net`` and
-    ``state`` a checkpointed run resumes. ``history`` covers every epoch so
-    far. On a due epoch it calls ``checkpoint_fn(state, d_net, g_net)``."""
+    """The adversarial phase, which trains ``ADVERSARIAL_GROUPS`` of D and
+    G. Without ``g_net``, G is a copy of the pretrained ``d_net``; with
+    ``g_net`` and ``state`` a checkpointed run resumes. ``history`` covers
+    every epoch so far. On a due epoch it calls
+    ``checkpoint_fn(state, d_net, g_net)``."""
     if g_net is None:
-        g_net = clone_generator_from_discriminator(d_net)
-        freeze_decoder(d_net.params)
-        freeze_decoder(g_net.params)
+        g_net = Network(d_net.config, d_net.params.clone())
 
     def step(batch, adams, lr):
         return adversarial_step(batch, d_net, g_net, *adams, lr, config)

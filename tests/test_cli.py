@@ -12,6 +12,7 @@ from facegan3d import autodiff as ad
 from facegan3d import cli, io, pipeline
 from facegan3d.geometry import centroid_size, load_obj, procrustes_points
 from facegan3d.model import NetConfig, Network
+from facegan3d.training import ADVERSARIAL_GROUPS
 
 CONFIG = ("filters = 2\nlatent = 4\nbatch = 4\npretrain_batch = 4\n"
           "pretrain_epochs = {}\nepochs = 1\n")
@@ -161,6 +162,38 @@ def test_resumed_train_is_bitwise_equal_to_uninterrupted(work, capsys):
                "--out", d / "straight") == cli.EXIT_DATA
     assert "epoch 3" in capsys.readouterr().err
     assert (d / "straight" / "loss.csv").read_bytes() == loss
+
+
+def with_frozen_key(src, dst, frozen):
+    """``src`` rewritten as an older writer saved it, with the frozen
+    groups in its header."""
+    meta, arrays = io._parse(src.read_bytes(), io.CHECKPOINT_MAGIC)
+    io._save(dst, io.CHECKPOINT_MAGIC, {**meta, "frozen": frozen},
+             [(name, arr, arr.dtype) for name, arr in arrays.items()])
+
+
+def test_checkpoints_with_a_frozen_key_load_and_resume_bitwise(work, tmp_path):
+    d = work
+    (tmp_path / "adv2.cfg").write_text(ADV_CONFIG.format(2))
+    (tmp_path / "adv3.cfg").write_text(ADV_CONFIG.format(3))
+    with_frozen_key(d / "model.ckpt", tmp_path / "model.ckpt", [])
+    args = ("--data", d / "pre", "--seed", 0)
+    assert run("train", *args, "--pretrained", d / "model.ckpt",
+               "--config", tmp_path / "adv3.cfg", "--out", tmp_path / "straight") == 0
+    assert run("train", *args, "--pretrained", tmp_path / "model.ckpt",
+               "--config", tmp_path / "adv2.cfg", "--out", tmp_path / "half") == 0
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in ("discriminator.ckpt", "generator.ckpt"):
+        with_frozen_key(tmp_path / "half" / name, old / name, ["decoder"])
+        assert b'"frozen": ["decoder"]' in (old / name).read_bytes()
+        assert_same_checkpoint(old / name, tmp_path / "half" / name)
+    assert run("train", *args, "--resume", old, "--config", tmp_path / "adv3.cfg",
+               "--out", old) == 0
+    for name in ("discriminator.ckpt", "generator.ckpt"):
+        assert_same_checkpoint(old / name, tmp_path / "straight" / name)
+        assert b'"frozen"' not in (old / name).read_bytes()
+    assert (old / "loss.csv").read_bytes() == (tmp_path / "straight" / "loss.csv").read_bytes()
 
 
 def test_train_run_directory_holds_the_documented_files(work):
@@ -362,6 +395,31 @@ def test_too_small_training_split_exits_data_error(two_subjects, command, capsys
     assert not (d / "out").exists()
 
 
+def test_empty_test_split_trains_and_evaluate_exits_data_error(tmp_path, capsys):
+    """A 1-subject set has no test subject: both training commands run
+    (train reports a NaN test L1) and every evaluate task exits 2, naming
+    the empty split, before it loads the model."""
+    assert run("synth", "--subjects", 1, "--grid", 20, "--out", tmp_path / "raw") == 0
+    assert run("preprocess", "--in", tmp_path / "raw",
+               "--template", tmp_path / "raw" / "template.obj",
+               "--landmarks", tmp_path / "raw" / "landmarks.txt", "--res", 32,
+               "--out", tmp_path / "pre") == 0
+    assert "1 train / 0 test" in capsys.readouterr().out
+    (tmp_path / "cfg").write_text(CONFIG.format(1))
+    args = ("--data", tmp_path / "pre", "--config", tmp_path / "cfg")
+    assert run("pretrain", *args, "--out", tmp_path / "model.ckpt") == 0
+    assert run("train", *args, "--out", tmp_path / "run") == 0
+    out = capsys.readouterr()
+    assert "test reconstruction L1 = nan" in out.out and "Traceback" not in out.err
+    for task in ("represent", "translate", "specificity"):
+        assert run("evaluate", "--task", task, "--data", tmp_path / "pre",
+                   "--model", tmp_path / "absent.ckpt", "--out", tmp_path / "eval") \
+            == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "test split is empty" in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("command, poison_after, message", [
     ("pretrain", 3, "pretrain epoch 2"),        # 2 batches of 7 maps, 1 update each
     ("train", 5, "adversarial epoch 2"),        # 2 batches, a D and a G update each
@@ -400,13 +458,14 @@ def test_non_finite_step_exits_numeric_naming_phase_and_epoch(work, tmp_path, mo
 def test_resumable_state_holds_one_adam_state_per_checkpoint(work, tmp_path):
     assert run("train", "--data", work / "pre", "--pretrained", work / "model.ckpt",
                "--config", work / "pre1.cfg", "--seed", 0, "--out", tmp_path) == 0
-    for paths in ([work / "model.ckpt"],
-                  [tmp_path / "discriminator.ckpt", tmp_path / "generator.ckpt"]):
+    for paths, groups in (([work / "model.ckpt"], ()),
+                          ([tmp_path / "discriminator.ckpt", tmp_path / "generator.ckpt"],
+                           ADVERSARIAL_GROUPS)):
         nets, state = io.load_resumable(*paths)
         assert len(state.adams) == len(nets) == len(paths)
         for net, adam in zip(nets, state.adams):
-            # each net's own moments, for exactly its trainable tensors
-            assert set(adam.m) == {p.node_id for p in net.params.trainable()}
+            # each net's own moments, for exactly the tensors its phase trains
+            assert set(adam.m) == {p.node_id for p in net.params.tensors(*groups)}
 
 
 def test_translate_report_counts_unconverged_icp(work):

@@ -138,15 +138,13 @@ def test_rmse3d_normalized_by_interocular():
     tpl = make_template(13)
     pred = tpl.with_vertices(tpl.vertices + tpl.vertex_normals() * 0.01)
     base, _ = rmse3d_translation(pred, tpl, icp_max_iter=0)
-    wide = tpl.copy()
-    wide.landmarks = dict(tpl.landmarks)
     # synthetic landmark pair twice as far apart halves the metric
-    v = wide.vertices.copy()
-    le, re = wide.landmarks["left-eye-outer"], wide.landmarks["right-eye-outer"]
+    v = tpl.vertices.copy()
+    le, re = tpl.landmarks["left-eye-outer"], tpl.landmarks["right-eye-outer"]
     mid = 0.5 * (v[le] + v[re])
     v[le] = mid + (v[le] - mid) * 2
     v[re] = mid + (v[re] - mid) * 2
-    wide = wide.with_vertices(v)
+    wide = tpl.with_vertices(v)
     pred2 = wide.with_vertices(wide.vertices + wide.vertex_normals() * 0.01)
     assert rmse3d_translation(pred2, wide, icp_max_iter=0)[0] == pytest.approx(
         base * 0.5, rel=0.2)

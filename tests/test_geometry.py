@@ -101,7 +101,7 @@ def test_procrustes_degenerate_source_errors():
 
 
 def test_gpa_identical_inputs_pass_through(heads):
-    meshes = [heads[0].copy() for _ in range(3)]
+    meshes = [heads[0]] * 3
     aligned, mean = generalized_procrustes(meshes)
     for m in aligned:
         np.testing.assert_allclose(m.vertices, heads[0].vertices, atol=1e-12)
@@ -111,7 +111,7 @@ def test_gpa_identical_inputs_pass_through(heads):
 def test_gpa_removes_similarity_transforms(heads):
     rng = np.random.default_rng(2)
     base = heads[0]
-    meshes = [base.copy()]
+    meshes = [base]
     for _ in range(3):
         R = rand_rotation(rng)
         s = rng.uniform(0.5, 2.0)
@@ -124,9 +124,9 @@ def test_gpa_removes_similarity_transforms(heads):
 
 def test_gpa_invariant_to_transforming_non_anchor_inputs(heads):
     rng = np.random.default_rng(3)
-    base_run, _ = generalized_procrustes([m.copy() for m in heads[:3]])
+    base_run, _ = generalized_procrustes(list(heads[:3]))
     for k in (1, 2):
-        meshes = [m.copy() for m in heads[:3]]
+        meshes = list(heads[:3])
         R = rand_rotation(rng)
         s = rng.uniform(0.5, 2.0)
         tv = rng.uniform(-1, 1, 3)
@@ -140,10 +140,10 @@ def test_gpa_anchor_transform_changes_frame_only(heads):
     # transforming the anchor mesh moves the global frame; shapes agree
     # after re-aligning the two consensus means
     rng = np.random.default_rng(4)
-    meshes = [m.copy() for m in heads[:3]]
+    meshes = list(heads[:3])
     base_run, base_mean = generalized_procrustes(meshes)
     R = rand_rotation(rng)
-    meshes2 = [m.copy() for m in heads[:3]]
+    meshes2 = list(heads[:3])
     meshes2[0] = meshes2[0].with_vertices(1.3 * meshes2[0].vertices @ R.T + 0.2)
     run2, mean2 = generalized_procrustes(meshes2)
     t = procrustes_points(mean2.vertices, base_mean.vertices)

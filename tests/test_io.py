@@ -14,17 +14,17 @@ from facegan3d.autodiff import AdamState
 from facegan3d.errors import DataFormatError
 from facegan3d.geometry import UVLayout, UVMap
 from facegan3d.model import NetConfig, Network
+from facegan3d.training import ADVERSARIAL_GROUPS
 
 
 def tiny_checkpoint():
-    """A 32 px, 1-filter net with a frozen decoder and Adam moments for the
-    trainable tensors only."""
+    """A 32 px, 1-filter net with Adam moments for the tensors the
+    adversarial phase trains only."""
     rng = np.random.default_rng(0)
     net = Network.build(NetConfig(32, 1, 2, label_channels=1, skip_levels=(8,)), rng)
-    net.params.set_frozen("decoder", True)
     adam = AdamState(beta1=0.3, beta2=0.875, eps=1e-7)
     adam.t = 7
-    for t in net.params.trainable():
+    for t in net.params.tensors(*ADVERSARIAL_GROUPS):
         adam.m[t.node_id] = rng.standard_normal(t.shape).astype(np.float32)
         adam.v[t.node_id] = rng.random(t.shape).astype(np.float32)
     rng_state = np.random.default_rng(3).bit_generator.state
@@ -76,7 +76,6 @@ def test_checkpoint_round_trips_bitwise(tmp_path):
     back, meta = io.load_checkpoint(tmp_path / "a.ckpt")
     assert back.config == net.config
     assert back.params.names() == net.params.names()
-    assert back.params.frozen_groups == frozenset({"decoder"})
     got = meta["adam"]
     assert (got.t, got.beta1, got.beta2, got.eps) == (7, 0.3, 0.875, 1e-7)
     assert meta["rng_state"] == rng_state and meta["epoch"] == 5
@@ -207,7 +206,7 @@ def test_inconsistent_shapes_are_data_errors(tmp_path, magic, meta, arrays, load
 
 def test_checkpoint_moments_must_match_their_tensor(tmp_path):
     net, adam, _ = tiny_checkpoint()
-    t = net.params.trainable()[0]
+    t = net.params.tensors(*ADVERSARIAL_GROUPS)[0]
     adam.m[t.node_id] = adam.m[t.node_id].reshape(-1)
     io.save_checkpoint(tmp_path / "a.ckpt", net, adam=adam)
     with pytest.raises(DataFormatError, match="Adam moments"):
@@ -225,8 +224,9 @@ def test_resumable_checkpoints_at_different_epochs_are_a_data_error(tmp_path):
 def test_checkpoint_unknown_group_is_a_data_error(tmp_path):
     save_tiny_checkpoint(tmp_path / "a")
     blob = (tmp_path / "a").read_bytes()
-    assert blob.count(b'"frozen": ["decoder"]') == 1
-    (tmp_path / "a").write_bytes(blob.replace(b'"frozen": ["decoder"]', b'"frozen": ["decodex"]'))
+    entry = b'["dec.out.w", "decoder"]'
+    assert blob.count(entry) == 1
+    (tmp_path / "a").write_bytes(blob.replace(entry, b'["dec.out.w", "decodex"]'))
     with pytest.raises(DataFormatError, match="unknown group 'decodex'"):
         io.load_checkpoint(tmp_path / "a")
 

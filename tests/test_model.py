@@ -1,14 +1,14 @@
-"""Network construction: shapes, parameter count, cloning, freezing, the
-bottleneck factorization, and init determinism."""
+"""Network construction: shapes, parameter count, cloning, the parameter
+groups each training phase updates, the bottleneck factorization, and init
+determinism."""
 
 import numpy as np
 import pytest
 
 from facegan3d import autodiff as ad
 from facegan3d.errors import ShapeError
-from facegan3d.model import (NetConfig, Network,
-                             clone_generator_from_discriminator,
-                             expected_parameter_count, freeze_decoder)
+from facegan3d.model import NetConfig, Network, expected_parameter_count
+from facegan3d.training import ADVERSARIAL_GROUPS
 
 CFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
@@ -83,7 +83,7 @@ def test_input_shape_validated():
 
 def test_clone_outputs_bit_identical():
     d = small_net(5)
-    g = clone_generator_from_discriminator(d)
+    g = Network(d.config, d.params.clone())
     x = np.random.default_rng(6).uniform(-1, 1, (2, 3, 32, 32)).astype(np.float32)
     assert g.forward(x).output.data.tobytes() == d.forward(x).output.data.tobytes()
     assert g.params.checksum() == d.params.checksum()
@@ -91,7 +91,7 @@ def test_clone_outputs_bit_identical():
 
 def test_clone_never_aliases_storage():
     d = small_net(7)
-    g = clone_generator_from_discriminator(d)
+    g = Network(d.config, d.params.clone())
     name = g.params.names()[0]
     before = d.params[name].data.copy()
     g.params[name].data += 1.0
@@ -99,14 +99,16 @@ def test_clone_never_aliases_storage():
 
 
 # ---------------------------------------------------------------------------
-# freeze
+# parameter groups
 
 
-def _one_step(net, x, lr=1e-3, state=None):
+def _one_step(net, x, groups=(), lr=1e-3, state=None):
+    """One autoencoder step training the tensors of ``groups`` (all when
+    empty)."""
     tape = ad.Tape()
     fp = net.forward(tape.leaf(x), tape)
     loss = ad.l1_mean(tape.leaf(x), fp.output)
-    params = net.params.trainable()
+    params = net.params.tensors(*groups)
     ad.zero_grad(params)
     ad.backward(tape, loss, params=params)
     ad.adam_step(params, state or ad.AdamState(), lr)
@@ -114,21 +116,19 @@ def _one_step(net, x, lr=1e-3, state=None):
 
 def test_freeze_decoder_checksum_constant_over_steps():
     net = small_net(8)
-    freeze_decoder(net.params)
     x = np.random.default_rng(9).uniform(-1, 1, (2, 3, 32, 32)).astype(np.float32)
     dec_before = net.params.checksum("decoder")
     enc_before = net.params.checksum("encoder")
     state = ad.AdamState()
     for _ in range(10):
-        _one_step(net, x, state=state)
+        _one_step(net, x, ADVERSARIAL_GROUPS, state=state)
     assert net.params.checksum("decoder") == dec_before
     assert net.params.checksum("encoder") != enc_before
 
 
-def test_unfreeze_restores_updates():
+def test_all_groups_step_moves_decoder():
+    # the pretraining step trains every group, decoder included
     net = small_net(10)
-    freeze_decoder(net.params)
-    freeze_decoder(net.params, frozen=False)
     x = np.random.default_rng(11).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
     before = net.params.checksum("decoder")
     _one_step(net, x)
@@ -137,8 +137,7 @@ def test_unfreeze_restores_updates():
 
 def test_skip_projections_freeze_with_decoder():
     net = small_net(12)
-    freeze_decoder(net.params)
-    trainable = {t.name for t in net.params.trainable()}
+    trainable = {t.name for t in net.params.tensors(*ADVERSARIAL_GROUPS)}
     for lv in net.config.skip_levels:
         assert f"skip{lv}.w" not in trainable and f"skip{lv}.b" not in trainable
         assert net.params.group_of(f"skip{lv}.w") == "decoder"

@@ -11,10 +11,10 @@ import pytest
 
 from facegan3d import autodiff as ad
 from facegan3d.errors import ShapeError
-from facegan3d.model import (NetConfig, Network, clone_generator_from_discriminator,
-                             freeze_decoder)
-from facegan3d.training import (PairedDataset, TrainConfig, adversarial_step, lr_at,
-                                pretrain_discriminator, reconstruction_l1, train)
+from facegan3d.model import NetConfig, Network
+from facegan3d.training import (ADVERSARIAL_GROUPS, PairedDataset, TrainConfig,
+                                adversarial_step, lr_at, pretrain_discriminator,
+                                reconstruction_l1, train)
 
 NCFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
@@ -152,9 +152,7 @@ def _pair(seed=4):
     ds = toy_dataset(seed=seed)
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=5, pretrain_batch=4, seed=seed)
     d_net, _ = pretrain_discriminator(ds, NCFG, cfg)
-    g_net = clone_generator_from_discriminator(d_net)
-    freeze_decoder(d_net.params)
-    freeze_decoder(g_net.params)
+    g_net = Network(d_net.config, d_net.params.clone())
     return ds, d_net, g_net, cfg
 
 
@@ -176,9 +174,7 @@ def test_steps_free_their_tapes_without_the_cyclic_collector():
     try:
         d_net, _ = pretrain_discriminator(ds, ncfg, cfg)
         assert _live_tapes() == 0
-        g_net = clone_generator_from_discriminator(d_net)
-        freeze_decoder(d_net.params)
-        freeze_decoder(g_net.params)
+        g_net = Network(d_net.config, d_net.params.clone())
         sizes = []
         for _ in range(3):
             adversarial_step((ds.x, ds.y, None), d_net, g_net, adam_d, adam_g, 1e-3, cfg)
@@ -195,11 +191,11 @@ def test_step_with_zero_lambda_adv_is_pure_autoencoder_update():
     batch = (ds.x[:2], ds.y[:2], None)
     cfg0 = TrainConfig(lambda_adv=0.0, lr=1e-3)
 
-    ref = clone_generator_from_discriminator(d_net)
+    ref = Network(d_net.config, d_net.params.clone())
     tape = ad.Tape()
     fp = ref.forward(tape.leaf(ds.y[:2]), tape)
     loss = ad.l1_mean(tape.leaf(ds.y[:2]), fp.output)
-    params = ref.params.trainable()
+    params = ref.params.tensors(*ADVERSARIAL_GROUPS)
     ad.zero_grad(params)
     ad.backward(tape, loss, params=params)
     ad.adam_step(params, ad.AdamState(), 1e-3)
@@ -215,7 +211,7 @@ def step_with_recomputed_outputs(seed):
     after its update, which the G update differentiates through."""
     ds, d_net, g_net, cfg = _pair(seed)
     x, y = ds.x[:2], ds.y[:2]
-    d_pre = clone_generator_from_discriminator(d_net)
+    d_pre = Network(d_net.config, d_net.params.clone())
     gx = g_net.forward(x).output.data
     vals = adversarial_step((x, y, None), d_net, g_net, ad.AdamState(), ad.AdamState(),
                             1e-3, cfg)
@@ -252,15 +248,15 @@ def test_gradient_isolation():
     for p in d_net.params.tensors():
         assert p.grad is None or not p.grad.any()
     # and the D update ran on a tape G is not part of: G's grads all come
-    # from the G update (trainable groups populated, frozen ones skipped)
-    trainable = {p.node_id for p in g_net.params.trainable()}
+    # from the G update (adversarial groups populated, the decoder skipped)
+    trainable = {p.node_id for p in g_net.params.tensors(*ADVERSARIAL_GROUPS)}
     for p in g_net.params.tensors():
         assert (p.grad is not None) == (p.node_id in trainable)
 
 
 def test_step_computes_weight_grads_only_for_trainable_params(monkeypatch):
     # D update: 13 encoder convs for each of D's two forwards; G update: 13
-    # for G's encoder. None for the frozen decoders, none for D in the G
+    # for G's encoder. None for the decoders, none for D in the G
     # update; with no freezing and no isolation the count would be 104.
     ds, d_net, g_net, cfg = _pair()
     calls = []
@@ -320,9 +316,7 @@ def test_labeled_step_runs_and_swaps_only_label_channels():
     ncfg = NetConfig(resolution=32, base_filters=2, latent_dim=4, label_channels=2)
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=2, pretrain_batch=4, seed=12)
     d_net, _ = pretrain_discriminator(ds, ncfg, cfg)
-    g_net = clone_generator_from_discriminator(d_net)
-    freeze_decoder(d_net.params)
-    freeze_decoder(g_net.params)
+    g_net = Network(d_net.config, d_net.params.clone())
     vals = adversarial_step((ds.x[:2], ds.y[:2], ds.labels[:2]), d_net, g_net,
                             ad.AdamState(), ad.AdamState(), 1e-3, cfg)
     assert np.all(np.isfinite(vals))
