@@ -1,11 +1,13 @@
 """Command-line pipeline: synth -> preprocess -> pretrain -> train ->
 generate / translate / evaluate.
 
-Exit codes: 0 success, 1 usage error (an out-of-range option value too),
-2 data/format error (e.g. a labelled model on unlabelled maps, a
-training split too small to fit a Gaussian or PCA on, or ``evaluate`` on
-an empty test split), 3 numerical
-failure (a NaN abort, naming the training phase and epoch).
+Exit codes: 0 success, 1 usage error (an out-of-range option value too,
+e.g. a ``synth`` ``--noise`` or ``--amplitude`` that is negative or not
+finite, or a ``--grid`` below 2), 2 data/format error (e.g. a labelled
+model on unlabelled maps, an input mesh with a NaN or infinite
+coordinate, a training split too small to fit a Gaussian or PCA on, or
+``evaluate`` on an empty test split), 3 numerical failure (a NaN abort,
+naming the training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units;
 ``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
@@ -69,6 +71,7 @@ _positive_int = _checked(int, lambda n: n >= 1, ">= 1")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _positive_float = _checked(float, lambda v: 0.0 < v < np.inf, "finite and > 0")
 _non_negative = _checked(float, lambda v: v >= 0.0, ">= 0")
+_finite_non_negative = _checked(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
 
 
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
@@ -338,11 +341,15 @@ def build_parser() -> _Parser:
     s = sub.add_parser("synth", help="generate a synthetic raw dataset")
     s.add_argument("--subjects", type=_positive_int, required=True)
     s.add_argument("--modes", type=_positive_int, default=8)
-    s.add_argument("--noise", type=float, default=0.0)
+    s.add_argument("--noise", type=_finite_non_negative, default=0.0,
+                   help="vertex noise std of the noisy companions, finite and >= 0 "
+                        "(0: none written)")
     s.add_argument("--labels", type=int, default=0, choices=range(MAX_LABELS + 1))
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--grid", type=int, default=45)
-    s.add_argument("--amplitude", type=float, default=0.12)
+    s.add_argument("--grid", type=_checked(int, lambda n: n >= 2, ">= 2"), default=45,
+                   help="template lattice side, >= 2")
+    s.add_argument("--amplitude", type=_finite_non_negative, default=0.12,
+                   help="shape-mode amplitude, finite and >= 0")
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_synth)
 

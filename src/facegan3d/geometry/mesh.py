@@ -6,6 +6,7 @@ refers to the same anatomical point on all of them.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 from dataclasses import dataclass, field
@@ -75,12 +76,26 @@ class Mesh:
 def save_obj(path: str | os.PathLike, mesh: Mesh) -> None:
     """Write ``v x y z`` lines (each coordinate ``%.10g``), then ``f a b c``
     lines with 1-based vertex indices, one per line, each ending in a
-    newline. Nothing else: no comments, normals or texture coordinates."""
+    newline. Nothing else: no comments, normals or texture coordinates.
+    Each distinct face block is formatted once per process: the text is
+    kept in a bounded cache keyed on the faces' bytes."""
     v = "v %.10g %.10g %.10g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist())
-    f = "f %d %d %d\n" * len(mesh.faces) % tuple((mesh.faces + 1).ravel().tolist())
+    f = _face_text(mesh.faces.tobytes())
     with open(path, "w") as fh:
         fh.write(v)
         fh.write(f)
+
+
+# Distinct face blocks that each of save_obj's and load_obj's caches keeps.
+# A dataset shares one template's triangulation, so one block is the rule.
+_FACE_BLOCKS = 4
+
+
+@functools.lru_cache(maxsize=_FACE_BLOCKS)
+def _face_text(faces: bytes) -> str:
+    """The ``f a b c`` lines of int32 0-based ``faces`` given as bytes."""
+    idx = np.frombuffer(faces, dtype=np.int32) + 1
+    return "f %d %d %d\n" * (len(idx) // 3) % tuple(idx.tolist())
 
 
 def load_obj(path: str | os.PathLike, landmarks: dict[str, int] | None = None) -> Mesh:
@@ -90,7 +105,10 @@ def load_obj(path: str | os.PathLike, landmarks: dict[str, int] | None = None) -
     numpy in one pass: at least one ``v `` line, every line a ``v `` line up
     to the first ``f `` line and an ``f `` line after it, each face exactly
     three plain integer indices in range. Every other file goes through the
-    line loop, which alone raises the line-numbered ``DataFormatError``s."""
+    line loop, which alone raises the line-numbered ``DataFormatError``s.
+    Each distinct face block is parsed once per process: the parsed indices
+    are kept in a bounded cache keyed on the block's text, and every call
+    returns its own writable faces array."""
     try:
         fh = open(path)
     except FileNotFoundError:
@@ -113,22 +131,36 @@ def _parse_regular_obj(text: str):
     None when the file is anything else."""
     cut = text.find("\nf ")
     vblock, fblock = (text, "") if cut < 0 else (text[:cut + 1], text[cut + 1:])
-    # every line of the vertex block starts with "v ", every line after it with "f "
-    regular = (vblock.startswith("v ")
-               and vblock.count("\n") == vblock.count("\nv ") + vblock.endswith("\n")
-               and fblock.count("\n") == fblock.count("\nf ") + fblock.endswith("\n"))
-    if not regular:
+    # every line of the vertex block starts with "v "
+    if not (vblock.startswith("v ")
+            and vblock.count("\n") == vblock.count("\nv ") + vblock.endswith("\n")):
+        return None
+    faces = _face_rows(fblock)
+    if faces is None:
         return None
     try:
         verts = np.loadtxt(io.StringIO(vblock), dtype=np.float64, usecols=(1, 2, 3),
                            comments=None, ndmin=2)
-        faces = (np.loadtxt(io.StringIO(fblock), dtype=_FACE_ROW, comments=None,
-                            ndmin=1)["idx"] if fblock else np.empty((0, 3), np.int64))
     except ValueError:
         return None
     if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
         return None  # the line loop reports it as it always has
     return verts, faces - 1
+
+
+@functools.lru_cache(maxsize=_FACE_BLOCKS)
+def _face_rows(fblock: str):
+    """The read-only (F, 3) 1-based indices of a face block in which every
+    line starts with "f " and holds three integers, or None."""
+    if fblock.count("\n") != fblock.count("\nf ") + fblock.endswith("\n"):
+        return None
+    try:
+        faces = (np.loadtxt(io.StringIO(fblock), dtype=_FACE_ROW, comments=None,
+                            ndmin=1)["idx"] if fblock else np.empty((0, 3), np.int64))
+    except ValueError:
+        return None
+    faces.flags.writeable = False
+    return faces
 
 
 def _parse_obj_lines(path, text: str):

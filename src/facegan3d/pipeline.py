@@ -92,6 +92,14 @@ def _scan_raw(in_dir: Path):
     return subjects, noisy, labeled
 
 
+def _load_finite(path, landmarks) -> Mesh:
+    """``load_obj``, refusing a mesh with a NaN or infinite coordinate."""
+    mesh = load_obj(path, landmarks)
+    if not np.isfinite(mesh.vertices).all():
+        raise DataFormatError(f"{path}: non-finite vertex coordinates")
+    return mesh
+
+
 def preprocess(in_dir, template_path, landmarks_path, resolution: int,
                out_dir, seed: int = 0, layout_path=None,
                test_fraction: float = TEST_FRACTION) -> dict:
@@ -102,7 +110,7 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
     (out / "aligned").mkdir(parents=True, exist_ok=True)
 
     landmarks = load_landmarks(landmarks_path)
-    template = load_obj(template_path, landmarks)
+    template = _load_finite(template_path, landmarks)
     subjects, noisy, labeled = _scan_raw(in_dir)
     label_names = sorted(labeled.keys())
 
@@ -113,7 +121,7 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
     for name in label_names:
         for fname, p in sorted(labeled[name].items()):
             entries.append((Path(fname).stem, p))
-    meshes = [load_obj(p, landmarks) for _, p in entries]
+    meshes = [_load_finite(p, landmarks) for _, p in entries]
     if any(m.num_vertices != template.num_vertices for m in meshes):
         raise DataFormatError("dataset meshes do not match the template topology")
 
@@ -125,7 +133,7 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
 
     noisy_aligned = {}
     for stem, p in noisy.items():
-        raw = load_obj(p, landmarks)
+        raw = _load_finite(p, landmarks)
         tgt = by_key[stem]
         t = procrustes_points(raw.vertices, tgt.vertices)
         noisy_aligned[stem] = raw.with_vertices(t.apply(raw.vertices))

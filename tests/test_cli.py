@@ -353,6 +353,14 @@ def test_pca_option_out_of_range_is_a_usage_error(work, option, capsys):
     ("synth", "--subjects", 2, "--modes", 0),
     ("synth", "--subjects", 2, "--labels", 9),
     ("synth", "--subjects", -1),
+    ("synth", "--subjects", 2, "--noise", "nan"),
+    ("synth", "--subjects", 2, "--noise", -1),
+    ("synth", "--subjects", 2, "--noise", "inf"),
+    ("synth", "--subjects", 2, "--amplitude", "nan"),
+    ("synth", "--subjects", 2, "--amplitude", -0.5),
+    ("synth", "--subjects", 2, "--amplitude", "inf"),
+    ("synth", "--subjects", 2, "--grid", 1),
+    ("synth", "--subjects", 2, "--grid", 0),
     ("preprocess", "--in", "raw", "--template", "t.obj", "--landmarks", "l.txt", "--res", 0),
     ("evaluate", "--task", "represent", "--data", "pre", "--model", "identity", "--x-max", 0),
     ("evaluate", "--task", "translate", "--data", "pre", "--model", "m.ckpt",
@@ -538,3 +546,24 @@ def test_non_integer_landmark_index_exits_data_error(work, capsys):
     assert run("preprocess", "--in", work / "raw", "--template", work / "raw" / "template.obj",
                "--landmarks", bad, "--res", 32, "--out", work / "pre_bad_lm") == cli.EXIT_DATA
     assert f"{bad}:3" in capsys.readouterr().err
+
+
+def test_smallest_synth_grid_preprocesses(tmp_path):
+    raw = tmp_path / "raw"
+    assert run("synth", "--subjects", 3, "--grid", 2, "--out", raw) == 0
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", raw / "landmarks.txt", "--res", 8, "--out", tmp_path / "pre") == 0
+
+
+@pytest.mark.parametrize("name", ["template.obj", "meshes/subj_0001.obj",
+                                  "meshes/subj_0001.noisy.obj"])
+def test_non_finite_input_mesh_exits_data_error(tmp_path, name, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--subjects", 2, "--grid", 5, "--noise", 0.01, "--out", raw) == 0
+    bad = raw / name
+    bad.write_text("v 1 1 nan\n" + bad.read_text().split("\n", 1)[1])
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", raw / "landmarks.txt", "--res", 8,
+               "--out", tmp_path / "pre") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bad}: non-finite" in err and "Traceback" not in err

@@ -568,6 +568,57 @@ def test_load_obj_bad_file_names_path_and_line(tmp_path, text, where):
         load_obj(path)
 
 
+def _with_one_face_index_changed(mesh):
+    faces = mesh.faces.copy()
+    faces[0, 0] = (faces[0, 0] + 1) % mesh.num_vertices
+    return Mesh(mesh.vertices, faces, dict(mesh.landmarks))
+
+
+def test_save_obj_alternating_face_sets_match_reference(tmp_path):
+    a = make_template(9)
+    b = _with_one_face_index_changed(a)
+    for i, mesh in enumerate((a, b, a)):
+        save_obj(tmp_path / f"{i}.obj", mesh)
+        reference_save_obj(tmp_path / f"ref{i}.obj", mesh)
+        assert (tmp_path / f"{i}.obj").read_bytes() == (tmp_path / f"ref{i}.obj").read_bytes()
+
+
+def test_load_obj_files_differing_in_one_face_index_load_their_own(tmp_path):
+    a = make_template(9)
+    b = _with_one_face_index_changed(a)
+    save_obj(tmp_path / "a.obj", a)
+    save_obj(tmp_path / "b.obj", b)
+    for name, mesh in (("a", a), ("b", b), ("a", a)):
+        np.testing.assert_array_equal(load_obj(tmp_path / f"{name}.obj").faces, mesh.faces)
+
+
+def test_load_obj_faces_are_writable_and_not_shared(tmp_path):
+    mesh = make_template(9)
+    save_obj(tmp_path / "m.obj", mesh)
+    first, second = load_obj(tmp_path / "m.obj"), load_obj(tmp_path / "m.obj")
+    assert first.faces.flags.writeable and second.faces.flags.writeable
+    assert not np.shares_memory(first.faces, second.faces)
+    first.faces[:] = 0
+    np.testing.assert_array_equal(load_obj(tmp_path / "m.obj").faces, mesh.faces)
+
+
+@pytest.mark.parametrize("case", ["index_past_the_vertices", "same_faces_fewer_vertices"])
+def test_load_obj_out_of_range_face_after_a_good_file_errors(tmp_path, case):
+    mesh = make_template(9)
+    save_obj(tmp_path / "good.obj", mesh)
+    load_obj(tmp_path / "good.obj")
+    text = (tmp_path / "good.obj").read_text()
+    cut = text.index("\nf ") + 1
+    vblock, fblock = text[:cut], text[cut:]
+    if case == "index_past_the_vertices":
+        fblock = re.sub(r"^f \d+", f"f {mesh.num_vertices + 1}", fblock, count=1)
+    else:
+        vblock = vblock.split("\n", 1)[1]   # one vertex fewer, the same face block
+    (tmp_path / "bad.obj").write_text(vblock + fblock)
+    with pytest.raises(DataFormatError, match="face indices out of range"):
+        load_obj(tmp_path / "bad.obj")
+
+
 def test_landmarks_round_trip(tmp_path, template):
     path = tmp_path / "landmarks.txt"
     save_landmarks(path, template.landmarks)
