@@ -327,10 +327,28 @@ def upsample_nearest2(x: Tensor) -> Tensor:
     return _emit("upsample_nearest2", (x,), out, bwd)
 
 
+# Elements per slice of _elu_inplace (at most one temporary this size).
+_ELU_CHUNK = 1 << 16
+
+
 def _elu_inplace(z: np.ndarray) -> np.ndarray:
     # ELU with alpha = 1 as max(z, e^z - 1): e^z - 1 >= z everywhere with
     # equality only at 0, so the max picks z for z >= 0 and e^z - 1 below.
-    np.maximum(z, np.expm1(np.minimum(z, 0)), out=z)
+    # The whole-array expression would allocate two temporaries the size of
+    # z, so z is walked in _ELU_CHUNK-element slices through one reusable
+    # buffer; elementwise, that is bitwise the same. The slices are of a
+    # flat view, so z must be C-contiguous: reshape(-1) of a strided array
+    # is a copy, and the writes would silently miss z.
+    if not z.flags.c_contiguous:
+        raise ValueError("in-place elu needs a C-contiguous array")
+    flat = z.reshape(-1)
+    buf = np.empty(min(flat.size, _ELU_CHUNK), dtype=z.dtype)
+    for i in range(0, flat.size, _ELU_CHUNK):
+        c = flat[i:i + _ELU_CHUNK]
+        t = buf[:c.size]
+        np.minimum(c, 0, out=t)
+        np.expm1(t, out=t)
+        np.maximum(c, t, out=c)
     return z
 
 

@@ -37,17 +37,30 @@ class LatentGaussian:
         return self.factor @ self.factor.T
 
 
+# Most samples per encode or decode call here, which bounds the
+# activations live at once.
+_CHUNK = 8
+
+
+def _chunks(n: int) -> list[slice]:
+    """Slices of range(n), at most _CHUNK long and as even as can be. The
+    convs run one GEMM per sample and the FC GEMMs give each row the whole
+    batch's bits for any chunk of 2 rows or more; a lone row takes the GEMV
+    path, whose bits differ, and even chunks leave none unless n is 1."""
+    k = -(-n // _CHUNK)
+    return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
 def collect_bottlenecks(net: Network, maps: np.ndarray,
-                        labels: np.ndarray | None = None,
-                        batch: int = 64) -> np.ndarray:
+                        labels: np.ndarray | None = None) -> np.ndarray:
     """Bottleneck vectors of the given maps, one column per sample, in
-    input order. maps: (N, 3, H, W)."""
+    input order. maps: (N, 3, H, W), encoded at most 8 (``_CHUNK``) at a
+    time."""
     if len(maps) == 0:
         raise ValueError("collect_bottlenecks needs a non-empty dataset")
     cols = []
-    for i in range(0, len(maps), batch):
-        l = None if labels is None else labels[i:i + batch]
-        z, _ = net.encode(maps[i:i + batch], labels=l)
+    for c in _chunks(len(maps)):
+        z, _ = net.encode(maps[c], labels=None if labels is None else labels[c])
         cols.append(z.data.T.astype(np.float64))
     return np.concatenate(cols, axis=1)
 
@@ -69,13 +82,13 @@ def sample_latent(g: LatentGaussian, rng: np.random.Generator, n: int = 1) -> np
     return g.mean[:, None] + g.factor @ eps
 
 
-def decode_batch(net: Network, zs: np.ndarray, batch: int = 64) -> np.ndarray:
+def decode_batch(net: Network, zs: np.ndarray) -> np.ndarray:
     """Decode latent columns (N_b, n) to maps (n, 3, H, W), with no skip
-    features."""
+    features, at most 8 (``_CHUNK``) columns at a time."""
     zs = np.asarray(zs, dtype=np.float32)
     outs = []
-    for i in range(0, zs.shape[1], batch):
-        outs.append(net.decode(zs[:, i:i + batch].T).data)
+    for c in _chunks(zs.shape[1]):
+        outs.append(net.decode(zs[:, c].T).data)
     return np.concatenate(outs, axis=0)
 
 

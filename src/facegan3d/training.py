@@ -19,6 +19,11 @@ With L(v) = ||v - D(v)||_1 (elementwise mean):
 During the D update the generator output is detached; during the G update
 the gradient flows through all of D but D's parameters are not in the G
 update's list (each update trains its own net's ``ADVERSARIAL_GROUPS``).
+The two terms of L_D are backpropagated on separate tapes, one after the
+other, so at most two forwards (G's and one of D's) are live at once.
+Each D parameter's gradient is still the sum of exactly the same two
+contributions, and a two-term float sum does not depend on its order, so
+the update is bitwise the one-tape update.
 """
 
 from __future__ import annotations
@@ -193,17 +198,23 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     tape = Tape()
     gx = g_net.forward(x, tape, labels=labels).output
 
-    # ---- D update: generator output is a constant here
-    tape_d = Tape()
-    gx_const = gx.data.copy()
-    dy_fp = d_net.forward(y, tape_d, labels=labels)
-    dgx_fp = d_net.forward(gx_const, tape_d, labels=labels)
-    loss_real = ad.l1_mean(tape_d.leaf(y), dy_fp.output)
-    loss_fake = ad.l1_mean(tape_d.leaf(gx_const), dgx_fp.output)
-    l_d = ad.add(loss_real, ad.scale(loss_fake, -config.lambda_adv))
+    # ---- D update: generator output is a constant here. The two terms
+    # share only D's parameters, so each is backpropagated on its own tape,
+    # and one D forward is live at a time next to G's. backward adds into
+    # p.grad, so each parameter gets the same two contributions as on one
+    # tape, and their float sum is the same either way round.
     ad.zero_grad(d_params)
-    ad.backward(tape_d, l_d, params=d_params)
+    gx_const = gx.data.copy()
+    tape_d = Tape()
+    loss_fake = ad.scale(ad.l1_mean(tape_d.leaf(gx_const),
+                                    d_net.forward(gx_const, tape_d, labels=labels).output),
+                         -config.lambda_adv)
+    ad.backward(tape_d, loss_fake, params=d_params)
+    tape_d = Tape()
+    loss_real = ad.l1_mean(tape_d.leaf(y), d_net.forward(y, tape_d, labels=labels).output)
+    ad.backward(tape_d, loss_real, params=d_params)
     ad.adam_step(d_params, adam_d, lr)
+    l_d = loss_real.data + loss_fake.data   # the float32 add of ad.add
     # all of D, decoder too, so the G update's isolation shows
     ad.zero_grad(d_net.params.tensors())
 
@@ -215,7 +226,7 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     ad.zero_grad(g_params)
     ad.backward(tape, l_g, params=g_params)
     ad.adam_step(g_params, adam_g, lr)
-    return float(l_d.data), float(l_g.data), float(loss_rec.data)
+    return float(l_d), float(l_g.data), float(loss_rec.data)
 
 
 @dataclass

@@ -233,6 +233,41 @@ def test_inplace_elu_only_folds_into_the_last_conv2d():
     assert [rec.op for rec in tape.records] == ["conv2d", "tanh", "conv_elu"]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_elu_is_bitwise_the_whole_array_elu(dtype):
+    rng = np.random.default_rng(11)
+    for n in (0, 1, ad._ELU_CHUNK - 1, ad._ELU_CHUNK, 3 * ad._ELU_CHUNK + 7):
+        z = (3 * rng.standard_normal(n)).astype(dtype)
+        z[:2] = (-0.0, 0.0)[:n]
+        expect = np.maximum(z, np.expm1(np.minimum(z, 0)))
+        got = ad._elu_inplace(z)
+        assert got is z
+        assert got.tobytes() == expect.tobytes(), n
+    zeros = ad._elu_inplace(np.array([-0.0, 0.0], dtype=dtype))
+    assert not np.signbit(zeros).any()
+
+
+def test_chunked_elu_refuses_a_strided_view():
+    base = np.linspace(-2, 2, 64).reshape(8, 8)
+    before = base.copy()
+    for view in (base[:, ::2], base.T):
+        with pytest.raises(ValueError, match="contiguous"):
+            ad._elu_inplace(view)
+    np.testing.assert_array_equal(base, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_elu_allocates_at_most_one_chunk(dtype):
+    z = np.random.default_rng(12).standard_normal(4 * ad._ELU_CHUNK).astype(dtype)
+    tracemalloc.start()
+    try:
+        ad._elu_inplace(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ad._ELU_CHUNK * z.itemsize + 4096, peak
+
+
 # ---------------------------------------------------------------------------
 # fully connected / l1
 

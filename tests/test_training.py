@@ -240,6 +240,55 @@ def test_loss_identity_recovers_real_term():
         np.abs(it["y"] - it["d_y"]).mean(), rel=1e-6)
 
 
+def one_tape_step(batch, d_net, g_net, adam_d, adam_g, lr, cfg):
+    """The adversarial step with both of D's forwards on one tape and L_D
+    as one ``add``: the reference for the two-tape D update."""
+    x, y, _ = batch
+    d_params = d_net.params.tensors(*ADVERSARIAL_GROUPS)
+    g_params = g_net.params.tensors(*ADVERSARIAL_GROUPS)
+    tape = ad.Tape()
+    gx = g_net.forward(x, tape).output
+    tape_d = ad.Tape()
+    gx_const = gx.data.copy()
+    dy = d_net.forward(y, tape_d).output
+    dgx = d_net.forward(gx_const, tape_d).output
+    loss_real = ad.l1_mean(tape_d.leaf(y), dy)
+    loss_fake = ad.l1_mean(tape_d.leaf(gx_const), dgx)
+    l_d = ad.add(loss_real, ad.scale(loss_fake, -cfg.lambda_adv))
+    ad.zero_grad(d_params)
+    ad.backward(tape_d, l_d, params=d_params)
+    ad.adam_step(d_params, adam_d, lr)
+    ad.zero_grad(d_net.params.tensors())
+    loss_adv = ad.l1_mean(gx, d_net.forward(gx, tape).output)
+    loss_rec = ad.l1_mean(gx, tape.leaf(y))
+    l_g = ad.add(loss_adv, ad.scale(loss_rec, cfg.lambda_rec))
+    ad.zero_grad(g_params)
+    ad.backward(tape, l_g, params=g_params)
+    ad.adam_step(g_params, adam_g, lr)
+    return float(l_d.data), float(l_g.data), float(loss_rec.data)
+
+
+def test_two_tape_d_update_is_the_one_tape_update_bitwise():
+    ds, d_net, g_net, cfg = _pair(11)
+    nets = (d_net, g_net)
+    ref_nets = tuple(Network(n.config, n.params.clone()) for n in nets)
+    adams, ref_adams = (ad.AdamState(), ad.AdamState()), (ad.AdamState(), ad.AdamState())
+    for i in (0, 4):    # two steps, so the second starts from updated moments
+        batch = (ds.x[i:i + 4], ds.y[i:i + 4], None)
+        got = adversarial_step(batch, *nets, *adams, 1e-3, cfg)
+        expect = one_tape_step(batch, *ref_nets, *ref_adams, 1e-3, cfg)
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
+    for net, ref, adam, ref_adam in zip(nets, ref_nets, adams, ref_adams):
+        assert adam.t == ref_adam.t == 2
+        for name in net.params.names():
+            p, q = net.params[name], ref.params[name]
+            assert p.data.tobytes() == q.data.tobytes(), name
+            for moments, ref_moments in ((adam.m, ref_adam.m), (adam.v, ref_adam.v)):
+                assert (p.node_id in moments) == (q.node_id in ref_moments), name
+                if p.node_id in moments:
+                    assert moments[p.node_id].tobytes() == ref_moments[q.node_id].tobytes()
+
+
 def test_gradient_isolation():
     ds, d_net, g_net, cfg = _pair(7)
     adversarial_step((ds.x[:2], ds.y[:2], None), d_net, g_net,
