@@ -2,12 +2,14 @@
 generate / translate / evaluate.
 
 Exit codes: 0 success, 1 usage error (an out-of-range option value too,
-e.g. a ``synth`` ``--noise`` or ``--amplitude`` that is negative or not
-finite, or a ``--grid`` below 2), 2 data/format error (e.g. a labelled
-model on unlabelled maps, an input mesh with a NaN or infinite
-coordinate, a training split too small to fit a Gaussian or PCA on, or
-``evaluate`` on an empty test split), 3 numerical failure (a NaN abort,
-naming the training phase and epoch).
+e.g. a negative ``--seed``, a ``synth`` ``--noise`` or ``--amplitude``
+or an ``evaluate`` ``--fail-threshold`` that is negative or not finite,
+or a ``--grid`` below 2), 2 data/format error (e.g. a labelled model on
+unlabelled maps, an unknown ``--label``, an input mesh with a NaN or
+infinite coordinate, a training split too small to fit a Gaussian or PCA
+on, ``evaluate`` on an empty test split, or ``evaluate --task translate``
+on a set that is labelled or has no noisy companions), 3 numerical
+failure (a NaN abort, naming the training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units;
 ``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import evaluation, generation, io, pipeline
 from .errors import DataFormatError, NonFiniteError, NumericalError, ShapeError
-from .geometry import load_obj, save_obj
+from .geometry import save_obj
 from .model import NetConfig
 from .synthetic import MAX_LABELS, synth_dataset
 from .training import (TrainConfig, pretrain_discriminator, reconstruction_l1,
@@ -72,6 +74,7 @@ _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _positive_float = _checked(float, lambda v: 0.0 < v < np.inf, "finite and > 0")
 _non_negative = _checked(float, lambda v: v >= 0.0, ">= 0")
 _finite_non_negative = _checked(float, lambda v: 0.0 <= v < np.inf, "finite and >= 0")
+_seed = _checked(int, lambda n: n >= 0, ">= 0")
 
 
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
@@ -190,21 +193,13 @@ def _need_two_train_subjects(data_dir, meta, fit: str):
 
 
 def _sample_maps(args, net, data_dir, meta) -> np.ndarray:
-    """Decode ``args.n`` draws from the latent Gaussian of ``args.label``
-    (the first one without a label), fitted on the training inputs."""
+    """Decode ``args.n`` draws from the latent Gaussian of the training
+    inputs, encoded under ``args.label`` (on a labelled set without one,
+    under its first label)."""
     _need_two_train_subjects(data_dir, meta, "a latent Gaussian")
-    x, labels = pipeline.load_inputs(data_dir, meta, "train")
-    if labels is not None:
-        gs = list(generation.fit_label_gaussians(net, x, labels, meta["label_names"]).values())
-    else:
-        gs = [generation.fit_latent_gaussian(generation.collect_bottlenecks(net, x))]
-    g = gs[0]
-    if args.label:
-        match = [c for c in gs if c.label == args.label]
-        if not match:
-            raise DataFormatError(f"no gaussian for label {args.label!r}; "
-                                  f"have {[g.label for g in gs]}")
-        g = match[0]
+    label = args.label or next(iter(meta["label_names"]), None)
+    x, onehots = pipeline.load_inputs(data_dir, meta, meta["train"], label)
+    g = generation.fit_latent_gaussian(generation.collect_bottlenecks(net, x, onehots))
     zs = generation.sample_latent(g, np.random.default_rng(args.seed), n=args.n)
     return generation.decode_batch(net, zs)
 
@@ -229,19 +224,12 @@ def cmd_translate(args) -> int:
     data_dir = Path(args.in_dir)
     meta = pipeline.load_meta(data_dir)
     layout = io.load_layout(data_dir / "layout.uvl")
-    label_names = meta["label_names"]
-    onehot = None
-    if args.label:
-        if args.label not in label_names:
-            raise DataFormatError(f"unknown label {args.label!r}; have {label_names}")
-        onehot = np.zeros(len(label_names), dtype=np.float32)
-        onehot[label_names.index(args.label)] = 1.0
     stems = meta[args.split] if args.split in ("train", "test") else meta["subjects"]
+    x, onehots = pipeline.load_inputs(data_dir, meta, stems, args.label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, key in zip(stems, pipeline.input_keys(meta, stems)):
-        uvm = io.load_uvmap(data_dir / "maps" / f"{key}.uvf")
-        result = pipeline.translate_map(net, uvm.data, onehot)
+    for stem, m, onehot in zip(stems, x, [None] * len(x) if onehots is None else onehots):
+        result = pipeline.translate_map(net, m, onehot)
         save_obj(out / f"{stem}.obj",
                  pipeline.map_to_mesh(result, layout, meta["landmarks"], meta))
     print(f"translated {len(stems)} meshes into {out}")
@@ -294,13 +282,15 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     if args.task == "translate":
+        if meta["label_names"] or not meta["noisy"]:
+            raise DataFormatError(f"{data_dir}: evaluating translation needs an unlabelled "
+                                  "set with noisy companions")
         net = io.load_checkpoint(args.model)[0]
-        preds, identities = [], []
-        for stem in meta["test"]:
-            noisy = io.load_uvmap(data_dir / "maps" / f"{stem}.noisy.uvf")
-            result = pipeline.translate_map(net, noisy.data)
-            preds.append(pipeline.map_to_mesh(result, layout, landmarks))
-            identities.append(load_obj(data_dir / "aligned" / f"{stem}.noisy.obj", landmarks))
+        x, _ = pipeline.load_inputs(data_dir, meta, meta["test"])
+        preds = [pipeline.map_to_mesh(pipeline.translate_map(net, m), layout, landmarks)
+                 for m in x]
+        identities = pipeline.load_aligned_meshes(
+            data_dir, pipeline.input_keys(meta, meta["test"]), landmarks)
         crop = args.crop_radius / meta["scale"]   # input units -> normalised
 
         def rmse(meshes):
@@ -345,7 +335,7 @@ def build_parser() -> _Parser:
                    help="vertex noise std of the noisy companions, finite and >= 0 "
                         "(0: none written)")
     s.add_argument("--labels", type=int, default=0, choices=range(MAX_LABELS + 1))
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--grid", type=_checked(int, lambda n: n >= 2, ">= 2"), default=45,
                    help="template lattice side, >= 2")
     s.add_argument("--amplitude", type=_finite_non_negative, default=0.12,
@@ -359,14 +349,14 @@ def build_parser() -> _Parser:
     s.add_argument("--landmarks", required=True)
     s.add_argument("--res", type=_positive_int, default=32)
     s.add_argument("--layout", default=None, help="precomputed layout override")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_preprocess)
 
     s = sub.add_parser("pretrain", help="pretrain the discriminator autoencoder")
     s.add_argument("--data", required=True)
     s.add_argument("--config", default=None)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_seed, default=None)
     s.add_argument("--resume", default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_pretrain)
@@ -383,19 +373,19 @@ def build_parser() -> _Parser:
     start.add_argument("--resume", default=None, metavar="DIR",
                        help="run directory to continue the adversarial phase from")
     s.add_argument("--config", default=None)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_seed, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_train)
 
     s = sub.add_parser("generate", help="sample new faces from the latent gaussian", description=(
-        "Fits a Gaussian to the bottleneck codes of --data's training maps "
-        "(one per label with labelled data) and decodes --n samples of it, "
-        "the one of --label when given, through the decoder alone."))
+        "Fits a Gaussian to the bottleneck codes of --data's training maps, "
+        "encoded under --label on a labelled set (by default its first label), "
+        "and decodes --n samples of it through the decoder alone."))
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--label", default=None, help="the label whose Gaussian to sample")
+    s.add_argument("--label", default=None, help="the label to encode the training maps under")
     s.add_argument("--n", type=_positive_int, default=16)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_generate)
 
@@ -413,17 +403,17 @@ def build_parser() -> _Parser:
     s.add_argument("--model", required=True,
                    help="checkpoint path, or 'identity' for the pass-through model")
     s.add_argument("--label", default=None,
-                   help="specificity: the label whose Gaussian to sample, fitted "
-                        "afresh on the training maps as in generate")
+                   help="specificity: the label to encode the training maps under "
+                        "before fitting the Gaussian to sample, as in generate")
     s.add_argument("--n", type=_positive_int, default=200)
     s.add_argument("--x-max", type=_positive_float, default=0.01)
-    s.add_argument("--fail-threshold", type=float, default=0.01)
+    s.add_argument("--fail-threshold", type=_finite_non_negative, default=0.01)
     s.add_argument("--crop-radius", type=_non_negative, default=np.inf,
                    help="3DRMSE radius around the nose tip, in input units "
                         "(default: the whole face)")
     s.add_argument("--pca-k", type=_positive_int, default=None)
     s.add_argument("--pca-var", type=_fraction, default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_evaluate)
     return p

@@ -6,7 +6,7 @@ harvest its bottleneck vector; the collection is summarized as a Gaussian
 of it through bottleneck2 + decoder only. Sampling uses z = mu + A @ eps
 with A = Z_centered / sqrt(N-1), which realizes N(mu, A A^T) exactly even
 when there are fewer samples than latent dimensions. With labeled data
-one Gaussian is fitted per label subset.
+the Gaussian is fitted on the codes of the training maps under one label.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .model import Network
 class LatentGaussian:
     mean: np.ndarray          # (N_b,)
     factor: np.ndarray        # (N_b, N): covariance = factor @ factor.T
-    label: str | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -65,7 +64,7 @@ def collect_bottlenecks(net: Network, maps: np.ndarray,
     return np.concatenate(cols, axis=1)
 
 
-def fit_latent_gaussian(Z: np.ndarray, label: str | None = None) -> LatentGaussian:
+def fit_latent_gaussian(Z: np.ndarray) -> LatentGaussian:
     """Mean and covariance factor of column-stacked bottlenecks (N_b, N)."""
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[1]
@@ -73,7 +72,7 @@ def fit_latent_gaussian(Z: np.ndarray, label: str | None = None) -> LatentGaussi
         raise ValueError(f"need at least 2 samples to fit a Gaussian, got {n}")
     mu = Z.mean(axis=1)
     A = (Z - mu[:, None]) / np.sqrt(n - 1.0)
-    return LatentGaussian(mu, A, label)
+    return LatentGaussian(mu, A)
 
 
 def sample_latent(g: LatentGaussian, rng: np.random.Generator, n: int = 1) -> np.ndarray:
@@ -91,15 +90,3 @@ def decode_batch(net: Network, zs: np.ndarray) -> np.ndarray:
         outs.append(net.decode(zs[:, c].T).data)
     return np.concatenate(outs, axis=0)
 
-
-def fit_label_gaussians(net: Network, maps: np.ndarray, labels: np.ndarray,
-                        label_names: list[str]) -> dict[str, LatentGaussian]:
-    """One Gaussian per label, each fitted on that label's subset only."""
-    Z = collect_bottlenecks(net, maps, labels)
-    out: dict[str, LatentGaussian] = {}
-    for j, name in enumerate(label_names):
-        idx = np.nonzero(labels[:, j] > 0.5)[0]
-        if len(idx) < 2:
-            raise ValueError(f"label {name!r} has {len(idx)} samples; need at least 2")
-        out[name] = fit_latent_gaussian(Z[:, idx], label=name)
-    return out

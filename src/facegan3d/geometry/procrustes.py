@@ -65,12 +65,12 @@ def procrustes_points(source: np.ndarray, target: np.ndarray) -> SimilarityTrans
     return SimilarityTransform(r, t, sc)
 
 
-def generalized_procrustes(meshes: list[Mesh], tol: float = 1e-9,
+def generalized_procrustes(meshes: list[Mesh],
                            max_iter: int = 100) -> tuple[list[Mesh], Mesh]:
     """Iteratively align all meshes to their evolving mean until the mean
-    stops moving. The global frame is anchored to the first mesh: the result
-    is exactly invariant to similarity transforms of the other inputs, and
-    invariant up to a global similarity for the first one.
+    moves by less than 1e-9 RMS. The global frame is anchored to the first
+    mesh: the result is exactly invariant to similarity transforms of the
+    other inputs, and invariant up to a global similarity for the first one.
 
     The mean is rescaled to the first mesh's centroid size on every
     iteration (Gower 1975). Without that, each least-squares fit shrinks a
@@ -93,7 +93,7 @@ def generalized_procrustes(meshes: list[Mesh], tol: float = 1e-9,
         mean = c + (mean - c) * (size / centroid_size(mean))
         move = float(np.sqrt(np.mean((mean - ref) ** 2)))
         ref = mean
-        if move < tol:
+        if move < 1e-9:
             break
     out = [meshes[0].with_vertices(a) for a in aligned]
     return out, meshes[0].with_vertices(ref)

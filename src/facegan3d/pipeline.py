@@ -101,8 +101,7 @@ def _load_finite(path, landmarks) -> Mesh:
 
 
 def preprocess(in_dir, template_path, landmarks_path, resolution: int,
-               out_dir, seed: int = 0, layout_path=None,
-               test_fraction: float = TEST_FRACTION) -> dict:
+               out_dir, seed: int = 0, layout_path=None) -> dict:
     """GPA-align, center, normalize, unwrap and rasterize a raw dataset."""
     in_dir = Path(in_dir)
     out = Path(out_dir)
@@ -161,7 +160,7 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
     rng = np.random.default_rng(seed)
     stems = [stem for stem, _ in subjects]
     perm = rng.permutation(len(stems))
-    n_test = max(1, int(round(test_fraction * len(stems)))) if len(stems) > 1 else 0
+    n_test = max(1, int(round(TEST_FRACTION * len(stems)))) if len(stems) > 1 else 0
     test_set = sorted(stems[i] for i in perm[:n_test])
     train_set = sorted(s for s in stems if s not in test_set)
 
@@ -213,34 +212,45 @@ def input_keys(meta: dict, stems: list[str]) -> list[str]:
     return list(stems)
 
 
-def load_inputs(data_dir, meta: dict, split: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The network inputs of a split (see :func:`input_keys`) and their
-    one-hot labels (None when unlabelled), each neutral map once per label.
-    Targets are not read."""
-    stems, L = meta[split], len(meta["label_names"])
+def load_inputs(data_dir, meta: dict, stems: list[str],
+                label: str | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The network input of each of ``stems`` (see :func:`input_keys`),
+    one map per stem, and with ``label`` one one-hot row of it per map
+    (else None). An unknown label is a data error that names the known
+    ones. Targets are not read."""
     x = _load_maps(Path(data_dir), meta, input_keys(meta, stems))
-    if not L:
+    if label is None:
         return x, None
-    return np.repeat(x, L, axis=0), np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
+    names = meta["label_names"]
+    if label not in names:
+        raise DataFormatError(f"unknown label {label!r}; have {names}")
+    onehots = np.zeros((len(x), len(names)), dtype=np.float32)
+    onehots[:, names.index(label)] = 1.0
+    return x, onehots
 
 
 def load_paired_datasets(data_dir) -> dict:
     """Assemble train/test PairedDatasets from a preprocessed directory.
 
     Pairing: labeled data yields (neutral + one-hot -> labeled target)
-    samples; noisy data yields (noisy -> clean); otherwise x == y.
+    samples, each neutral map once per label; noisy data yields
+    (noisy -> clean); otherwise x == y.
     """
     data_dir = Path(data_dir)
     meta = load_meta(data_dir)
     label_names = meta["label_names"]
+    L = len(label_names)
     out = {"meta": meta}
     for split in ("train", "test"):
-        x, labels = load_inputs(data_dir, meta, split)
-        if label_names:
+        stems = meta[split]
+        x, labels = load_inputs(data_dir, meta, stems)
+        if L:
+            x = np.repeat(x, L, axis=0)
+            labels = np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
             y = _load_maps(data_dir, meta,
-                           [f"{s}.{label}" for s in meta[split] for label in label_names])
+                           [f"{s}.{label}" for s in stems for label in label_names])
         elif meta["noisy"]:
-            y = _load_maps(data_dir, meta, meta[split])
+            y = _load_maps(data_dir, meta, stems)
         else:
             y = x.copy()
         out[split] = PairedDataset(x, y, labels)
@@ -267,8 +277,7 @@ def gan_reconstructor(net: Network, layout: UVLayout, resolution: int,
                       landmarks: dict[str, int] | None = None):
     """mesh -> rasterize -> autoencode -> sample back to a mesh."""
     def rec(mesh: Mesh) -> Mesh:
-        uvm = rasterize_uv(mesh, layout, resolution)
-        out = net.forward(uvm.data[None]).output.data[0]
+        out = translate_map(net, rasterize_uv(mesh, layout, resolution).data)
         return map_to_mesh(out, layout, landmarks or mesh.landmarks)
     return rec
 

@@ -65,17 +65,16 @@ def _vertex_at(grid: int, s: float, t: float) -> int:
     return i * grid + j
 
 
-def _positions(s, t, radial_log_warp, theta_span=1.9, phi_span=1.6,
-               ax=0.78, ay=1.05, az=1.0):
-    theta = (s - 0.5) * theta_span
-    phi = (t - 0.5) * phi_span
+def _positions(s, t, radial_log_warp):
+    theta = (s - 0.5) * 1.9   # azimuth span
+    phi = (t - 0.5) * 1.6     # height span
     relief = np.ones_like(s)
     for cs, ct, ws, wt, amp in _FEATURES:
         relief = relief + amp * _blob(s, t, cs, ct, ws, wt)
     rho = np.cos(phi) * relief * np.exp(radial_log_warp)
-    x = ax * rho * np.sin(theta)
-    z = az * rho * np.cos(theta)
-    y = ay * np.sin(phi)
+    x = 0.78 * rho * np.sin(theta)
+    z = rho * np.cos(theta)
+    y = 1.05 * np.sin(phi)
     return np.stack([x, y, z], axis=1)
 
 
@@ -115,8 +114,7 @@ class SynthDataset:
 
 def synth_dataset(n_subjects: int, n_modes: int, noise: float = 0.0,
                   labels: int = 0, seed: int = 0, grid: int = 45,
-                  amplitude: float = 0.12, mode_decay: float = 0.97,
-                  label_amplitude: float = 0.18) -> SynthDataset:
+                  amplitude: float = 0.12) -> SynthDataset:
     """Deterministic synthetic population. Same seed, same bits."""
     if n_modes < 1:
         raise ValueError("need at least one deformation mode")
@@ -126,14 +124,14 @@ def synth_dataset(n_subjects: int, n_modes: int, noise: float = 0.0,
     template = make_template(grid)
     s, t = _grid(grid)
     basis = _mode_fields(s, t, n_modes, rng)
-    scales = amplitude * mode_decay ** np.arange(n_modes)
+    scales = amplitude * 0.97 ** np.arange(n_modes)   # each mode 3% weaker than the last
     coeffs = rng.standard_normal((n_subjects, n_modes))
 
     label_names = [f"label{j}" for j in range(labels)]
     offsets = []
     for j in range(labels):
         cs, ct, ws, wt, amp = _LABEL_BLOBS[j]
-        offsets.append(label_amplitude * amp * _blob(s, t, cs, ct, ws, wt))
+        offsets.append(0.18 * amp * _blob(s, t, cs, ct, ws, wt))
 
     subjects = []
     labeled: dict[str, list[Mesh]] = {name: [] for name in label_names}

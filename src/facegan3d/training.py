@@ -59,7 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("lambda_adv", 0), ("lambda_rec", 0), ("lr", 0), ("lr_decay", 0),
                           ("batch", 1), ("pretrain_batch", 1), ("lr_decay_every", 1),
-                          ("checkpoint_every", 0)):
+                          ("checkpoint_every", 0), ("seed", 0)):
             if not getattr(self, name) >= low:   # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -256,13 +256,14 @@ def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
     return TrainResult(d_net, g_net, history)
 
 
-def reconstruction_l1(net: Network, dataset: PairedDataset, batch: int = 32) -> float:
-    """Mean over samples of the elementwise-mean L1 between G(x) and y."""
+def reconstruction_l1(net: Network, dataset: PairedDataset) -> float:
+    """Mean over samples of the elementwise-mean L1 between G(x) and y,
+    32 samples per forward pass."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     vals = []
-    for i in range(0, len(dataset), batch):
-        x, y, labels = dataset.batch(slice(i, i + batch))
+    for i in range(0, len(dataset), 32):
+        x, y, labels = dataset.batch(slice(i, i + 32))
         out = net.forward(x, labels=labels).output.data
         vals.append(np.mean(np.abs(out - y), axis=(1, 2, 3)))
     return float(np.mean(np.concatenate(vals)))

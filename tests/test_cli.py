@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from facegan3d import autodiff as ad
-from facegan3d import cli, io, pipeline
-from facegan3d.geometry import centroid_size, load_obj, procrustes_points
+from facegan3d import cli, generation, io, pipeline
+from facegan3d.geometry import centroid_size, load_obj, procrustes_points, save_obj
 from facegan3d.model import NetConfig, Network
 from facegan3d.training import ADVERSARIAL_GROUPS
 
@@ -276,6 +276,54 @@ def test_sampling_reads_only_the_training_inputs(work, labelled_pre, labelled_mo
     assert sorted(loaded) == inputs and len(inputs) == 7
 
 
+@pytest.mark.parametrize("label", [None, "label1"])
+def test_labelled_generate_samples_the_gaussian_of_one_label(labelled_pre, labelled_model,
+                                                             label, tmp_path):
+    """generate encodes the neutral training maps under --label (by default
+    the first label) and samples the one Gaussian of those codes."""
+    pre = labelled_pre
+    meta = pipeline.load_meta(pre)
+    layout = io.load_layout(pre / "layout.uvl")
+    net = io.load_checkpoint(labelled_model)[0]
+    x = np.stack([io.load_uvmap(pre / "maps" / f"{s}.uvf").data for s in meta["train"]])
+    onehots = np.zeros((len(x), 2), dtype=np.float32)
+    onehots[:, 1 if label else 0] = 1.0
+    g = generation.fit_latent_gaussian(generation.collect_bottlenecks(net, x, onehots))
+    maps = generation.decode_batch(
+        net, generation.sample_latent(g, np.random.default_rng(0), n=3))
+    (tmp_path / "want").mkdir()
+    for i, m in enumerate(maps):
+        save_obj(tmp_path / "want" / f"gen_{i:05d}.obj",
+                 pipeline.map_to_mesh(m, layout, meta["landmarks"], meta))
+    assert run("generate", "--model", labelled_model, "--data", pre,
+               *(("--label", label) if label else ()), "--n", 3, "--out", tmp_path / "gen") == 0
+    want = sorted((tmp_path / "want").iterdir())
+    assert [p.name for p in sorted((tmp_path / "gen").iterdir())] == [p.name for p in want]
+    for p in want:
+        assert (tmp_path / "gen" / p.name).read_bytes() == p.read_bytes()
+
+
+def test_generate_unknown_label_on_unlabelled_set_exits_data_error(work, tmp_path, capsys):
+    assert run("generate", "--model", work / "model.ckpt", "--data", work / "pre",
+               "--label", "smile", "--n", 2, "--out", tmp_path / "gen") == cli.EXIT_DATA
+    assert "smile" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_translate_evaluation_needs_an_unlabelled_noisy_set(labelled_pre, labelled_model,
+                                                            two_subjects, labelled, tmp_path,
+                                                            capsys):
+    """The labelled set and a clean-only set have no noisy inputs to score."""
+    pre, model = ((labelled_pre, labelled_model) if labelled
+                  else (two_subjects / "pre", two_subjects / "model.ckpt"))
+    assert run("evaluate", "--task", "translate", "--data", pre, "--model", model,
+               "--out", tmp_path / "eval") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "needs an unlabelled set with noisy companions" in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("labelled", [False, True])
 def test_paired_datasets_pair_each_input_with_its_target(work, labelled_pre, labelled):
     """Labelled: (neutral, one-hot j) -> the label-j map, per subject and
@@ -365,6 +413,18 @@ def test_pca_option_out_of_range_is_a_usage_error(work, option, capsys):
     ("evaluate", "--task", "represent", "--data", "pre", "--model", "identity", "--x-max", 0),
     ("evaluate", "--task", "translate", "--data", "pre", "--model", "m.ckpt",
      "--crop-radius", -1),
+    ("synth", "--subjects", 2, "--seed", -1),
+    ("preprocess", "--in", "raw", "--template", "t.obj", "--landmarks", "l.txt", "--seed", -1),
+    ("pretrain", "--data", "pre", "--seed", -1),
+    ("train", "--data", "pre", "--seed", -1),
+    ("generate", "--model", "m.ckpt", "--data", "pre", "--seed", -1),
+    ("evaluate", "--task", "specificity", "--data", "pre", "--model", "m.ckpt", "--seed", -1),
+    ("evaluate", "--task", "represent", "--data", "pre", "--model", "identity",
+     "--fail-threshold", "nan"),
+    ("evaluate", "--task", "represent", "--data", "pre", "--model", "identity",
+     "--fail-threshold", -1),
+    ("evaluate", "--task", "represent", "--data", "pre", "--model", "identity",
+     "--fail-threshold", "inf"),
 ])
 def test_out_of_range_option_is_a_usage_error(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -509,7 +569,7 @@ def test_unknown_config_key_exits_data_error(work, line, capsys):
 
 @pytest.mark.parametrize("line", ["lr = abc", "lr = -1", "lr = nan", "batch = 0",
                                   "lr_decay_every = 1.5", "lr_decay_every = 0",
-                                  "filters = two", "checkpoint_every = -1"])
+                                  "filters = two", "checkpoint_every = -1", "seed = -1"])
 def test_bad_config_value_exits_data_error(work, line, capsys):
     cfg = work / "bad.cfg"
     cfg.write_text(CONFIG.format(1) + line + "\n")

@@ -1,13 +1,13 @@
 """Latent Gaussian fitting and sampling, decoder-only generation, and
-per-label Gaussians."""
+Gaussians of maps encoded under one label."""
 
 import numpy as np
 import pytest
 
 from facegan3d import generation
 from facegan3d.generation import (LatentGaussian, collect_bottlenecks,
-                                  decode_batch, fit_label_gaussians,
-                                  fit_latent_gaussian, sample_latent)
+                                  decode_batch, fit_latent_gaussian,
+                                  sample_latent)
 from facegan3d.geometry import cylindrical_unwrap
 from facegan3d.model import NetConfig, Network
 from facegan3d.pipeline import map_to_mesh
@@ -184,63 +184,30 @@ def test_decoder_only_path_consistency(net):
 # per-label
 
 
-def test_label_gaussians_single_label_matches_global():
-    lnet = Network.build(NetConfig(32, 2, 4, label_channels=1),
-                         np.random.default_rng(30))
-    x = maps(6, seed=7)
-    labels = np.ones((6, 1), dtype=np.float32)
-    per = fit_label_gaussians(lnet, x, labels, ["only"])
-    Z = collect_bottlenecks(lnet, x, labels)
-    whole = fit_latent_gaussian(Z)
-    np.testing.assert_allclose(per["only"].mean, whole.mean, atol=1e-12)
-    np.testing.assert_allclose(per["only"].factor, whole.factor, atol=1e-12)
-
-
 def test_label_gaussians_cluster_means():
     # two synthetic clusters in latent space: per-label means stay inside
     # their own cluster's hull
     rng = np.random.default_rng(8)
     Z0 = rng.standard_normal((3, 20)) * 0.1 + np.array([[5.0], [0.0], [0.0]])
     Z1 = rng.standard_normal((3, 20)) * 0.1 + np.array([[-5.0], [0.0], [0.0]])
-    g0 = fit_latent_gaussian(Z0, "a")
-    g1 = fit_latent_gaussian(Z1, "b")
+    g0 = fit_latent_gaussian(Z0)
+    g1 = fit_latent_gaussian(Z1)
     assert Z0[0].min() <= g0.mean[0] <= Z0[0].max()
     assert Z1[0].min() <= g1.mean[0] <= Z1[0].max()
     assert g0.mean[0] > 0 > g1.mean[0]
 
 
 def test_label_gaussians_order_invariant():
+    # the Gaussian of the maps encoded under one label does not depend on
+    # the order of the maps
     lnet = Network.build(NetConfig(32, 2, 4, label_channels=2),
                          np.random.default_rng(31))
     x = maps(8, seed=9)
-    labels = np.zeros((8, 2), dtype=np.float32)
-    labels[:4, 0] = 1.0
-    labels[4:, 1] = 1.0
-    per1 = fit_label_gaussians(lnet, x, labels, ["a", "b"])
     perm = np.random.default_rng(10).permutation(8)
-    per2 = fit_label_gaussians(lnet, x[perm], labels[perm], ["a", "b"])
-    for k in ("a", "b"):
-        np.testing.assert_allclose(per1[k].mean, per2[k].mean, atol=1e-12)
-        np.testing.assert_allclose(per1[k].covariance(), per2[k].covariance(), atol=1e-12)
-
-
-def test_label_gaussians_partition_sizes():
-    lnet = Network.build(NetConfig(32, 2, 4, label_channels=2),
-                         np.random.default_rng(32))
-    x = maps(7, seed=11)
-    labels = np.zeros((7, 2), dtype=np.float32)
-    labels[:3, 0] = 1.0
-    labels[3:, 1] = 1.0
-    per = fit_label_gaussians(lnet, x, labels, ["a", "b"])
-    assert per["a"].factor.shape[1] + per["b"].factor.shape[1] == 7
-
-
-def test_label_gaussians_small_subset_named_in_error():
-    lnet = Network.build(NetConfig(32, 2, 4, label_channels=2),
-                         np.random.default_rng(33))
-    x = maps(3, seed=12)
-    labels = np.zeros((3, 2), dtype=np.float32)
-    labels[:2, 0] = 1.0
-    labels[2, 1] = 1.0
-    with pytest.raises(ValueError, match="label1"):
-        fit_label_gaussians(lnet, x, labels, ["label0", "label1"])
+    for label in (0, 1):
+        onehots = np.zeros((8, 2), dtype=np.float32)
+        onehots[:, label] = 1.0
+        g1 = fit_latent_gaussian(collect_bottlenecks(lnet, x, onehots))
+        g2 = fit_latent_gaussian(collect_bottlenecks(lnet, x[perm], onehots[perm]))
+        np.testing.assert_allclose(g1.mean, g2.mean, atol=1e-12)
+        np.testing.assert_allclose(g1.covariance(), g2.covariance(), atol=1e-12)
