@@ -1,9 +1,12 @@
-"""Rigid point-to-plane ICP via iterated small-angle linearization."""
+"""Rigid point-to-plane ICP via iterated small-angle linearization.
+
+``scipy.spatial`` is imported inside ``icp_point_to_plane``: it is the
+heaviest import of the package, in time and in memory, and every CLI
+command imports this module while only translation evaluation runs ICP."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import Mesh
 from .procrustes import SimilarityTransform
@@ -32,6 +35,7 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
     ``max_iter`` iterations."""
     if source.num_vertices < 6:
         raise ValueError(f"need at least 6 correspondences, got {source.num_vertices}")
+    from scipy.spatial import cKDTree
     tgt = target.vertices
     normals = target.vertex_normals()
     tree = cKDTree(tgt)

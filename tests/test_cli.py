@@ -4,6 +4,10 @@ adversarial training, the exit codes of bad inputs and atomic checkpoint
 writes. They cover cli, io and pipeline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -613,6 +617,43 @@ def test_smallest_synth_grid_preprocesses(tmp_path):
     assert run("synth", "--subjects", 3, "--grid", 2, "--out", raw) == 0
     assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
                "--landmarks", raw / "landmarks.txt", "--res", 8, "--out", tmp_path / "pre") == 0
+
+
+LOADS_SCIPY = """
+import sys
+
+import numpy as np
+
+from facegan3d import cli
+from facegan3d.geometry import UVMap, nearest_fill
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+d = sys.argv[1]
+assert cli.main(["synth", "--subjects", "8", "--grid", "20", "--out", d + "/raw"]) == 0
+assert cli.main(["preprocess", "--in", d + "/raw", "--template", d + "/raw/template.obj",
+                 "--landmarks", d + "/raw/landmarks.txt", "--res", "32",
+                 "--out", d + "/pre"]) == 0
+assert cli.main(["pretrain", "--data", d + "/pre", "--config", d + "/pre.cfg",
+                 "--out", d + "/model.ckpt"]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
+valid = np.ones((8, 8), dtype=bool)
+valid[3:5, 2:6] = False
+nearest_fill(UVMap(np.where(valid, 1.0, np.nan)[None], valid))
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_only_the_kd_tree_loads_scipy(tmp_path):
+    """The CLI's import and a synth -> preprocess -> pretrain run on a
+    fully covered layout load no scipy module; a fill of uncovered pixels
+    does. Run in a fresh interpreter, where nothing else has loaded it."""
+    (tmp_path / "pre.cfg").write_text(CONFIG.format(1))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", ["template.obj", "meshes/subj_0001.obj",
