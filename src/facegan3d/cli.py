@@ -35,9 +35,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-# numpy loads its random module on first use; most commands seed a Generator,
-# so it loads here with the CLI rather than inside the first of them
-import numpy.random  # noqa: F401
 
 from . import evaluation, generation, io, pipeline
 from .errors import DataFormatError, NonFiniteError, NumericalError, ShapeError

@@ -13,7 +13,6 @@ and a layout that covers every pixel never needs it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,26 +168,11 @@ def rasterize_uv(mesh: Mesh, layout: UVLayout, resolution: int,
 def _nearest_valid_assignment(valid: np.ndarray) -> np.ndarray:
     """For each pixel, the flat index of its Euclidean-nearest valid pixel
     center; ties broken by row-major lowest index. Valid pixels map to
-    themselves. A map's mask is the layout's coverage at its resolution,
-    so the read-only result is kept in a bounded cache keyed on the mask's
-    shape and bytes (a 4x8 and an 8x4 mask can share their bytes)."""
-    valid = np.asarray(valid, dtype=bool)
-    return _assignment(valid.shape, valid.tobytes())
-
-
-# Distinct coverage masks whose fill assignment is kept. A dataset shares
-# one layout and one resolution, so one mask is the rule.
-_FILL_MASKS = 4
-
-
-@functools.lru_cache(maxsize=_FILL_MASKS)
-def _assignment(shape: tuple[int, int], mask: bytes) -> np.ndarray:
-    H, W = shape
-    valid = np.frombuffer(mask, dtype=bool).reshape(shape)
+    themselves."""
+    H, W = valid.shape
     out = np.arange(H * W, dtype=np.int64)
     inv_r, inv_c = np.nonzero(~valid)
     if len(inv_r) == 0:
-        out.flags.writeable = False
         return out
     val_r, val_c = np.nonzero(valid)
     if len(val_r) == 0:
@@ -207,7 +191,6 @@ def _assignment(shape: tuple[int, int], mask: bytes) -> np.ndarray:
         exact = (dr * dr + dc * dc) == d2[k]
         winner = val_flat[np.asarray(cand)[exact]].min()
         out[inv_r[k] * W + inv_c[k]] = winner
-    out.flags.writeable = False
     return out
 
 

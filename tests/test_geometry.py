@@ -386,65 +386,36 @@ def test_nearest_fill_matches_brute_force(seed):
     np.testing.assert_array_equal(out.data, expect)
 
 
-def _fill_matches_oracle(valid):
-    """Fill a map of distinct values and compare it with the oracle's
-    assignment; returns that assignment."""
+def _hole_mask(kind):
+    if kind == "square_hole":
+        valid = np.ones((9, 9), dtype=bool)
+        valid[3:6, 3:6] = False
+    elif kind == "corner_pixel":
+        valid = np.zeros((12, 10), dtype=bool)
+        valid[-1, -1] = True
+    else:                                   # a valid border around an invalid interior
+        valid = np.zeros((20, 17), dtype=bool)
+        valid[[0, -1], :] = True
+        valid[:, [0, -1]] = True
+    return valid
+
+
+@pytest.mark.parametrize("kind", ["square_hole", "corner_pixel", "border_ring"])
+def test_nearest_fill_contiguous_holes_match_brute_force(kind):
+    valid = _hole_mask(kind)
     H, W = valid.shape
     data = np.where(valid, np.arange(H * W).reshape(H, W), np.nan)[None].astype(np.float32)
     out = nearest_fill(UVMap(data, valid))
     assign = naive_nearest_fill_assignment(valid)
     np.testing.assert_array_equal(out.data, data.reshape(1, -1)[:, assign].reshape(1, H, W))
-    return assign
 
 
 def test_nearest_fill_square_hole_centre_takes_the_row_major_lowest_tie():
-    H = W = 9
-    valid = np.ones((H, W), dtype=bool)
-    valid[3:6, 3:6] = False
-    assign = _fill_matches_oracle(valid)
+    valid = _hole_mask("square_hole")
+    data = np.where(valid, np.arange(81).reshape(9, 9), np.nan)[None].astype(np.float32)
+    out = nearest_fill(UVMap(data, valid))
     # (4, 4) is at squared distance 4 from (2, 4), (4, 2), (4, 6) and (6, 4)
-    assert assign[4 * W + 4] == 2 * W + 4
-
-
-def test_nearest_fill_from_a_single_valid_corner_pixel():
-    H, W = 12, 10
-    valid = np.zeros((H, W), dtype=bool)
-    valid[H - 1, W - 1] = True
-    assign = _fill_matches_oracle(valid)
-    np.testing.assert_array_equal(assign, np.full(H * W, H * W - 1))
-
-
-def test_nearest_fill_valid_border_ring_around_an_invalid_interior():
-    H, W = 20, 17
-    valid = np.zeros((H, W), dtype=bool)
-    valid[[0, -1], :] = True
-    valid[:, [0, -1]] = True
-    _fill_matches_oracle(valid)
-
-
-def test_fill_assignment_is_cached_read_only_and_matches_oracle():
-    uvmap._assignment.cache_clear()
-    rng = np.random.default_rng(5)
-    valid = rng.uniform(size=(16, 12)) < 0.4
-    first = uvmap._nearest_valid_assignment(valid)
-    np.testing.assert_array_equal(first, naive_nearest_fill_assignment(valid))
-    assert uvmap._nearest_valid_assignment(valid.copy()) is first
-    assert uvmap._assignment.cache_info().misses == 1
-    with pytest.raises(ValueError):
-        first[0] = 1
-
-
-def test_fill_assignment_of_each_mask_is_its_own():
-    uvmap._assignment.cache_clear()
-    a = np.ones((10, 10), dtype=bool)
-    a[2:5, 2:5] = False
-    b = np.roll(a, 1, axis=1)               # the same hole one pixel right
-    wide = np.ones((4, 8), dtype=bool)
-    wide[1, 5:] = False
-    tall = wide.reshape(8, 4)               # the same bytes
-    for valid in (a, b, wide, tall):
-        np.testing.assert_array_equal(uvmap._nearest_valid_assignment(valid),
-                                      naive_nearest_fill_assignment(valid))
+    assert out.data[0, 4, 4] == 2 * 9 + 4
 
 
 def test_nearest_fill_idempotent(heads):
