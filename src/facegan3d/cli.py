@@ -13,7 +13,9 @@ failure (a NaN abort, naming the training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units;
 ``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
-input units (by default the whole face is kept).
+input units (by default the whole face is kept). ``evaluate --task
+represent`` scores the net's output for the saved clean test maps
+(``maps/``), not maps rasterized again from ``aligned/``.
 
 ``pretrain --out M`` writes M and M.loss.csv. ``train --out DIR`` writes
 DIR/discriminator.ckpt, DIR/generator.ckpt and DIR/loss.csv, and without
@@ -228,10 +230,8 @@ def cmd_translate(args) -> int:
     x, onehots = pipeline.load_inputs(data_dir, meta, stems, args.label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, m, onehot in zip(stems, x, [None] * len(x) if onehots is None else onehots):
-        result = pipeline.translate_map(net, m, onehot)
-        save_obj(out / f"{stem}.obj",
-                 pipeline.map_to_mesh(result, layout, meta["landmarks"], meta))
+    for stem, m in zip(stems, pipeline.translate_map(net, x, onehots)):
+        save_obj(out / f"{stem}.obj", pipeline.map_to_mesh(m, layout, meta["landmarks"], meta))
     print(f"translated {len(stems)} meshes into {out}")
     return EXIT_OK
 
@@ -261,11 +261,12 @@ def cmd_evaluate(args) -> int:
         if args.pca_k or args.pca_var:
             _need_two_train_subjects(data_dir, meta, "PCA")
         if args.model == "identity":
-            rec = lambda mesh: mesh
+            recs = test_meshes
         else:
             net = io.load_checkpoint(args.model)[0]
-            rec = pipeline.gan_reconstructor(net, layout, meta["resolution"], landmarks)
-        errs = evaluation.generalization_errors(rec, test_meshes)
+            maps = pipeline.translate_map(net, pipeline.load_maps(data_dir, meta, meta["test"]))
+            recs = [pipeline.map_to_mesh(m, layout, landmarks) for m in maps]
+        errs = evaluation.generalization_errors(recs, test_meshes)
         summary, curve = _ced_summary("generalization", errs, args)
         io.write_metric_report(out, "represent", summary, curve)
         if args.pca_k or args.pca_var:
@@ -274,7 +275,7 @@ def cmd_evaluate(args) -> int:
             model = pca_fit(train_meshes, variance_target=args.pca_var or 0.98,
                             n_components=args.pca_k)
             perr = evaluation.generalization_errors(
-                lambda m: pca_reconstruct(model, m), test_meshes)
+                [pca_reconstruct(model, m) for m in test_meshes], test_meshes)
             psummary, pcurve = _ced_summary("generalization_pca", perr, args)
             psummary["pca_components"] = model.num_components
             io.write_metric_report(out, "represent_pca", psummary, pcurve)
@@ -287,8 +288,8 @@ def cmd_evaluate(args) -> int:
                                   "set with noisy companions")
         net = io.load_checkpoint(args.model)[0]
         x, _ = pipeline.load_inputs(data_dir, meta, meta["test"])
-        preds = [pipeline.map_to_mesh(pipeline.translate_map(net, m), layout, landmarks)
-                 for m in x]
+        preds = [pipeline.map_to_mesh(m, layout, landmarks)
+                 for m in pipeline.translate_map(net, x)]
         identities = pipeline.load_aligned_meshes(
             data_dir, pipeline.input_keys(meta, meta["test"]), landmarks)
         crop = args.crop_radius / meta["scale"]   # input units -> normalised
@@ -314,8 +315,7 @@ def cmd_evaluate(args) -> int:
     net = io.load_checkpoint(args.model)[0]
     maps = _sample_maps(args, net, data_dir, meta)
     mean, std, _ = evaluation.specificity(
-        lambda i: pipeline.map_to_mesh(maps[i], layout, landmarks), test_meshes,
-        n_samples=args.n)
+        (pipeline.map_to_mesh(m, layout, landmarks) for m in maps), test_meshes)
     summary = {"metric": "specificity", "mean": mean, "std": std,
                "auc": None, "fr": None, "x_max": None, "threshold": None,
                "seed": args.seed, "n": args.n}

@@ -4,7 +4,7 @@ for the translation task, and specificity for generation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -30,14 +30,12 @@ class ErrorDistribution:
         return float(self.values.std())
 
 
-def generalization_errors(reconstruct: Callable[[Mesh], Mesh],
+def generalization_errors(recs: Iterable[Mesh],
                           test_meshes: Iterable[Mesh]) -> ErrorDistribution:
     """Pool the per-vertex Euclidean distances between every test mesh and
-    its reconstruction."""
-    pooled = []
-    for mesh in test_meshes:
-        rec = reconstruct(mesh)
-        pooled.append(np.linalg.norm(rec.vertices - mesh.vertices, axis=1))
+    its reconstruction, paired in order (a count mismatch is a ValueError)."""
+    pooled = [np.linalg.norm(rec.vertices - mesh.vertices, axis=1)
+              for rec, mesh in zip(recs, test_meshes, strict=True)]
     return ErrorDistribution(np.concatenate(pooled) if pooled else np.empty(0))
 
 
@@ -80,18 +78,15 @@ def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf,
     return float(np.sqrt(np.mean(d * d)) / iod), converged
 
 
-def specificity(sample_fn: Callable[[int], Mesh], test_meshes: list[Mesh],
-                n_samples: int = 10000) -> tuple[float, float, np.ndarray]:
-    """Distance from generated shapes to the test set: for each of
-    ``n_samples`` meshes from ``sample_fn(i)``, the minimum over test
-    meshes of the mean per-vertex Euclidean distance (dense
-    correspondence). Returns (mean, std, per-sample distances)."""
+def specificity(samples: Iterable[Mesh],
+                test_meshes: list[Mesh]) -> tuple[float, float, np.ndarray]:
+    """Distance from generated shapes to the test set: for each mesh of
+    ``samples``, read one at a time, the minimum over test meshes of the
+    mean per-vertex Euclidean distance (dense correspondence). Returns
+    (mean, std, per-sample distances)."""
     if not test_meshes:
         raise ValueError("specificity needs a non-empty test set")
     test = np.stack([m.vertices for m in test_meshes], axis=0)  # (T, V, 3)
-    dists = np.empty(n_samples)
-    for i in range(n_samples):
-        g = sample_fn(i).vertices
-        per_mesh = np.linalg.norm(test - g[None], axis=2).mean(axis=1)
-        dists[i] = per_mesh.min()
+    dists = np.array([np.linalg.norm(test - g.vertices[None], axis=2).mean(axis=1).min()
+                      for g in samples])
     return float(dists.mean()), float(dists.std()), dists

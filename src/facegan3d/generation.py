@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network
+from .model import Network, batches
 
 
 @dataclass
@@ -36,29 +36,15 @@ class LatentGaussian:
         return self.factor @ self.factor.T
 
 
-# Most samples per encode or decode call here, which bounds the
-# activations live at once.
-_CHUNK = 8
-
-
-def _chunks(n: int) -> list[slice]:
-    """Slices of range(n), at most _CHUNK long and as even as can be. The
-    convs run one GEMM per sample and the FC GEMMs give each row the whole
-    batch's bits for any chunk of 2 rows or more; a lone row takes the GEMV
-    path, whose bits differ, and even chunks leave none unless n is 1."""
-    k = -(-n // _CHUNK)
-    return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
-
-
 def collect_bottlenecks(net: Network, maps: np.ndarray,
                         labels: np.ndarray | None = None) -> np.ndarray:
     """Bottleneck vectors of the given maps, one column per sample, in
-    input order. maps: (N, 3, H, W), encoded at most 8 (``_CHUNK``) at a
-    time."""
+    input order. maps: (N, 3, H, W), encoded in :func:`model.batches`
+    slices."""
     if len(maps) == 0:
         raise ValueError("collect_bottlenecks needs a non-empty dataset")
     cols = []
-    for c in _chunks(len(maps)):
+    for c in batches(len(maps)):
         z, _ = net.encode(maps[c], labels=None if labels is None else labels[c])
         cols.append(z.data.T.astype(np.float64))
     return np.concatenate(cols, axis=1)
@@ -83,10 +69,10 @@ def sample_latent(g: LatentGaussian, rng: np.random.Generator, n: int = 1) -> np
 
 def decode_batch(net: Network, zs: np.ndarray) -> np.ndarray:
     """Decode latent columns (N_b, n) to maps (n, 3, H, W), with no skip
-    features, at most 8 (``_CHUNK``) columns at a time."""
+    features, in :func:`model.batches` slices of the columns."""
     zs = np.asarray(zs, dtype=np.float32)
     outs = []
-    for c in _chunks(zs.shape[1]):
+    for c in batches(zs.shape[1]):
         outs.append(net.decode(zs[:, c].T).data)
     return np.concatenate(outs, axis=0)
 

@@ -136,6 +136,20 @@ def _uniform(rng, shape, fan_in, dtype, gain=2.0):
     return rng.uniform(-s, s, size=shape).astype(dtype)
 
 
+# Most samples per forward-only call, which bounds the activations live at
+# once.
+_CHUNK = 8
+
+
+def batches(n: int) -> list[slice]:
+    """Slices of range(n), at most _CHUNK long and as even as can be: the
+    one split of every forward-only run over a stack. A lone row would take
+    the FC's GEMV path, whose bits differ from a batch's; even slices leave
+    none unless n is 1."""
+    k = -(-n // _CHUNK)
+    return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
+
+
 class Network:
     """A built network: immutable architecture description plus parameters.
     Forward passes on shared params are pure; updates belong to exactly one

@@ -13,6 +13,8 @@ Units: maps and ``aligned/*.obj`` are in normalised units, where
 ``raw = normalised * meta["scale"] + meta["center"]`` in the GPA frame
 of the first subject, at its size. :func:`map_to_mesh` is the one way
 back from a map to a mesh; given ``meta`` it returns input units.
+:func:`translate_map` is the one forward-only path over maps: translate
+and every evaluate task that runs the net's full pass go through it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .geometry import (Mesh, UVLayout, UVMap, cylindrical_unwrap,
                        normalize_dataset, procrustes_points, rasterize_uv,
                        sample_mesh_from_uv, save_landmarks, save_obj)
 from .io import load_layout, load_uvmap, save_layout, save_uvmap
-from .model import Network
+from .model import Network, batches
 from .parallel import thread_map
 from .training import PairedDataset
 
@@ -195,12 +197,12 @@ def load_meta(data_dir) -> dict:
     return meta
 
 
-def _load_maps(data_dir: Path, meta: dict, keys: list[str]) -> np.ndarray:
-    """The (len(keys), 3, res, res) stack of the maps ``keys``; an empty
-    split gives an empty stack."""
+def load_maps(data_dir, meta: dict, keys: list[str]) -> np.ndarray:
+    """The (len(keys), 3, res, res) stack of the saved maps ``keys``; an
+    empty split gives an empty stack."""
     if not keys:
         return np.zeros((0, 3, meta["resolution"], meta["resolution"]), dtype=np.float32)
-    return np.stack([load_uvmap(data_dir / "maps" / f"{k}.uvf").data for k in keys])
+    return np.stack([load_uvmap(Path(data_dir) / "maps" / f"{k}.uvf").data for k in keys])
 
 
 def input_keys(meta: dict, stems: list[str]) -> list[str]:
@@ -218,7 +220,7 @@ def load_inputs(data_dir, meta: dict, stems: list[str],
     one map per stem, and with ``label`` one one-hot row of it per map
     (else None). An unknown label is a data error that names the known
     ones. Targets are not read."""
-    x = _load_maps(Path(data_dir), meta, input_keys(meta, stems))
+    x = load_maps(data_dir, meta, input_keys(meta, stems))
     if label is None:
         return x, None
     names = meta["label_names"]
@@ -247,10 +249,10 @@ def load_paired_datasets(data_dir) -> dict:
         if L:
             x = np.repeat(x, L, axis=0)
             labels = np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
-            y = _load_maps(data_dir, meta,
-                           [f"{s}.{label}" for s in stems for label in label_names])
+            y = load_maps(data_dir, meta,
+                          [f"{s}.{label}" for s in stems for label in label_names])
         elif meta["noisy"]:
-            y = _load_maps(data_dir, meta, stems)
+            y = load_maps(data_dir, meta, stems)
         else:
             y = x.copy()
         out[split] = PairedDataset(x, y, labels)
@@ -273,16 +275,11 @@ def map_to_mesh(data: np.ndarray, layout: UVLayout, landmarks: dict[str, int],
     return mesh.with_vertices(mesh.vertices * meta["scale"] + meta["center"])
 
 
-def gan_reconstructor(net: Network, layout: UVLayout, resolution: int,
-                      landmarks: dict[str, int] | None = None):
-    """mesh -> rasterize -> autoencode -> sample back to a mesh."""
-    def rec(mesh: Mesh) -> Mesh:
-        out = translate_map(net, rasterize_uv(mesh, layout, resolution).data)
-        return map_to_mesh(out, layout, landmarks or mesh.landmarks)
-    return rec
-
-
-def translate_map(net: Network, uvmap_data: np.ndarray,
-                  onehot: np.ndarray | None = None) -> np.ndarray:
-    labels = None if onehot is None else onehot[None]
-    return net.forward(uvmap_data[None], labels=labels).output.data[0]
+def translate_map(net: Network, maps: np.ndarray,
+                  onehots: np.ndarray | None = None) -> np.ndarray:
+    """The net's outputs for the (N, 3, H, W) ``maps``, under the (N, L)
+    ``onehots`` when given, run in :func:`model.batches` slices; an empty
+    stack gives an empty stack."""
+    outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).output.data
+            for c in batches(len(maps))]
+    return np.concatenate(outs) if outs else np.zeros(maps.shape, dtype=np.float32)

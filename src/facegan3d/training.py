@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
 from .errors import NonFiniteError, NumericalError, ShapeError
-from .model import NetConfig, Network
+from .model import NetConfig, Network, batches
 
 # The parameter groups of D and G that the adversarial phase trains; both
 # decoders (with the skip projections) stay as pretrained.
@@ -258,12 +258,12 @@ def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
 
 def reconstruction_l1(net: Network, dataset: PairedDataset) -> float:
     """Mean over samples of the elementwise-mean L1 between G(x) and y,
-    32 samples per forward pass."""
+    with a forward pass per :func:`model.batches` slice."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     vals = []
-    for i in range(0, len(dataset), 32):
-        x, y, labels = dataset.batch(slice(i, i + 32))
+    for c in batches(len(dataset)):
+        x, y, labels = dataset.batch(c)
         out = net.forward(x, labels=labels).output.data
         vals.append(np.mean(np.abs(out - y), axis=(1, 2, 3)))
     return float(np.mean(np.concatenate(vals)))

@@ -469,8 +469,9 @@ def test_too_small_training_split_exits_data_error(two_subjects, command, capsys
 
 def test_empty_test_split_trains_and_evaluate_exits_data_error(tmp_path, capsys):
     """A 1-subject set has no test subject: both training commands run
-    (train reports a NaN test L1) and every evaluate task exits 2, naming
-    the empty split, before it loads the model."""
+    (train reports a NaN test L1), translating the test split writes no
+    mesh, and every evaluate task exits 2, naming the empty split, before
+    it loads the model."""
     assert run("synth", "--subjects", 1, "--grid", 20, "--out", tmp_path / "raw") == 0
     assert run("preprocess", "--in", tmp_path / "raw",
                "--template", tmp_path / "raw" / "template.obj",
@@ -483,6 +484,9 @@ def test_empty_test_split_trains_and_evaluate_exits_data_error(tmp_path, capsys)
     assert run("train", *args, "--out", tmp_path / "run") == 0
     out = capsys.readouterr()
     assert "test reconstruction L1 = nan" in out.out and "Traceback" not in out.err
+    assert run("translate", "--model", tmp_path / "model.ckpt", "--in", tmp_path / "pre",
+               "--split", "test", "--out", tmp_path / "tr") == 0
+    assert not list((tmp_path / "tr").glob("*.obj"))
     for task in ("represent", "translate", "specificity"):
         assert run("evaluate", "--task", task, "--data", tmp_path / "pre",
                    "--model", tmp_path / "absent.ckpt", "--out", tmp_path / "eval") \

@@ -24,7 +24,7 @@ def heads():
 
 
 def test_identity_model_zero_errors(heads):
-    errs = generalization_errors(lambda m: m, heads)
+    errs = generalization_errors(heads, heads)
     assert errs.mean == 0.0
     assert errs.values.size == sum(m.num_vertices for m in heads)
 
@@ -32,15 +32,17 @@ def test_identity_model_zero_errors(heads):
 def test_single_vertex_offset_single_entry(heads):
     d = 0.37
 
-    def nudge(mesh):
-        v = mesh.vertices.copy()
-        v[5] += [d, 0, 0]
-        return mesh.with_vertices(v)
-
-    errs = generalization_errors(nudge, heads[:1])
+    v = heads[0].vertices.copy()
+    v[5] += [d, 0, 0]
+    errs = generalization_errors([heads[0].with_vertices(v)], heads[:1])
     nonzero = errs.values[errs.values > 0]
     assert len(nonzero) == 1
     assert nonzero[0] == pytest.approx(d)
+
+
+def test_generalization_errors_need_one_reconstruction_per_test_mesh(heads):
+    with pytest.raises(ValueError):
+        generalization_errors(heads[:2], heads[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +164,14 @@ def test_rmse3d_degenerate_interocular_errors():
 
 
 def test_specificity_replaying_test_meshes_is_zero(heads):
-    mean, std, _ = specificity(lambda i: heads[i % len(heads)], heads, n_samples=4)
+    mean, std, _ = specificity([heads[i % len(heads)] for i in range(4)], heads)
     assert mean == 0.0 and std == 0.0
 
 
 def test_specificity_single_test_mesh_exact_distance(heads):
     target = heads[0]
     gen = heads[1]
-    mean, _, _ = specificity(lambda i: gen, [target], n_samples=1)
+    mean, _, _ = specificity([gen], [target])
     expect = float(np.linalg.norm(gen.vertices - target.vertices, axis=1).mean())
     assert mean == expect
 
@@ -177,7 +179,7 @@ def test_specificity_single_test_mesh_exact_distance(heads):
 def test_specificity_equals_double_loop_oracle(heads):
     gen = heads[:5]
     test = heads[1:6]
-    mean, std, dists = specificity(lambda i: gen[i], test, n_samples=5)
+    mean, std, dists = specificity(gen, test)
     omean, ostd, odists = naive_specificity([g.vertices for g in gen],
                                             [t.vertices for t in test])
     assert mean == omean
@@ -185,9 +187,18 @@ def test_specificity_equals_double_loop_oracle(heads):
     np.testing.assert_array_equal(dists, odists)
 
 
+def test_specificity_reads_a_generator_like_the_double_loop_oracle(heads):
+    mean, std, dists = specificity((m.with_vertices(m.vertices * 1.1) for m in heads[:4]),
+                                   heads[2:])
+    omean, ostd, odists = naive_specificity([m.vertices * 1.1 for m in heads[:4]],
+                                            [t.vertices for t in heads[2:]])
+    assert (mean, std) == (omean, ostd)
+    np.testing.assert_array_equal(dists, odists)
+
+
 def test_specificity_empty_test_set(heads):
     with pytest.raises(ValueError):
-        specificity(lambda i: heads[0], [], n_samples=1)
+        specificity([heads[0]], [])
 
 
 # ---------------------------------------------------------------------------

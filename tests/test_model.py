@@ -1,13 +1,15 @@
 """Network construction: shapes, parameter count, cloning, the parameter
-groups each training phase updates, the bottleneck factorization, and init
-determinism."""
+groups each training phase updates, the bottleneck factorization, init
+determinism, and the batched forward-only path over map stacks."""
 
 import numpy as np
 import pytest
 
 from facegan3d import autodiff as ad
+from facegan3d import model
 from facegan3d.errors import ShapeError
-from facegan3d.model import NetConfig, Network, expected_parameter_count
+from facegan3d.model import NetConfig, Network, batches, expected_parameter_count
+from facegan3d.pipeline import translate_map
 from facegan3d.training import ADVERSARIAL_GROUPS
 
 CFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
@@ -234,3 +236,37 @@ def test_same_seed_same_init_and_forward():
 
 def test_different_seed_different_init():
     assert small_net(23).params.checksum() != small_net(24).params.checksum()
+
+
+# ---------------------------------------------------------------------------
+# forward-only stacks
+
+
+def test_batches_tile_the_range_evenly_without_a_lone_row():
+    for n in range(5 * model._CHUNK + 2):
+        cuts = batches(n)
+        sizes = [c.stop - c.start for c in cuts]
+        assert [i for c in cuts for i in range(n)[c]] == list(range(n))
+        assert max(sizes, default=0) <= model._CHUNK
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert n == 1 or 1 not in sizes
+
+
+@pytest.mark.parametrize("labels", [0, 2])
+@pytest.mark.parametrize("n", [2, 7, 19])
+def test_translate_map_is_bitwise_one_whole_stack_forward(n, labels):
+    net = small_net(cfg=NetConfig(resolution=32, base_filters=2, latent_dim=4,
+                                  label_channels=labels))
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1, 1, (n, 3, 32, 32)).astype(np.float32)
+    onehots = np.eye(labels, dtype=np.float32)[rng.integers(0, labels, n)] if labels else None
+    np.testing.assert_array_equal(translate_map(net, x, onehots),
+                                  net.forward(x, labels=onehots).output.data)
+
+
+def test_translate_map_of_one_map_and_of_an_empty_stack():
+    net = small_net()
+    x = np.random.default_rng(5).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
+    np.testing.assert_array_equal(translate_map(net, x), net.forward(x).output.data)
+    assert translate_map(net, np.zeros((0, 3, 32, 32), dtype=np.float32)).shape == \
+        (0, 3, 32, 32)
