@@ -41,7 +41,7 @@ import numpy as np
 from . import evaluation, generation, io, pipeline
 from .errors import DataFormatError, NonFiniteError, NumericalError, ShapeError
 from .geometry import save_obj
-from .model import NetConfig
+from .model import NetConfig, translate_map
 from .synthetic import MAX_LABELS, synth_dataset
 from .training import (TrainConfig, pretrain_discriminator, reconstruction_l1,
                        train)
@@ -230,7 +230,7 @@ def cmd_translate(args) -> int:
     x, onehots = pipeline.load_inputs(data_dir, meta, stems, args.label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, m in zip(stems, pipeline.translate_map(net, x, onehots)):
+    for stem, m in zip(stems, translate_map(net, x, onehots)):
         save_obj(out / f"{stem}.obj", pipeline.map_to_mesh(m, layout, meta["landmarks"], meta))
     print(f"translated {len(stems)} meshes into {out}")
     return EXIT_OK
@@ -264,7 +264,7 @@ def cmd_evaluate(args) -> int:
             recs = test_meshes
         else:
             net = io.load_checkpoint(args.model)[0]
-            maps = pipeline.translate_map(net, pipeline.load_maps(data_dir, meta, meta["test"]))
+            maps = translate_map(net, pipeline.load_maps(data_dir, meta, meta["test"]))
             recs = [pipeline.map_to_mesh(m, layout, landmarks) for m in maps]
         errs = evaluation.generalization_errors(recs, test_meshes)
         summary, curve = _ced_summary("generalization", errs, args)
@@ -289,7 +289,7 @@ def cmd_evaluate(args) -> int:
         net = io.load_checkpoint(args.model)[0]
         x, _ = pipeline.load_inputs(data_dir, meta, meta["test"])
         preds = [pipeline.map_to_mesh(m, layout, landmarks)
-                 for m in pipeline.translate_map(net, x)]
+                 for m in translate_map(net, x)]
         identities = pipeline.load_aligned_meshes(
             data_dir, pipeline.input_keys(meta, meta["test"]), landmarks)
         crop = args.crop_radius / meta["scale"]   # input units -> normalised

@@ -183,17 +183,14 @@ def _nearest_valid_assignment(valid: np.ndarray) -> np.ndarray:
     q = np.stack([inv_r, inv_c], axis=1).astype(np.float64)
     dist, _ = tree.query(q)
     d2 = np.rint(dist * dist).astype(np.int64)  # integer on the pixel grid
-    # each query's ball holds its nearest valid pixel, so each keeps one
-    cand = tree.query_ball_point(q, np.sqrt(d2) + 1e-6)
-    owner = np.repeat(np.arange(len(q)), [len(c) for c in cand])
-    cand = np.concatenate(cand).astype(np.int64)
-    dr = val_r[cand] - inv_r[owner]
-    dc = val_c[cand] - inv_c[owner]
-    exact = (dr * dr + dc * dc) == d2[owner]
-    owner, cand = owner[exact], cand[exact]
-    starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
     val_flat = val_r.astype(np.int64) * W + val_c
-    out[inv_r * W + inv_c] = np.minimum.reduceat(val_flat[cand], starts)
+    for k in range(len(inv_r)):
+        cand = tree.query_ball_point(q[k], np.sqrt(d2[k]) + 1e-6)
+        dr = val_r[cand] - inv_r[k]
+        dc = val_c[cand] - inv_c[k]
+        exact = (dr * dr + dc * dc) == d2[k]
+        winner = val_flat[np.asarray(cand)[exact]].min()
+        out[inv_r[k] * W + inv_c[k]] = winner
     return out
 
 

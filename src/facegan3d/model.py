@@ -150,6 +150,16 @@ def batches(n: int) -> list[slice]:
     return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
+def translate_map(net: Network, maps: np.ndarray,
+                  onehots: np.ndarray | None = None) -> np.ndarray:
+    """The net's outputs for the (N, 3, H, W) ``maps``, under the (N, L)
+    ``onehots`` when given, run in :func:`batches` slices; an empty stack
+    gives an empty stack."""
+    outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).output.data
+            for c in batches(len(maps))]
+    return np.concatenate(outs) if outs else np.zeros(maps.shape, dtype=np.float32)
+
+
 class Network:
     """A built network: immutable architecture description plus parameters.
     Forward passes on shared params are pure; updates belong to exactly one

@@ -13,8 +13,9 @@ Units: maps and ``aligned/*.obj`` are in normalised units, where
 ``raw = normalised * meta["scale"] + meta["center"]`` in the GPA frame
 of the first subject, at its size. :func:`map_to_mesh` is the one way
 back from a map to a mesh; given ``meta`` it returns input units.
-:func:`translate_map` is the one forward-only path over maps: translate
-and every evaluate task that runs the net's full pass go through it.
+:func:`translate_map` (from ``model``) is the one forward-only path over
+maps: translate, every evaluate task that runs the net's full pass and
+``training.reconstruction_l1`` go through it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .geometry import (Mesh, UVLayout, UVMap, cylindrical_unwrap,
                        normalize_dataset, procrustes_points, rasterize_uv,
                        sample_mesh_from_uv, save_landmarks, save_obj)
 from .io import load_layout, load_uvmap, save_layout, save_uvmap
-from .model import Network, batches
+# re-exported: bench/spans.py traces it as pipeline.translate_map
+from .model import translate_map
 from .parallel import thread_map
 from .training import PairedDataset
 
@@ -274,12 +276,3 @@ def map_to_mesh(data: np.ndarray, layout: UVLayout, landmarks: dict[str, int],
         return mesh
     return mesh.with_vertices(mesh.vertices * meta["scale"] + meta["center"])
 
-
-def translate_map(net: Network, maps: np.ndarray,
-                  onehots: np.ndarray | None = None) -> np.ndarray:
-    """The net's outputs for the (N, 3, H, W) ``maps``, under the (N, L)
-    ``onehots`` when given, run in :func:`model.batches` slices; an empty
-    stack gives an empty stack."""
-    outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).output.data
-            for c in batches(len(maps))]
-    return np.concatenate(outs) if outs else np.zeros(maps.shape, dtype=np.float32)

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
 from .errors import NonFiniteError, NumericalError, ShapeError
-from .model import NetConfig, Network, batches
+from .model import NetConfig, Network, translate_map
 
 # The parameter groups of D and G that the adversarial phase trains; both
 # decoders (with the skip projections) stay as pretrained.
@@ -258,12 +258,8 @@ def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
 
 def reconstruction_l1(net: Network, dataset: PairedDataset) -> float:
     """Mean over samples of the elementwise-mean L1 between G(x) and y,
-    with a forward pass per :func:`model.batches` slice."""
+    with G run by :func:`model.translate_map`."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    vals = []
-    for c in batches(len(dataset)):
-        x, y, labels = dataset.batch(c)
-        out = net.forward(x, labels=labels).output.data
-        vals.append(np.mean(np.abs(out - y), axis=(1, 2, 3)))
-    return float(np.mean(np.concatenate(vals)))
+    out = translate_map(net, dataset.x, dataset.labels)
+    return float(np.mean(np.mean(np.abs(out - dataset.y), axis=(1, 2, 3))))
