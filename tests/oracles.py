@@ -180,6 +180,16 @@ def point_to_plane_residual(source_pts, target):
     return float(np.sqrt(total / len(source_pts)))
 
 
+def reference_kabsch(source_pts, target_pts):
+    """Rotation R and translation t (no scale, no reflection) minimising
+    the summed squared distance of R @ source_i + t to target_i."""
+    ms, mt = source_pts.mean(axis=0), target_pts.mean(axis=0)
+    u, _, vt = np.linalg.svd((source_pts - ms).T @ (target_pts - mt))
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    R = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return R, mt - R @ ms
+
+
 def reference_save_obj(path, mesh):
     """One formatted line per vertex and per face."""
     lines = []

@@ -635,12 +635,16 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 d = sys.argv[1]
-assert cli.main(["synth", "--subjects", "8", "--grid", "20", "--out", d + "/raw"]) == 0
+assert cli.main(["synth", "--subjects", "8", "--grid", "20", "--noise", "0.01",
+                 "--out", d + "/raw"]) == 0
 assert cli.main(["preprocess", "--in", d + "/raw", "--template", d + "/raw/template.obj",
                  "--landmarks", d + "/raw/landmarks.txt", "--res", "32",
                  "--out", d + "/pre"]) == 0
 assert cli.main(["pretrain", "--data", d + "/pre", "--config", d + "/pre.cfg",
                  "--out", d + "/model.ckpt"]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
+assert cli.main(["evaluate", "--task", "translate", "--data", d + "/pre",
+                 "--model", d + "/model.ckpt", "--out", d + "/eval"]) == 0
 assert not scipy_modules(), scipy_modules()[:5]
 valid = np.ones((8, 8), dtype=bool)
 valid[3:5, 2:6] = False
@@ -650,9 +654,11 @@ assert "scipy.spatial" in sys.modules
 
 
 def test_only_the_kd_tree_loads_scipy(tmp_path):
-    """The CLI's import and a synth -> preprocess -> pretrain run on a
-    fully covered layout load no scipy module; a fill of uncovered pixels
-    does. Run in a fresh interpreter, where nothing else has loaded it."""
+    """The CLI's import, a synth -> preprocess -> pretrain run on a fully
+    covered layout with noisy companions, and the translation evaluation
+    (whose ICP pairs vertices by index) load no scipy module; a fill of
+    uncovered pixels does. Run in a fresh interpreter, where nothing else
+    has loaded it."""
     (tmp_path / "pre.cfg").write_text(CONFIG.format(1))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", LOADS_SCIPY, str(tmp_path)], env=env,

@@ -18,8 +18,8 @@ from facegan3d.geometry import uvmap
 from facegan3d.synthetic import make_template, synth_dataset
 
 from oracles import (naive_nearest_fill_assignment, point_in_triangle,
-                     point_to_plane_residual, reference_rasterize_layout,
-                     reference_save_obj)
+                     point_to_plane_residual, reference_kabsch,
+                     reference_rasterize_layout, reference_save_obj)
 
 
 def rand_rotation(rng):
@@ -526,6 +526,33 @@ def test_icp_reports_running_out_of_iterations():
     assert converged
     err = lambda tr: np.abs(tr.apply(moved.vertices) - tpl.vertices).max()
     assert err(t) < 1e-6 < err(t1)
+
+
+def test_icp_pairs_by_vertex_index_not_nearest_neighbour():
+    """On a non-rigidly perturbed template the fit minimises the residual
+    over corresponding vertices, so it is at most that of a Kabsch fit on
+    the same pairs; a nearest-neighbour pairing lets vertices slide and
+    does worse on this residual."""
+    tpl = make_template(13)
+    normals = tpl.vertex_normals()
+
+    def paired_rms(p):
+        return float(np.sqrt(np.mean(np.einsum("ij,ij->i", p - tpl.vertices, normals) ** 2)))
+
+    for seed in (14, 15, 16):
+        rng = np.random.default_rng(seed)
+        noisy = tpl.vertices + 0.1 * tpl.bbox_diagonal() * rng.standard_normal(tpl.vertices.shape)
+        moved = tpl.with_vertices(noisy @ small_rotation(rng, 5.0).T + [0.01, -0.02, 0.01])
+        t, _ = icp_point_to_plane(moved, tpl)
+        R, tv = reference_kabsch(moved.vertices, tpl.vertices)
+        kabsch = paired_rms(moved.vertices @ R.T + tv)
+        assert paired_rms(t.apply(moved.vertices)) <= kabsch + 1e-9, f"seed {seed}"
+
+
+def test_icp_vertex_counts_must_match():
+    tpl = make_template(13)
+    with pytest.raises(ValueError, match="vertex index"):
+        icp_point_to_plane(tpl, make_template(12))
 
 
 def test_icp_too_few_vertices():
