@@ -178,16 +178,34 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 # convolution
 
 
-def _patches(x: np.ndarray) -> np.ndarray:
-    # (N, C, H, W) -> a (N, C, 3, 3, H, W) view of its zero-padded copy xp,
-    # [n, c, i, j, h, w] = xp[n, c, h + i, w + j]; reshaping it builds im2col
+def _im2col(x: np.ndarray, cols: np.ndarray, border: bool) -> None:
+    # Writes the im2col of x (N, C, H, W) into cols (N, C, 9, H*W), whose
+    # last axis is contiguous: cols[n, c, 3i + j, h*W + w] is
+    # x[n, c, h + i - 1, w + j - 1], zero outside x. Tap (i, j) is one flat
+    # copy of every (n, c) plane, shifted by s = (i - 1)*W + (j - 1): a run
+    # of up to H*W elements, where a 2-D slice would give runs W long. The
+    # flat shift wraps column w = 0 (j = 0) or w = W - 1 (j = 2) round to
+    # the neighbouring row, so that column is zeroed after the copy, while
+    # the tap is still in cache. The elements the shift leaves uncovered,
+    # the border rows, are written by no copy: they are zeroed only when
+    # border is set, so a buffer reused for the next chunk keeps them.
     N, C, H, W = x.shape
-    xp = np.zeros((N, C, H + 2, W + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    s = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (N, C, 3, 3, H, W), (s[0], s[1], s[2], s[3], s[2], s[3])
-    )
+    L = H * W
+    xf = x.reshape(N, C, L)
+    for k in range(9):
+        i, j = divmod(k, 3)
+        s = (i - 1) * W + j - 1
+        lo, hi = min(L, max(0, -s)), max(0, min(L, L - s))
+        if border and s < 0:
+            cols[:, :, k, :lo] = 0
+        elif border and s > 0:
+            cols[:, :, k, hi:] = 0
+        if lo < hi:
+            cols[:, :, k, lo:hi] = xf[:, :, lo + s:hi + s]
+            if j == 0:
+                cols[:, :, k, ::W] = 0
+            elif j == 2:
+                cols[:, :, k, W - 1::W] = 0
 
 
 # Byte budget of one chunk of _conv_raw's im2col (at least one sample).
@@ -196,28 +214,34 @@ _IM2COL_CHUNK = 1 << 21
 
 def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
     # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W). The N-major im2col
-    # (step, C1*9, H*W) is built a few samples at a time, so it stays within
-    # _IM2COL_CHUNK bytes (or one sample) whatever N is. Stacked matmul runs
-    # one GEMM per sample, so the result is bitwise the one-shot im2col's.
+    # (step, C1*9, H*W) is built a few samples at a time into one buffer,
+    # reused for every chunk, so it stays within _IM2COL_CHUNK bytes (or one
+    # sample) whatever N is. Stacked matmul runs one GEMM per sample, so the
+    # result is bitwise the one-shot im2col's.
     N, C1, H, W = x.shape
     out = np.empty((N, w2.shape[0], H * W), dtype=np.result_type(w2, x))
-    step = max(1, _IM2COL_CHUNK // (9 * C1 * H * W * x.itemsize))
+    step = min(N, max(1, _IM2COL_CHUNK // (9 * C1 * H * W * x.itemsize)))
+    buf = np.empty((step, C1, 9, H * W), dtype=x.dtype)
     for i in range(0, N, step):
-        cols = _patches(x[i:i + step]).reshape(-1, C1 * 9, H * W)
-        np.matmul(w2, cols, out=out[i:i + step])
+        xs = x[i:i + step]
+        cols = buf[:len(xs)]
+        _im2col(xs, cols, border=i == 0)
+        np.matmul(w2, cols.reshape(-1, C1 * 9, H * W), out=out[i:i + step])
     return out.reshape(N, w2.shape[0], H, W)
 
 
 def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     # dW = g (C2, N*H*W) @ cols^T with the channel-major im2col
-    # (C1*9, N*H*W), copied once straight from the patch view: only g, with
-    # C2 channels, needs a transpose, not the 9*C1-row im2col. It is not
-    # chunked like _conv_raw: splitting the K = N*H*W sum would change bits.
+    # (C1*9, N*H*W), written by _im2col through an (N, C1, 9, H*W) view of
+    # it: only g, with C2 channels, needs a transpose, not the 9*C1-row
+    # im2col. It is not chunked like _conv_raw: splitting the K = N*H*W sum
+    # would change bits.
     N, C1, H, W = x.shape
     C2 = g.shape[1]
-    cols = _patches(x).transpose(1, 2, 3, 0, 4, 5).reshape(C1 * 9, N * H * W)
+    cols = np.empty((C1, 9, N, H * W), dtype=x.dtype)
+    _im2col(x, cols.transpose(2, 0, 1, 3), border=True)
     gf = g.reshape(N, C2, H * W).transpose(1, 0, 2).reshape(C2, N * H * W)
-    return (gf @ cols.T).reshape(C2, C1, 3, 3)
+    return (gf @ cols.reshape(C1 * 9, N * H * W).T).reshape(C2, C1, 3, 3)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

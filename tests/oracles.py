@@ -41,6 +41,20 @@ def reference_conv_raw(x, w2):
     return np.matmul(w2, cols.reshape(N, C1 * 9, H * W)).reshape(N, -1, H, W)
 
 
+def reference_conv_weight_grad(x, g):
+    """The 3x3 conv's weight gradient as one GEMM, (N, C1, H, W) and
+    (N, C2, H, W) -> (C2, C1, 3, 3): zero-pad the batch, stack its nine
+    shifted windows into the channel-major im2col (C1*9, N*H*W) and
+    multiply g, flattened to (C2, N*H*W), by its transpose."""
+    N, C1, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.stack([xp[:, :, i:i + H, j:j + W] for i in range(3) for j in range(3)],
+                    axis=2)  # (N, C1, 9, H, W)
+    cols = cols.transpose(1, 2, 0, 3, 4).reshape(C1 * 9, N * H * W)
+    gf = g.transpose(1, 0, 2, 3).reshape(g.shape[1], N * H * W)
+    return (gf @ cols.T).reshape(-1, C1, 3, 3)
+
+
 def naive_avg_pool2(x):
     N, C, H, W = x.shape
     out = np.zeros((N, C, H // 2, W // 2), dtype=np.float64)

@@ -15,7 +15,7 @@ from facegan3d.model import NetParams
 
 from oracles import (naive_avg_pool2, naive_conv2d, naive_l1_mean,
                      naive_matmul_affine, naive_upsample2, reference_adam,
-                     reference_conv_raw)
+                     reference_conv_raw, reference_conv_weight_grad)
 
 
 def t64(arr, **kw):
@@ -73,28 +73,48 @@ def test_conv2d_matches_naive_oracle(seed):
     np.testing.assert_allclose(out.data, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
 
 
+# map sizes whose taps are partly or wholly outside the map: the im2col's
+# border rows and wrapped columns
+SMALL_MAPS = [(5, 6), (1, 1), (1, 4), (4, 1), (2, 2)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("samples", [0, 1, 3])
 def test_conv2d_im2col_chunks_are_bitwise_the_one_shot_gemm(dtype, samples, monkeypatch):
     # budgets of 1 byte, one sample's im2col and three samples' (N = 7
     # leaves a partial last chunk); the forward and the backward's dx both
-    # run the chunked im2col
+    # run the chunked im2col, whose one buffer has its border rows zeroed
+    # for the first chunk only
     rng = np.random.default_rng(11)
-    N, C1, C2, H, W = 7, 3, 4, 5, 6
-    x = rng.standard_normal((N, C1, H, W)).astype(dtype)
-    w = rng.standard_normal((C2, C1, 3, 3)).astype(dtype)
-    b = rng.standard_normal(C2).astype(dtype)
-    g = rng.standard_normal((N, C2, H, W)).astype(dtype)
-    monkeypatch.setattr(ad, "_IM2COL_CHUNK", max(1, samples * 9 * C1 * H * W * x.itemsize))
-    tape = ad.Tape()
-    out = ad.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
-    dx, _, _ = tape.records[-1].backward_fn(g, (True, False, False))
-    ref = reference_conv_raw(x, w.reshape(C2, C1 * 9))
-    ref += b[:, None, None]
-    w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C1, C2 * 9)
-    for got, want in ((out.data, ref), (dx, reference_conv_raw(g, w_flip))):
-        assert got.dtype == want.dtype == dtype
-        assert got.tobytes() == want.tobytes()
+    N, C1, C2 = 7, 3, 4
+    for H, W in SMALL_MAPS:
+        x = rng.standard_normal((N, C1, H, W)).astype(dtype)
+        w = rng.standard_normal((C2, C1, 3, 3)).astype(dtype)
+        b = rng.standard_normal(C2).astype(dtype)
+        g = rng.standard_normal((N, C2, H, W)).astype(dtype)
+        monkeypatch.setattr(ad, "_IM2COL_CHUNK",
+                            max(1, samples * 9 * C1 * H * W * x.itemsize))
+        tape = ad.Tape()
+        out = ad.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
+        dx, _, _ = tape.records[-1].backward_fn(g, (True, False, False))
+        ref = reference_conv_raw(x, w.reshape(C2, C1 * 9))
+        ref += b[:, None, None]
+        w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C1, C2 * 9)
+        for got, want in ((out.data, ref), (dx, reference_conv_raw(g, w_flip))):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (H, W)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hw", SMALL_MAPS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+def test_conv_weight_grad_is_bitwise_the_one_gemm_oracle(dtype, hw):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((3, 2, *hw)).astype(dtype)
+    g = rng.standard_normal((3, 4, *hw)).astype(dtype)
+    got = ad._conv_weight_grad(x, g)
+    want = reference_conv_weight_grad(x, g)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
@@ -109,7 +129,7 @@ def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < out.data.nbytes + 4 * ad._IM2COL_CHUNK
+    assert peak < out.data.nbytes + 2 * ad._IM2COL_CHUNK
 
 
 def test_conv2d_shape_errors_name_dimensions():
