@@ -282,7 +282,8 @@ def conv_elu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Pointwise channel projection used by the skip connections."""
+    """Pointwise channel projection of the skips; one GEMM per sample, so a
+    sample's forward bits do not depend on its batch-mates."""
     if x.data.ndim != 4:
         raise ShapeError(f"conv1x1 input must be rank 4, got shape {x.shape}")
     N, C1, H, W = x.data.shape
@@ -291,7 +292,7 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     C2 = w.data.shape[0]
     if b.data.shape != (C2,):
         raise ShapeError(f"conv1x1 bias must be ({C2},), got {b.shape}")
-    out = np.einsum("oc,nchw->nohw", w.data, x.data, optimize=True)
+    out = np.matmul(w.data, x.data.reshape(N, C1, H * W)).reshape(N, C2, H, W)
     out += b.data[:, None, None]
 
     def bwd(g, needs):
@@ -429,7 +430,8 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map: (N, D1) @ (D2, D1)^T + (D2,)."""
+    """Affine map: (N, D1) @ (D2, D1)^T + (D2,); one GEMV per row, so a
+    row's forward bits do not depend on the other rows."""
     if x.data.ndim != 2:
         raise ShapeError(f"fully_connected input must be rank 2, got shape {x.shape}")
     N, D1 = x.data.shape
@@ -438,7 +440,7 @@ def fully_connected(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     D2 = w.data.shape[0]
     if b.data.shape != (D2,):
         raise ShapeError(f"fully_connected bias must be ({D2},), got {b.shape}")
-    out = x.data @ w.data.T + b.data
+    out = np.matmul(x.data[:, None, :], w.data.T)[:, 0] + b.data
 
     def bwd(g, needs):
         dx = g @ w.data if needs[0] else None

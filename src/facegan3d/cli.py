@@ -11,11 +11,13 @@ on, ``evaluate`` on an empty test split, or ``evaluate --task translate``
 on a set that is labelled or has no noisy companions), 3 numerical
 failure (a NaN abort, naming the training phase and epoch).
 
-Output meshes (``generate``, ``translate``) are in the raw input's units;
-``evaluate`` works on normalised meshes, with ``--crop-radius`` given in
-input units (by default the whole face is kept). ``evaluate --task
-represent`` scores the net's output for the saved clean test maps
-(``maps/``), not maps rasterized again from ``aligned/``.
+Output meshes (``generate``, ``translate``) are in the raw input's units,
+and a subject's translation does not depend on ``--split`` (a map's output
+does not depend on its batch-mates). ``evaluate`` works on normalised
+meshes, with ``--crop-radius`` in input units (by default the whole face
+is kept). ``evaluate --task represent`` scores the net's output for the
+saved clean test maps (``maps/``); on a labelled set, each test subject's
+map under each label, encoded under it, against its ``aligned/`` mesh.
 
 ``pretrain --out M`` writes M and M.loss.csv. ``train --out DIR`` writes
 DIR/discriminator.ckpt, DIR/generator.ckpt and DIR/loss.csv, and without
@@ -254,42 +256,44 @@ def cmd_evaluate(args) -> int:
                               "scores the test meshes")
     layout = io.load_layout(data_dir / "layout.uvl")
     landmarks = meta["landmarks"]
-    test_meshes = pipeline.load_aligned_meshes(data_dir, meta["test"], landmarks)
     out = Path(args.out)
 
     if args.task == "represent":
         if args.pca_k or args.pca_var:
             _need_two_train_subjects(data_dir, meta, "PCA")
+        keys, onehots = pipeline.target_keys(meta, meta["test"])
+        targets = pipeline.load_aligned_meshes(data_dir, keys, landmarks)
         if args.model == "identity":
-            recs = test_meshes
+            recs = targets
         else:
             net = io.load_checkpoint(args.model)[0]
-            maps = translate_map(net, pipeline.load_maps(data_dir, meta, meta["test"]))
+            maps = translate_map(net, pipeline.load_maps(data_dir, meta, keys), onehots)
             recs = [pipeline.map_to_mesh(m, layout, landmarks) for m in maps]
-        errs = evaluation.generalization_errors(recs, test_meshes)
+        errs = evaluation.generalization_errors(recs, targets)
         summary, curve = _ced_summary("generalization", errs, args)
         io.write_metric_report(out, "represent", summary, curve)
         if args.pca_k or args.pca_var:
             from .pca import pca_fit, pca_reconstruct
-            train_meshes = pipeline.load_aligned_meshes(data_dir, meta["train"], landmarks)
+            train_meshes = pipeline.load_aligned_meshes(
+                data_dir, pipeline.target_keys(meta, meta["train"])[0], landmarks)
             model = pca_fit(train_meshes, variance_target=args.pca_var or 0.98,
                             n_components=args.pca_k)
             perr = evaluation.generalization_errors(
-                [pca_reconstruct(model, m) for m in test_meshes], test_meshes)
+                [pca_reconstruct(model, m) for m in targets], targets)
             psummary, pcurve = _ced_summary("generalization_pca", perr, args)
             psummary["pca_components"] = model.num_components
             io.write_metric_report(out, "represent_pca", psummary, pcurve)
         print(json.dumps(summary, sort_keys=True))
         return EXIT_OK
 
+    test_meshes = pipeline.load_aligned_meshes(data_dir, meta["test"], landmarks)
     if args.task == "translate":
         if meta["label_names"] or not meta["noisy"]:
             raise DataFormatError(f"{data_dir}: evaluating translation needs an unlabelled "
                                   "set with noisy companions")
         net = io.load_checkpoint(args.model)[0]
         x, _ = pipeline.load_inputs(data_dir, meta, meta["test"])
-        preds = [pipeline.map_to_mesh(m, layout, landmarks)
-                 for m in translate_map(net, x)]
+        preds = [pipeline.map_to_mesh(m, layout, landmarks) for m in translate_map(net, x)]
         identities = pipeline.load_aligned_meshes(
             data_dir, pipeline.input_keys(meta, meta["test"]), landmarks)
         crop = args.crop_radius / meta["scale"]   # input units -> normalised

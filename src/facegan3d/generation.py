@@ -43,11 +43,9 @@ def collect_bottlenecks(net: Network, maps: np.ndarray,
     slices."""
     if len(maps) == 0:
         raise ValueError("collect_bottlenecks needs a non-empty dataset")
-    cols = []
-    for c in batches(len(maps)):
-        z, _ = net.encode(maps[c], labels=None if labels is None else labels[c])
-        cols.append(z.data.T.astype(np.float64))
-    return np.concatenate(cols, axis=1)
+    cols = [net.encode(maps[c], labels=None if labels is None else labels[c])[0].data.T
+            for c in batches(len(maps))]
+    return np.concatenate(cols, axis=1).astype(np.float64)
 
 
 def fit_latent_gaussian(Z: np.ndarray) -> LatentGaussian:
@@ -71,8 +69,5 @@ def decode_batch(net: Network, zs: np.ndarray) -> np.ndarray:
     """Decode latent columns (N_b, n) to maps (n, 3, H, W), with no skip
     features, in :func:`model.batches` slices of the columns."""
     zs = np.asarray(zs, dtype=np.float32)
-    outs = []
-    for c in batches(zs.shape[1]):
-        outs.append(net.decode(zs[:, c].T).data)
-    return np.concatenate(outs, axis=0)
+    return np.concatenate([net.decode(zs[:, c].T).data for c in batches(zs.shape[1])])
 

@@ -143,9 +143,8 @@ _CHUNK = 8
 
 def batches(n: int) -> list[slice]:
     """Slices of range(n), at most _CHUNK long and as even as can be: the
-    one split of every forward-only run over a stack. A lone row would take
-    the FC's GEMV path, whose bits differ from a batch's; even slices leave
-    none unless n is 1."""
+    one split of every forward-only run over a stack. The largest slice
+    sets the peak activations, so even slices keep it lowest."""
     k = -(-n // _CHUNK)
     return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
 
@@ -154,7 +153,7 @@ def translate_map(net: Network, maps: np.ndarray,
                   onehots: np.ndarray | None = None) -> np.ndarray:
     """The net's outputs for the (N, 3, H, W) ``maps``, under the (N, L)
     ``onehots`` when given, run in :func:`batches` slices; an empty stack
-    gives an empty stack."""
+    gives an empty stack. A map's output does not depend on its batch-mates."""
     outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).output.data
             for c in batches(len(maps))]
     return np.concatenate(outs) if outs else np.zeros(maps.shape, dtype=np.float32)

@@ -15,7 +15,8 @@ of the first subject, at its size. :func:`map_to_mesh` is the one way
 back from a map to a mesh; given ``meta`` it returns input units.
 :func:`translate_map` (from ``model``) is the one forward-only path over
 maps: translate, every evaluate task that runs the net's full pass and
-``training.reconstruction_l1`` go through it.
+``training.reconstruction_l1`` go through it. A map's output does not
+depend on its split or on the other maps run with it.
 """
 
 from __future__ import annotations
@@ -216,6 +217,17 @@ def input_keys(meta: dict, stems: list[str]) -> list[str]:
     return list(stems)
 
 
+def target_keys(meta: dict, stems: list[str]) -> tuple[list[str], np.ndarray | None]:
+    """The map keys of the targets of ``stems``, which represent scores,
+    with the one-hot row of each key's label: ``<stem>.<label>`` for each
+    label in turn on a labelled set, else the stems' own maps and None."""
+    names = meta["label_names"]
+    if not names:
+        return list(stems), None
+    onehots = np.tile(np.eye(len(names), dtype=np.float32), (len(stems), 1))
+    return [f"{s}.{label}" for s in stems for label in names], onehots
+
+
 def load_inputs(data_dir, meta: dict, stems: list[str],
                 label: str | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """The network input of each of ``stems`` (see :func:`input_keys`),
@@ -228,35 +240,23 @@ def load_inputs(data_dir, meta: dict, stems: list[str],
     names = meta["label_names"]
     if label not in names:
         raise DataFormatError(f"unknown label {label!r}; have {names}")
-    onehots = np.zeros((len(x), len(names)), dtype=np.float32)
-    onehots[:, names.index(label)] = 1.0
-    return x, onehots
+    return x, np.tile(np.eye(len(names), dtype=np.float32)[names.index(label)], (len(x), 1))
 
 
 def load_paired_datasets(data_dir) -> dict:
-    """Assemble train/test PairedDatasets from a preprocessed directory.
-
-    Pairing: labeled data yields (neutral + one-hot -> labeled target)
-    samples, each neutral map once per label; noisy data yields
-    (noisy -> clean); otherwise x == y.
-    """
+    """Train/test PairedDatasets from a preprocessed directory: each
+    input (:func:`input_keys`), once per label on a labelled set, paired
+    with its target (:func:`target_keys`); on a clean-only set x == y."""
     data_dir = Path(data_dir)
     meta = load_meta(data_dir)
-    label_names = meta["label_names"]
-    L = len(label_names)
     out = {"meta": meta}
     for split in ("train", "test"):
         stems = meta[split]
-        x, labels = load_inputs(data_dir, meta, stems)
-        if L:
-            x = np.repeat(x, L, axis=0)
-            labels = np.tile(np.eye(L, dtype=np.float32), (len(stems), 1))
-            y = load_maps(data_dir, meta,
-                          [f"{s}.{label}" for s in stems for label in label_names])
-        elif meta["noisy"]:
-            y = load_maps(data_dir, meta, stems)
-        else:
-            y = x.copy()
+        x, _ = load_inputs(data_dir, meta, stems)
+        keys, labels = target_keys(meta, stems)
+        if labels is not None:
+            x = np.repeat(x, len(meta["label_names"]), axis=0)
+        y = x.copy() if keys == input_keys(meta, stems) else load_maps(data_dir, meta, keys)
         out[split] = PairedDataset(x, y, labels)
     return out
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from facegan3d import autodiff as ad
-from facegan3d import cli, generation, io, pipeline
+from facegan3d import cli, evaluation, generation, io, pipeline
 from facegan3d.geometry import centroid_size, load_obj, procrustes_points, save_obj
 from facegan3d.model import NetConfig, Network
 from facegan3d.training import ADVERSARIAL_GROUPS
@@ -255,6 +255,49 @@ def labelled_model(work):
 def test_labelled_model_in_represent_exits_data_error(work, labelled_model):
     assert run("evaluate", "--task", "represent", "--data", work / "pre",
                "--model", labelled_model, "--out", work / "eval_bad") == cli.EXIT_DATA
+
+
+def test_labelled_represent_scores_each_test_subject_under_each_label(
+        labelled_pre, labelled_model, tmp_path, monkeypatch):
+    """Each test (subject, label) map, encoded under its label, is scored
+    against aligned/<subject>.<label>.obj, and --pca-k fits the training
+    maps under the same keys."""
+    meta = pipeline.load_meta(labelled_pre)
+    names = meta["label_names"]
+    read, pooled = [], []
+    real_read, real_pool = pipeline.load_aligned_meshes, evaluation.generalization_errors
+    monkeypatch.setattr(pipeline, "load_aligned_meshes",
+                        lambda d, keys, lm: read.append(list(keys)) or real_read(d, keys, lm))
+    monkeypatch.setattr(evaluation, "generalization_errors",
+                        lambda recs, meshes: pooled.append(len(meshes)) or real_pool(recs, meshes))
+    assert run("evaluate", "--task", "represent", "--data", labelled_pre, "--model",
+               labelled_model, "--pca-k", 2, "--out", tmp_path / "eval") == 0
+    assert read == [[f"{s}.{n}" for s in meta[split] for n in names]
+                    for split in ("test", "train")]
+    assert pooled == [len(meta["test"]) * len(names)] * 2
+    for name in ("represent", "represent_pca"):
+        assert (tmp_path / "eval" / f"{name}.json").exists()
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_a_subjects_translation_does_not_depend_on_the_split(work, labelled_pre, labelled,
+                                                             tmp_path):
+    """The test subjects' OBJs from --split test are byte-identical to
+    theirs from --split all. The fresh filters-16 net has a level-16 skip
+    projection of 80 channels on 2x2 maps."""
+    pre = labelled_pre if labelled else work / "pre"
+    meta = pipeline.load_meta(pre)
+    io.save_checkpoint(tmp_path / "net.ckpt", Network.build(
+        NetConfig(32, 16, 16, label_channels=len(meta["label_names"])),
+        np.random.default_rng(1)))
+    label = ("--label", "label1") if labelled else ()
+    for split in ("test", "all"):
+        assert run("translate", "--model", tmp_path / "net.ckpt", "--in", pre, *label,
+                   "--split", split, "--out", tmp_path / split) == 0
+    assert len(list((tmp_path / "test").iterdir())) == len(meta["test"]) >= 1
+    for stem in meta["test"]:
+        assert (tmp_path / "test" / f"{stem}.obj").read_bytes() == \
+            (tmp_path / "all" / f"{stem}.obj").read_bytes()
 
 
 def test_labelled_model_in_translate_without_label_exits_data_error(work, labelled_model):

@@ -4,7 +4,6 @@ Gaussians of maps encoded under one label."""
 import numpy as np
 import pytest
 
-from facegan3d import model
 from facegan3d.generation import (LatentGaussian, collect_bottlenecks,
                                   decode_batch, fit_latent_gaussian,
                                   sample_latent)
@@ -44,20 +43,6 @@ def test_collect_duplicate_samples_give_duplicate_columns(net):
     x[1] = x[0]
     Z = collect_bottlenecks(net, x)
     np.testing.assert_array_equal(Z[:, 0], Z[:, 1])
-
-
-@pytest.mark.parametrize("n", [19, 2 * model._CHUNK + 1])
-def test_chunked_collect_and_decode_are_bitwise_one_call(net, n):
-    # 19 does not split into whole chunks; 2 * _CHUNK + 1 would leave a lone
-    # row, whose FC GEMV has other bits than the batch GEMM, if cut in
-    # _CHUNK steps
-    assert n > 2 * model._CHUNK and n % model._CHUNK
-    x = maps(n)
-    np.testing.assert_array_equal(collect_bottlenecks(net, x),
-                                  net.encode(x)[0].data.T.astype(np.float64))
-    zs = np.random.default_rng(3).standard_normal((NCFG.latent_dim, n))
-    np.testing.assert_array_equal(decode_batch(net, zs),
-                                  net.decode(zs.astype(np.float32).T).data)
 
 
 def test_collect_empty_errors(net):

@@ -347,23 +347,6 @@ def test_adversarial_phase_does_not_destroy_reconstruction():
     assert fin <= 1.05 * pre
 
 
-def test_reconstruction_l1_is_bitwise_one_whole_batch_forward():
-    """33 maps run in even slices, none a lone row (whose FC GEMV has other
-    bits than the batch GEMM), so the score is the whole batch's. Targets
-    a little off that batch's output keep a one-row difference from
-    vanishing in the mean over 33 samples. At 4 filters each skip
-    projection rounds a sample alike in a slice and in the whole batch; at
-    16 filters the level-16 one (80 channels on 2x2 maps) does not."""
-    net = Network.build(NetConfig(resolution=32, base_filters=4, latent_dim=16),
-                        np.random.default_rng(3))
-    x = toy_dataset(n=33, seed=4).x
-    out = net.forward(x).output.data
-    y = out + np.float32(1e-3) * np.random.default_rng(5).standard_normal(out.shape,
-                                                                          dtype=np.float32)
-    assert reconstruction_l1(net, PairedDataset(x, y)) == \
-        float(np.mean(np.mean(np.abs(out - y), axis=(1, 2, 3))))
-
-
 def test_training_histories_finite():
     ds = toy_dataset(seed=11)
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=3, pretrain_batch=4,
