@@ -6,9 +6,10 @@ everything else is filled from the Euclidean-nearest valid pixel so the
 map is dense. Pixel (row i, col j) has its center at
 (u, v) = ((j + 0.5) / W, (i + 0.5) / H).
 
-``scipy.spatial`` is imported only where the fill builds its KD-tree, for
-a mask with an uncovered pixel: it is the heaviest import of the package,
-and a layout that covers every pixel never needs it.
+The fill searches only the boundary of the coverage: the covered pixels
+with an uncovered 4-neighbour. A nearest covered pixel of an uncovered
+pixel is always one of them, since from any other covered pixel one step
+toward the query is closer and still covered.
 """
 
 from __future__ import annotations
@@ -147,11 +148,10 @@ def cylindrical_unwrap(template: Mesh) -> UVLayout:
     return UVLayout(uv, template.faces)
 
 
-def rasterize_uv(mesh: Mesh, layout: UVLayout, resolution: int,
-                 fill: bool = True) -> UVMap:
+def rasterize_uv(mesh: Mesh, layout: UVLayout, resolution: int) -> UVMap:
     """Splat a mesh into a position map through the layout. Covered pixels
-    get barycentric-interpolated positions; with ``fill`` the rest take the
-    nearest valid pixel's value (pass fill=False to inspect raw coverage)."""
+    get barycentric-interpolated positions, the rest take the nearest valid
+    pixel's value; ``valid`` keeps the raw coverage."""
     if mesh.num_vertices != layout.num_vertices:
         raise DataFormatError("mesh and layout disagree on vertex count")
     tri, bary = layout.rasterization(resolution)
@@ -161,36 +161,33 @@ def rasterize_uv(mesh: Mesh, layout: UVLayout, resolution: int,
     corners = mesh.vertices[layout.faces[idx]]            # (K, 3, 3)
     vals = np.einsum("kc,kcd->kd", bary[valid], corners)  # (K, 3)
     data[:, valid] = vals.T.astype(np.float32)
-    m = UVMap(data, valid, filled=False)
-    return nearest_fill(m) if fill else m
+    return nearest_fill(UVMap(data, valid))
+
+
+# (uncovered, boundary) pixel pairs compared at once: bounds the transient
+# distance matrix, of which two fills run at once under thread_map
+_FILL_CHUNK = 1 << 18
 
 
 def _nearest_valid_assignment(valid: np.ndarray) -> np.ndarray:
     """For each pixel, the flat index of its Euclidean-nearest valid pixel
     center; ties broken by row-major lowest index. Valid pixels map to
-    themselves."""
+    themselves. The mask needs a valid and an invalid pixel."""
     H, W = valid.shape
     out = np.arange(H * W, dtype=np.int64)
-    inv_r, inv_c = np.nonzero(~valid)
-    if len(inv_r) == 0:
-        return out
-    val_r, val_c = np.nonzero(valid)
-    if len(val_r) == 0:
-        raise ValueError("nearest fill needs at least one valid pixel")
-    from scipy.spatial import cKDTree
-    pts = np.stack([val_r, val_c], axis=1).astype(np.float64)
-    tree = cKDTree(pts)
-    q = np.stack([inv_r, inv_c], axis=1).astype(np.float64)
-    dist, _ = tree.query(q)
-    d2 = np.rint(dist * dist).astype(np.int64)  # integer on the pixel grid
-    val_flat = val_r.astype(np.int64) * W + val_c
-    for k in range(len(inv_r)):
-        cand = tree.query_ball_point(q[k], np.sqrt(d2[k]) + 1e-6)
-        dr = val_r[cand] - inv_r[k]
-        dc = val_c[cand] - inv_c[k]
-        exact = (dr * dr + dc * dc) == d2[k]
-        winner = val_flat[np.asarray(cand)[exact]].min()
-        out[inv_r[k] * W + inv_c[k]] = winner
+    # the boundary: covered pixels with an uncovered 4-neighbour
+    inv = np.pad(~valid, 1)
+    near = inv[:-2, 1:-1] | inv[2:, 1:-1] | inv[1:-1, :-2] | inv[1:-1, 2:]
+    # int32 halves the memory traffic and holds every squared distance
+    # below res 32768; row-major order makes argmin keep the lowest tie
+    holes = np.flatnonzero(~valid).astype(np.int32)
+    edge = np.flatnonzero(valid & near).astype(np.int32)
+    er, ec = np.divmod(edge, W)
+    step = max(1, _FILL_CHUNK // len(edge))
+    for lo in range(0, len(holes), step):
+        hr, hc = np.divmod(holes[lo:lo + step], W)
+        d2 = (hr[:, None] - er) ** 2 + (hc[:, None] - ec) ** 2
+        out[holes[lo:lo + step]] = edge[d2.argmin(axis=1)]
     return out
 
 

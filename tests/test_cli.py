@@ -14,9 +14,12 @@ import pytest
 
 from facegan3d import autodiff as ad
 from facegan3d import cli, evaluation, generation, io, pipeline
-from facegan3d.geometry import centroid_size, load_obj, procrustes_points, save_obj
+from facegan3d.geometry import (UVLayout, centroid_size, cylindrical_unwrap, load_obj,
+                                procrustes_points, save_obj)
 from facegan3d.model import NetConfig, Network
 from facegan3d.training import ADVERSARIAL_GROUPS
+
+from oracles import naive_nearest_fill_assignment
 
 CONFIG = ("filters = 2\nlatent = 4\nbatch = 4\npretrain_batch = 4\n"
           "pretrain_epochs = {}\nepochs = 1\n")
@@ -666,6 +669,26 @@ def test_smallest_synth_grid_preprocesses(tmp_path):
                "--landmarks", raw / "landmarks.txt", "--res", 8, "--out", tmp_path / "pre") == 0
 
 
+def test_holed_layout_preprocess_fills_from_the_nearest_covered_pixel(tmp_path):
+    """A --layout whose chart leaves a border of uncovered pixels: every
+    saved map keeps that coverage, is finite, and takes each uncovered
+    pixel from the covered pixel the brute-force oracle names."""
+    raw = tmp_path / "raw"
+    assert run("synth", "--subjects", 3, "--grid", 12, "--noise", 0.01, "--out", raw) == 0
+    chart = cylindrical_unwrap(load_obj(raw / "template.obj"))
+    io.save_layout(tmp_path / "holed.uvl", UVLayout(0.1 + 0.8 * chart.uv, chart.faces))
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", raw / "landmarks.txt", "--res", 16,
+               "--layout", tmp_path / "holed.uvl", "--out", tmp_path / "pre") == 0
+    paths = sorted((tmp_path / "pre" / "maps").glob("*.uvf"))
+    assert len(paths) == 6
+    for path in paths:
+        uvm = io.load_uvmap(path)
+        assert not uvm.valid.all() and np.isfinite(uvm.data).all()
+        assign = naive_nearest_fill_assignment(uvm.valid)
+        np.testing.assert_array_equal(uvm.data.reshape(3, -1)[:, assign], uvm.data.reshape(3, -1))
+
+
 LOADS_SCIPY = """
 import sys
 
@@ -685,22 +708,20 @@ assert cli.main(["preprocess", "--in", d + "/raw", "--template", d + "/raw/templ
                  "--out", d + "/pre"]) == 0
 assert cli.main(["pretrain", "--data", d + "/pre", "--config", d + "/pre.cfg",
                  "--out", d + "/model.ckpt"]) == 0
-assert not scipy_modules(), scipy_modules()[:5]
 assert cli.main(["evaluate", "--task", "translate", "--data", d + "/pre",
                  "--model", d + "/model.ckpt", "--out", d + "/eval"]) == 0
-assert not scipy_modules(), scipy_modules()[:5]
 valid = np.ones((8, 8), dtype=bool)
 valid[3:5, 2:6] = False
 nearest_fill(UVMap(np.where(valid, 1.0, np.nan)[None], valid))
-assert "scipy.spatial" in sys.modules
+assert not scipy_modules(), scipy_modules()[:5]
 """
 
 
-def test_only_the_kd_tree_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     """The CLI's import, a synth -> preprocess -> pretrain run on a fully
-    covered layout with noisy companions, and the translation evaluation
-    (whose ICP pairs vertices by index) load no scipy module; a fill of
-    uncovered pixels does. Run in a fresh interpreter, where nothing else
+    covered layout with noisy companions, the translation evaluation
+    (whose ICP pairs vertices by index) and a fill of uncovered pixels
+    load no scipy module. Run in a fresh interpreter, where nothing else
     has loaded it."""
     (tmp_path / "pre.cfg").write_text(CONFIG.format(1))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

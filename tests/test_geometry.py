@@ -260,7 +260,7 @@ def test_rasterize_affine_field_exact():
     verts = uv @ A.T + c
     mesh = Mesh(verts, faces)
     layout = UVLayout(uv, faces)
-    uvm = rasterize_uv(mesh, layout, 16, fill=False)
+    uvm = rasterize_uv(mesh, layout, 16)
     H = 16
     jj, ii = np.meshgrid(np.arange(H), np.arange(H))
     centers = np.stack([(jj + 0.5) / H, (ii + 0.5) / H], axis=-1)
@@ -272,7 +272,7 @@ def test_rasterize_affine_field_exact():
 
 def test_rasterize_coverage_includes_strict_interior(heads):
     layout = cylindrical_unwrap(make_template(21))
-    uvm = rasterize_uv(heads[0], layout, 16, fill=False)
+    uvm = rasterize_uv(heads[0], layout, 16)
     H = 16
     px = layout.uv[:, 0] * H - 0.5
     py = layout.uv[:, 1] * H - 0.5
@@ -373,8 +373,10 @@ def test_nearest_fill_trivial_cases():
     np.testing.assert_array_equal(out.data, np.full((3, 4, 4), 7.0, np.float32))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_nearest_fill_matches_brute_force(seed):
+@pytest.mark.parametrize("seed, chunk", [(s, uvmap._FILL_CHUNK) for s in range(4)] + [(0, 1)],
+                         ids=["0", "1", "2", "3", "chunk_1"])
+def test_nearest_fill_matches_brute_force(monkeypatch, seed, chunk):
+    monkeypatch.setattr(uvmap, "_FILL_CHUNK", chunk)   # 1: one uncovered pixel per chunk
     rng = np.random.default_rng(seed)
     H = 16
     valid = rng.uniform(size=(H, H)) < 0.3
@@ -401,13 +403,14 @@ def _hole_mask(kind):
 
 
 @pytest.mark.parametrize("kind", ["square_hole", "corner_pixel", "border_ring"])
-def test_nearest_fill_contiguous_holes_match_brute_force(kind):
+def test_nearest_fill_contiguous_holes_match_brute_force(monkeypatch, kind):
     valid = _hole_mask(kind)
     H, W = valid.shape
     data = np.where(valid, np.arange(H * W).reshape(H, W), np.nan)[None].astype(np.float32)
-    out = nearest_fill(UVMap(data, valid))
-    assign = naive_nearest_fill_assignment(valid)
-    np.testing.assert_array_equal(out.data, data.reshape(1, -1)[:, assign].reshape(1, H, W))
+    expect = data.reshape(1, -1)[:, naive_nearest_fill_assignment(valid)].reshape(1, H, W)
+    for chunk in (1, uvmap._FILL_CHUNK):
+        monkeypatch.setattr(uvmap, "_FILL_CHUNK", chunk)
+        np.testing.assert_array_equal(nearest_fill(UVMap(data, valid)).data, expect)
 
 
 def test_nearest_fill_square_hole_centre_takes_the_row_major_lowest_tie():
@@ -418,12 +421,15 @@ def test_nearest_fill_square_hole_centre_takes_the_row_major_lowest_tie():
     assert out.data[0, 4, 4] == 2 * 9 + 4
 
 
-def test_nearest_fill_idempotent(heads):
-    layout = cylindrical_unwrap(make_template(21))
-    m = rasterize_uv(heads[0], layout, 16, fill=False)
-    once = nearest_fill(m)
-    twice = nearest_fill(once)
-    np.testing.assert_array_equal(once.data, twice.data)
+def test_nearest_fill_idempotent():
+    for kind in ("square_hole", "corner_pixel", "border_ring"):
+        valid = _hole_mask(kind)
+        data = np.where(valid, np.arange(valid.size).reshape(valid.shape), np.nan)
+        once = nearest_fill(UVMap(data[None], valid))
+        # an unflagged copy, so the second fill searches again
+        twice = nearest_fill(UVMap(once.data, once.valid))
+        np.testing.assert_array_equal(once.data, twice.data)
+        np.testing.assert_array_equal(twice.valid, valid)
 
 
 def test_nearest_fill_all_invalid_errors():
