@@ -208,19 +208,25 @@ def _im2col(x: np.ndarray, cols: np.ndarray, border: bool) -> None:
                 cols[:, :, k, W - 1::W] = 0
 
 
-# Byte budget of one chunk of _conv_raw's im2col (at least one sample).
+# Byte budget of one chunk of a conv's im2col (at least one sample).
 _IM2COL_CHUNK = 1 << 21
+
+
+def _im2col_step(x: np.ndarray) -> int:
+    # Samples of x (N, C, H, W) per im2col chunk: as many as fit in
+    # _IM2COL_CHUNK bytes, at least one, at most N.
+    N, C, H, W = x.shape
+    return min(N, max(1, _IM2COL_CHUNK // (9 * C * H * W * x.itemsize)))
 
 
 def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
     # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W). The N-major im2col
-    # (step, C1*9, H*W) is built a few samples at a time into one buffer,
-    # reused for every chunk, so it stays within _IM2COL_CHUNK bytes (or one
-    # sample) whatever N is. Stacked matmul runs one GEMM per sample, so the
-    # result is bitwise the one-shot im2col's.
+    # (step, C1*9, H*W) is built _im2col_step samples at a time into one
+    # buffer, reused for every chunk. Stacked matmul runs one GEMM per
+    # sample, so the result is bitwise the one-shot im2col's.
     N, C1, H, W = x.shape
     out = np.empty((N, w2.shape[0], H * W), dtype=np.result_type(w2, x))
-    step = min(N, max(1, _IM2COL_CHUNK // (9 * C1 * H * W * x.itemsize)))
+    step = _im2col_step(x)
     buf = np.empty((step, C1, 9, H * W), dtype=x.dtype)
     for i in range(0, N, step):
         xs = x[i:i + step]
@@ -231,17 +237,29 @@ def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # dW = g (C2, N*H*W) @ cols^T with the channel-major im2col
-    # (C1*9, N*H*W), written by _im2col through an (N, C1, 9, H*W) view of
-    # it: only g, with C2 channels, needs a transpose, not the 9*C1-row
-    # im2col. It is not chunked like _conv_raw: splitting the K = N*H*W sum
-    # would change bits.
+    # dW = g (C2, N*H*W) @ cols^T, the K = N*H*W sum taken _im2col_step
+    # samples at a time. Each chunk's channel-major im2col (C1*9, n*H*W) is
+    # written by _im2col through an (n, C1, 9, H*W) view of the front of
+    # one reused buffer: only g's chunk, with C2 channels, needs a
+    # transpose, not the 9*C1-row im2col. The chunk products are added in
+    # chunk order into the first; a shorter last chunk moves the border
+    # rows within the buffer, so it zeroes them again.
     N, C1, H, W = x.shape
-    C2 = g.shape[1]
-    cols = np.empty((C1, 9, N, H * W), dtype=x.dtype)
-    _im2col(x, cols.transpose(2, 0, 1, 3), border=True)
-    gf = g.reshape(N, C2, H * W).transpose(1, 0, 2).reshape(C2, N * H * W)
-    return (gf @ cols.reshape(C1 * 9, N * H * W).T).reshape(C2, C1, 3, 3)
+    C2, L = g.shape[1], H * W
+    step = _im2col_step(x)
+    buf = np.empty(C1 * 9 * step * L, dtype=x.dtype)
+    gt = g.reshape(N, C2, L).transpose(1, 0, 2)
+    dw = None
+    for i in range(0, N, step):
+        n = min(step, N - i)
+        cols = buf[:C1 * 9 * n * L].reshape(C1, 9, n, L)
+        _im2col(x[i:i + n], cols.transpose(2, 0, 1, 3), border=i == 0 or n < step)
+        part = gt[:, i:i + n].reshape(C2, n * L) @ cols.reshape(C1 * 9, n * L).T
+        if dw is None:
+            dw = part
+        else:
+            dw += part
+    return dw.reshape(C2, C1, 3, 3)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

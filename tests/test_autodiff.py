@@ -107,29 +107,56 @@ def test_conv2d_im2col_chunks_are_bitwise_the_one_shot_gemm(dtype, samples, monk
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hw", SMALL_MAPS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
-def test_conv_weight_grad_is_bitwise_the_one_gemm_oracle(dtype, hw):
+def test_conv_weight_grad_is_bitwise_the_one_gemm_oracle(dtype, hw, monkeypatch):
+    # dW is the one-GEMM oracle of each sample chunk, summed in chunk order.
+    # Budgets of 1 byte, one sample's im2col and three samples' (N = 7
+    # leaves a partial last chunk, whose border rows sit elsewhere in the
+    # reused buffer), and the whole batch's: one chunk, the oracle itself
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((3, 2, *hw)).astype(dtype)
-    g = rng.standard_normal((3, 4, *hw)).astype(dtype)
-    got = ad._conv_weight_grad(x, g)
-    want = reference_conv_weight_grad(x, g)
-    assert got.dtype == want.dtype == dtype
-    assert got.tobytes() == want.tobytes()
+    N, C1, C2 = 7, 3, 4
+    H, W = hw
+    x = rng.standard_normal((N, C1, H, W)).astype(dtype)
+    g = rng.standard_normal((N, C2, H, W)).astype(dtype)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    naive = np.array([[[[np.sum(g[:, o] * xp[:, c, i:i + H, j:j + W]) for j in range(3)]
+                        for i in range(3)] for c in range(C1)] for o in range(C2)])
+    for samples in (0, 1, 3, N):
+        monkeypatch.setattr(ad, "_IM2COL_CHUNK",
+                            max(1, samples * 9 * C1 * H * W * x.itemsize))
+        step = max(1, samples)
+        want = reference_conv_weight_grad(x[:step], g[:step])
+        for i in range(step, N, step):
+            want += reference_conv_weight_grad(x[i:i + step], g[i:i + step])
+        got = ad._conv_weight_grad(x, g)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), samples
+        if dtype == np.float64:
+            np.testing.assert_allclose(got, naive, rtol=1e-12)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
-    # the one-shot im2col of this input alone is 9x its 8.4 MB
+    # the one-shot im2col of this input alone is 9x its 8.4 MB, in the
+    # forward and in the weight gradient alike
     rng = np.random.default_rng(12)
-    x = ad.Tensor(rng.standard_normal((32, 16, 64, 64)).astype(np.float32))
-    w = ad.Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32))
-    b = ad.Tensor(np.zeros(16, dtype=np.float32))
-    tracemalloc.start()
-    try:
-        out = ad.conv2d(x, w, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    x = rng.standard_normal((32, 16, 64, 64)).astype(np.float32)
+    w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+    tape = ad.Tape()
+    leaves = tape.leaf(x), tape.leaf(w), tape.leaf(np.zeros(16, dtype=np.float32))
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    out, peak = _traced_peak(ad.conv2d, *leaves)
     assert peak < out.data.nbytes + 2 * ad._IM2COL_CHUNK
+    (_, dw, _), peak = _traced_peak(tape.records[-1].backward_fn, g, (False, True, False))
+    g_chunk = g[:ad._im2col_step(x)].nbytes
+    assert peak < dw.nbytes + g_chunk + 2 * ad._IM2COL_CHUNK
 
 
 def test_conv2d_shape_errors_name_dimensions():
