@@ -72,13 +72,12 @@ def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf,
     iod = float(np.linalg.norm(le - re))
     if iod < 1e-12:
         raise ValueError("degenerate inter-ocular distance")
-    normals = gt.vertex_normals()
-    transform, converged = icp_point_to_plane(pred, gt, max_iter=icp_max_iter,
-                                              normals=normals)
+    transform, converged = icp_point_to_plane(pred, gt, max_iter=icp_max_iter)
     p = transform.apply(pred.vertices)
     keep = np.linalg.norm(gt.vertices - gt.landmark_point("nose-tip"), axis=1) <= crop_radius
     if not keep.any():
         raise ValueError("crop radius excludes every vertex")
+    normals = gt.vertex_normals()
     d = np.einsum("ij,ij->i", (p - gt.vertices)[keep], normals[keep])
     return float(np.sqrt(np.mean(d * d)) / iod), converged
 

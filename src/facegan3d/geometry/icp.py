@@ -32,23 +32,20 @@ def _rodrigues(omega: np.ndarray) -> np.ndarray:
 
 
 def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
-                       tol: float = 1e-12, normals: np.ndarray | None = None
-                       ) -> tuple[SimilarityTransform, bool]:
+                       tol: float = 1e-12) -> tuple[SimilarityTransform, bool]:
     """Rigid transform (a similarity of scale 1) minimizing the
     point-to-plane error of source vertex *i* against target vertex *i*
     (normals from the target's area-weighted vertex normals), and whether
     it converged: an update step fell below ``tol`` within ``max_iter``
     iterations. The pairing is the shared vertex order, not a
-    nearest-neighbour search, so the vertex counts must match. A caller
-    that already has ``target.vertex_normals()`` passes them as
-    ``normals``."""
+    nearest-neighbour search, so the vertex counts must match."""
     if source.num_vertices < 6:
         raise ValueError(f"need at least 6 correspondences, got {source.num_vertices}")
     if source.num_vertices != target.num_vertices:
         raise ValueError(f"source has {source.num_vertices} vertices, target "
                          f"{target.num_vertices}: the pairing is by vertex index")
     c = target.vertices
-    n = target.vertex_normals() if normals is None else normals
+    n = target.vertex_normals()
     R = np.eye(3)
     t = np.zeros(3)
     converged = False

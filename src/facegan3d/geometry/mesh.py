@@ -60,11 +60,9 @@ class Mesh:
     def vertex_normals(self) -> np.ndarray:
         """Area-weighted average of incident face normals, unit length."""
         fn = self.face_normals()
-        # one sequential sum per coordinate: every face's first corner, then
-        # its second, then its third
-        corners = self.faces.T.ravel()
-        vn = np.stack([np.bincount(corners, weights=np.tile(fn[:, c], 3),
-                                   minlength=len(self.vertices)) for c in range(3)], axis=1)
+        vn = np.zeros_like(self.vertices)
+        for k in range(3):
+            np.add.at(vn, self.faces[:, k], fn)
         norms = np.linalg.norm(vn, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return vn / norms

@@ -194,20 +194,6 @@ def point_to_plane_residual(source_pts, target):
     return float(np.sqrt(total / len(source_pts)))
 
 
-def reference_vertex_normals(mesh):
-    """Unit vertex normals, each the sum of its faces' cross-product
-    normals accumulated with ``np.add.at``: first corners, then second,
-    then third. Unreferenced vertices keep a zero normal."""
-    v, f = mesh.vertices, mesh.faces
-    fn = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    vn = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(vn, f[:, k], fn)
-    norms = np.linalg.norm(vn, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return vn / norms
-
-
 def reference_kabsch(source_pts, target_pts):
     """Rotation R and translation t (no scale, no reflection) minimising
     the summed squared distance of R @ source_i + t to target_i."""

@@ -8,7 +8,6 @@ import pytest
 from facegan3d.evaluation import (ErrorDistribution, ced_auc_fr,
                                   generalization_errors, rmse3d_translation,
                                   specificity)
-from facegan3d.geometry import Mesh
 from facegan3d.pca import pca_fit, pca_project, pca_reconstruct
 from facegan3d.synthetic import make_template, synth_dataset
 
@@ -151,22 +150,6 @@ def test_rmse3d_normalized_by_interocular():
     pred2 = wide.with_vertices(wide.vertices + wide.vertex_normals() * 0.01)
     assert rmse3d_translation(pred2, wide, icp_max_iter=0)[0] == pytest.approx(
         base * 0.5, rel=0.2)
-
-
-def test_rmse3d_computes_the_target_normals_once(monkeypatch):
-    tpl = make_template(13)
-    pred = tpl.with_vertices(tpl.vertices + 0.01)
-    calls = []
-    normals = Mesh.vertex_normals
-
-    def counted(mesh):
-        calls.append(mesh)
-        return normals(mesh)
-
-    want = rmse3d_translation(pred, tpl)
-    monkeypatch.setattr(Mesh, "vertex_normals", counted)
-    assert rmse3d_translation(pred, tpl) == want
-    assert len(calls) == 1 and calls[0] is tpl
 
 
 def test_rmse3d_degenerate_interocular_errors():

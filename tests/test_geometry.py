@@ -19,8 +19,7 @@ from facegan3d.synthetic import make_template, synth_dataset
 
 from oracles import (naive_nearest_fill_assignment, point_in_triangle,
                      point_to_plane_residual, reference_kabsch,
-                     reference_rasterize_layout, reference_save_obj,
-                     reference_vertex_normals)
+                     reference_rasterize_layout, reference_save_obj)
 
 
 def rand_rotation(rng):
@@ -472,18 +471,6 @@ def test_uvmap_values_in_range_after_normalize(heads):
 
 # ---------------------------------------------------------------------------
 # icp
-
-
-def test_vertex_normals_are_bitwise_the_add_at_sum(heads):
-    # the synthetic heads, a noisy copy, and a mesh with a degenerate face
-    # and an unreferenced vertex, whose normal stays zero
-    rng = np.random.default_rng(31)
-    noisy = heads[0].with_vertices(heads[0].vertices
-                                   + 0.01 * rng.standard_normal(heads[0].vertices.shape))
-    odd = Mesh(rng.standard_normal((5, 3)), np.array([[0, 1, 2], [2, 1, 3], [1, 1, 3]]))
-    for m in (*heads, noisy, odd):
-        assert m.vertex_normals().tobytes() == reference_vertex_normals(m).tobytes()
-    assert not odd.vertex_normals()[4].any()
 
 
 def test_icp_identity():
