@@ -5,8 +5,10 @@ The three binary kinds share one container: the kind's 4-byte magic, then
 ``FORMAT_VERSION`` and the header length as little-endian uint32s, then a
 sorted-key UTF-8 JSON header with the kind's metadata and each array's
 name, dtype and shape, then the arrays' little-endian bytes in header
-order. Writes are atomic; a read rejects any defect with a
-DataFormatError naming the file. Every kind round-trips bitwise.
+order. Writes are atomic. A read takes the arrays one at a time from the
+open file, each straight into its own buffer, so no copy of the whole
+file is ever held; it rejects any defect with a DataFormatError naming
+the file. Every kind round-trips bitwise.
 """
 
 from __future__ import annotations
@@ -61,40 +63,46 @@ def _load(path, magic: bytes, decode):
     """``decode(meta, arrays)`` of the container at ``path``. A defect that
     the reader, ``decode`` or the constructors it calls find is a
     DataFormatError naming the file."""
-    buf = Path(path).read_bytes()
-    try:
-        return decode(*_parse(buf, magic))
-    except DataFormatError as e:
-        raise DataFormatError(f"{path}: {e}") from e
-    except (ValueError, KeyError, TypeError, ArithmeticError) as e:  # NonFiniteError too
-        raise DataFormatError(f"{path}: {type(e).__name__}: {e}") from e
+    with open(path, "rb") as fh:
+        try:
+            return decode(*_parse(fh, magic))
+        except DataFormatError as e:
+            raise DataFormatError(f"{path}: {e}") from e
+        except (ValueError, KeyError, TypeError, ArithmeticError) as e:  # NonFiniteError too
+            raise DataFormatError(f"{path}: {type(e).__name__}: {e}") from e
 
 
-def _parse(buf: bytes, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    if len(buf) < _PREAMBLE.size:
+def _parse(fh, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and arrays of the container in the binary file ``fh``, read
+    from its start. Each array's size is checked against what is left of
+    the file before its buffer is allocated."""
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    preamble = fh.read(_PREAMBLE.size)
+    if len(preamble) < _PREAMBLE.size:
         raise DataFormatError("truncated preamble")
-    got, version, nheader = _PREAMBLE.unpack_from(buf)
+    got, version, nheader = _PREAMBLE.unpack(preamble)
     if got != magic:
         raise DataFormatError(f"bad magic {got!r}, expected {magic!r}")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"unsupported format version {version}")
-    offset = _PREAMBLE.size + nheader
-    if len(buf) < offset:
+    if nheader > size - _PREAMBLE.size:
         raise DataFormatError("truncated header")
-    header = json.loads(buf[_PREAMBLE.size:offset].decode("utf-8"))
+    header = json.loads(fh.read(nheader).decode("utf-8"))
     arrays = {}
     for entry in header["arrays"]:
         name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
         if (name in arrays or dtype not in _DTYPES
                 or not all(type(d) is int and d >= 0 for d in shape)):
             raise DataFormatError(f"bad array entry {entry}")
-        count = math.prod(shape)
-        if len(buf) < offset + count * _DTYPES[dtype].itemsize:
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
+        if nbytes > size - fh.tell():
             raise DataFormatError(f"truncated in array {name!r}")
-        arrays[name] = np.frombuffer(buf, _DTYPES[dtype], count, offset).reshape(shape).copy()
-        offset += arrays[name].nbytes
-    if offset != len(buf):
-        raise DataFormatError(f"{len(buf) - offset} trailing bytes")
+        arrays[name] = np.empty(shape, _DTYPES[dtype])
+        if fh.readinto(arrays[name]) != nbytes:
+            raise DataFormatError(f"truncated in array {name!r}")
+    if fh.tell() != size:
+        raise DataFormatError(f"{size - fh.tell()} trailing bytes")
     return header["meta"], arrays
 
 

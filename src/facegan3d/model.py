@@ -137,13 +137,21 @@ def _uniform(rng, shape, fan_in, dtype, gain=2.0):
 
 
 # Most samples per forward-only call, which bounds the activations live at
-# once.
-_CHUNK = 8
+# once. A forward's peak is the widest conv's input and output for the
+# slice plus one sample's im2col: at res 64 and filters 16, 1 MB per map
+# beside a 4.7 MB im2col. Two maps keep the activations well under the
+# im2col, and cost no time: translate_map of 16 maps plus decode_batch of
+# 32 latents (res 64, filters 16) took 244 / 248 / 236 / 280 ms at
+# 8 / 4 / 2 / 1 maps per slice, medians of 8 alternating rounds in one
+# process, and 183 / 191 / 169 / 204 ms in a 16-round re-run.
+# Only one map per slice is slower: its GEMMs and per-op overhead no
+# longer amortise.
+_CHUNK = 2
 
 
 def batches(n: int) -> list[slice]:
-    """Slices of range(n), at most _CHUNK long and as even as can be: the
-    one split of every forward-only run over a stack. The largest slice
+    """Slices of range(n), at most _CHUNK (2) long and as even as can be:
+    the one split of every forward-only run over a stack. The largest slice
     sets the peak activations, so even slices keep it lowest."""
     k = -(-n // _CHUNK)
     return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
@@ -152,8 +160,9 @@ def batches(n: int) -> list[slice]:
 def translate_map(net: Network, maps: np.ndarray,
                   onehots: np.ndarray | None = None) -> np.ndarray:
     """The net's outputs for the (N, 3, H, W) ``maps``, under the (N, L)
-    ``onehots`` when given, run in :func:`batches` slices; an empty stack
-    gives an empty stack. A map's output does not depend on its batch-mates."""
+    ``onehots`` when given, run in :func:`batches` slices of at most 2
+    maps; an empty stack gives an empty stack. A map's output does not
+    depend on its batch-mates."""
     outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).output.data
             for c in batches(len(maps))]
     return np.concatenate(outs) if outs else np.zeros(maps.shape, dtype=np.float32)

@@ -174,7 +174,8 @@ def test_resumed_train_is_bitwise_equal_to_uninterrupted(work, capsys):
 def with_frozen_key(src, dst, frozen):
     """``src`` rewritten as an older writer saved it, with the frozen
     groups in its header."""
-    meta, arrays = io._parse(src.read_bytes(), io.CHECKPOINT_MAGIC)
+    with open(src, "rb") as fh:
+        meta, arrays = io._parse(fh, io.CHECKPOINT_MAGIC)
     io._save(dst, io.CHECKPOINT_MAGIC, {**meta, "frozen": frozen},
              [(name, arr, arr.dtype) for name, arr in arrays.items()])
 

@@ -5,6 +5,7 @@ magics and versions, malformed headers, and atomic writes."""
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,41 @@ def test_checkpoint_header_and_payload_boundary_truncations(tmp_path):
         cut.write_bytes(blob[:n])
         with pytest.raises(DataFormatError, match=re.escape(str(cut))):
             io.load_checkpoint(cut)
+
+
+def test_an_absurd_array_shape_is_a_truncation_not_an_allocation(tmp_path):
+    """Each array's size is checked against what is left of the file before
+    its buffer is allocated, so a 4 TB shape fails at once."""
+    io.save_uvmap(tmp_path / "m", tiny_map())
+    blob = (tmp_path / "m").read_bytes()
+    offset, header = header_of(blob)
+    header["arrays"][0]["shape"] = [2 ** 40]
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    (tmp_path / "m").write_bytes(blob[:4] + struct.pack("<II", io.FORMAT_VERSION, len(raw))
+                                 + raw + blob[offset:])
+    with pytest.raises(DataFormatError, match="truncated in array 'data'"):
+        io.load_uvmap(tmp_path / "m")
+
+
+def test_checkpoint_load_holds_no_copy_of_the_file(tmp_path):
+    """A filters-16 net with Adam moments for every tensor, a 6.5 MiB file:
+    the load's traced peak is the arrays it returns, within 1 MiB, not the
+    file's bytes plus a copy of each array."""
+    rng = np.random.default_rng(0)
+    net = Network.build(NetConfig(32, 16, 16), rng)
+    adam = AdamState()
+    for t in net.params.tensors():
+        adam.m[t.node_id] = rng.standard_normal(t.shape).astype(np.float32)
+        adam.v[t.node_id] = rng.random(t.shape).astype(np.float32)
+    io.save_checkpoint(tmp_path / "a.ckpt", net, adam=adam)
+    size = (tmp_path / "a.ckpt").stat().st_size
+    tracemalloc.start()
+    try:
+        io.load_checkpoint(tmp_path / "a.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + (1 << 20), (peak, size)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -2,6 +2,8 @@
 groups each training phase updates, the bottleneck factorization, init
 determinism, and the batched forward-only path over map stacks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,7 +258,7 @@ def test_batches_tile_the_range_in_even_slices():
 @pytest.mark.parametrize("res", [32, 64])
 def test_every_row_of_a_chunked_path_is_that_row_run_alone(res, labels):
     """translate_map, collect_bottlenecks, decode_batch and
-    reconstruction_l1 run 19 maps in slices of 6-7; each row's result is
+    reconstruction_l1 run 19 maps in slices of 1-2; each row's result is
     bitwise the same row run alone. At filters 16 the level-16 skip
     projection has 80 channels on 2x2 (res 32) or 4x4 (res 64) maps."""
     n = 19
@@ -281,6 +283,27 @@ def test_every_row_of_a_chunked_path_is_that_row_run_alone(res, labels):
     y = alone + np.float32(1e-3) * rng.standard_normal(alone.shape, dtype=np.float32)
     assert reconstruction_l1(net, PairedDataset(x, y, onehots)) == \
         float(np.mean(np.mean(np.abs(alone - y), axis=(1, 2, 3))))
+
+
+def test_translate_map_peak_is_two_maps_widest_activation_and_one_im2col():
+    """16 res-64 maps at filters 16: the widest conv, enc.block1's 32-channel
+    64x64 one, holds its input and output for a 2-map slice beside one
+    sample's im2col; the 16 outputs and their concatenation come on top,
+    with 0.5 MiB for the ELU chunk, the input leaf and small arrays. 4-map
+    slices read 10.1 MiB and 8-map ones 14.9 MiB against this 8.5 MiB."""
+    res, n = 64, 16
+    net = small_net(cfg=NetConfig(resolution=res, base_filters=n, latent_dim=16))
+    x = np.random.default_rng(5).uniform(-1, 1, (16, 3, res, res)).astype(np.float32)
+    widest = 2 * (2 * n) * res * res * 4
+    im2col = (2 * n) * 9 * res * res * 4
+    bound = 2 * widest + im2col + 2 * x.nbytes + (1 << 19)
+    tracemalloc.start()
+    try:
+        translate_map(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_translate_map_of_an_empty_stack_is_empty():
