@@ -15,7 +15,7 @@ a step's activations are freed by refcount when the step ends, not when
 the cyclic garbage collector next runs.
 
 Training runs in float32; gradient checking should build the graph in
-float64 (see :func:`check_gradients`).
+float64 (see ``check_gradients`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -127,8 +127,15 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
-def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> None:
+def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor],
+             grad: np.ndarray | None = None) -> None:
     """Accumulate d loss / d p into ``p.grad`` for each ``p`` in ``params``.
+
+    ``grad`` is the gradient the walk starts from at ``loss``. When it is
+    omitted, ``loss`` must be a scalar and the gradient is 1. When it is
+    given, ``loss`` may be any output on the tape and ``grad`` must have its
+    shape; this continues a backward that another tape took as far as
+    ``loss``. The walk may write into ``grad``.
 
     Walks the tape once, in reverse, and consumes it: each record is
     dropped once its backward has run, which frees that op's saved inputs
@@ -138,13 +145,18 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> None:
     gradients in that set. Unreachable params get zero grads.
     """
     tape._check_open()
-    if loss.data.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if grad is None:
+        if loss.data.size != 1:
+            raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        grad = np.ones_like(loss.data)
+    elif grad.shape != loss.data.shape:
+        raise ShapeError(f"backward's grad has shape {grad.shape}, "
+                         f"its output {loss.data.shape}")
     if tape is not loss._tape:
         raise ValueError("loss does not live on this tape")
     tape.consumed = True
     wanted = {p.node_id for p in params}
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = grad
     records = tape.records
     while records:
         rec = records.pop()
@@ -591,43 +603,3 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
         mhat = m / p.data.dtype.type(c1)
         vhat = v / p.data.dtype.type(c2)
         p.data -= p.data.dtype.type(lr) * mhat / (np.sqrt(vhat) + p.data.dtype.type(state.eps))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def check_gradients(build: Callable[[], tuple[Tape, Tensor]],
-                    params: Sequence[Tensor], eps: float = 1e-4) -> float:
-    """Compare tape gradients against central finite differences.
-
-    ``build`` must construct a fresh (tape, scalar loss) from the parameters'
-    current data every call. Parameters should be float64; finite differences
-    at float32 are meaningless. Returns the worst relative error. Only the
-    first tape is walked; the finite-difference tapes are read for their loss
-    and left un-walked, to the cyclic garbage collector (this is test
-    infrastructure, not a training path).
-
-    Every coordinate is checked, and each |analytic - numeric| is divided by
-    that coordinate's own magnitude, floored at 1e-6: the strict measure for
-    single ops and small nets with inputs kept away from activation kinks.
-    """
-    tape, loss = build()
-    zero_grad(params)
-    backward(tape, loss, params=params)
-    analytic = {p.node_id: np.array(p.grad, copy=True) for p in params}
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        aflat = analytic[p.node_id].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp = float(build()[1].data)
-            flat[i] = orig - eps
-            lm = float(build()[1].data)
-            flat[i] = orig
-            num = (lp - lm) / (2.0 * eps)
-            a = float(aflat[i])
-            worst = max(worst, abs(a - num) / max(abs(a), abs(num), 1e-6))
-    return worst

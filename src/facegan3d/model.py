@@ -300,30 +300,3 @@ class Network:
         z, feats = self.encode(x, tape, labels=labels)
         return ForwardPass(self.decode(z, tape, skips=feats), z)
 
-
-def expected_parameter_count(config: NetConfig) -> int:
-    """Closed-form parameter count from the layer table; used as an
-    arithmetic cross-check of the built network."""
-    n = config.base_filters
-    h32 = config.resolution // 32
-    total = 0
-
-    def conv(c1, c2):
-        return c2 * c1 * 9 + c2
-
-    total += conv(config.in_channels, n)
-    for k in range(1, 6):
-        c1 = ENC_CHANNEL_STEPS[k - 1] * n
-        c2 = ENC_CHANNEL_STEPS[k] * n
-        total += conv(c1, c2) + conv(c2, c2)
-    total += 2 * conv(6 * n, 6 * n)
-    d_in = h32 * h32 * 6 * n
-    total += config.latent_dim * d_in + config.latent_dim
-    d_out = h32 * h32 * n
-    total += d_out * config.latent_dim + d_out
-    total += 6 * 2 * conv(n, n)
-    total += conv(n, 3)
-    for lv in config.skip_levels:
-        c_enc = (int(np.log2(lv)) + 1) * n
-        total += n * c_enc + n
-    return total

@@ -16,14 +16,21 @@ With L(v) = ||v - D(v)||_1 (elementwise mean):
     L_D = E[L(y)] - lambda_adv * E[L(G(x))]
     L_G = E[L(G(x))] + lambda_rec * E||G(x) - y||_1
 
-During the D update the generator output is detached; during the G update
-the gradient flows through all of D but D's parameters are not in the G
-update's list (each update trains its own net's ``ADVERSARIAL_GROUPS``).
+During the D update the generator output is a constant; during the G
+update the gradient flows through all of D but D's parameters are not in
+the G update's list (each update trains its own net's
+``ADVERSARIAL_GROUPS``). So that at most one net's forward is live on a
+tape at a time, G runs twice per step: once off any tape, for the output
+that the D update reads, and once more on its own tape for the G update.
 The two terms of L_D are backpropagated on separate tapes, one after the
-other, so at most two forwards (G's and one of D's) are live at once.
-Each D parameter's gradient is still the sum of exactly the same two
-contributions, and a two-term float sum does not depend on its order, so
-the update is bitwise the one-tape update.
+other. The G update's pass through the updated D has its own tape too,
+from a leaf that holds G(x): its backward yields dL_G/dG(x), and G's
+second forward backpropagates from that gradient. Each D parameter's
+gradient is the same two contributions as on one tape, and a two-term
+float sum does not depend on its order; dL_G/dG(x) is summed in the
+one-tape order. So the step is bitwise the one-tape step, which
+``test_two_tape_d_update_is_the_one_tape_update_bitwise`` pins with and
+without labels.
 """
 
 from __future__ import annotations
@@ -194,20 +201,18 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     d_params = d_net.params.tensors(*ADVERSARIAL_GROUPS)
     g_params = g_net.params.tensors(*ADVERSARIAL_GROUPS)
 
-    # generator forward (kept on its tape for the G update)
-    tape = Tape()
-    gx = g_net.forward(x, tape, labels=labels).output
+    # generator forward off any tape: only the D update reads its output
+    gx = g_net.forward(x, labels=labels).output.data
 
     # ---- D update: generator output is a constant here. The two terms
     # share only D's parameters, so each is backpropagated on its own tape,
-    # and one D forward is live at a time next to G's. backward adds into
-    # p.grad, so each parameter gets the same two contributions as on one
-    # tape, and their float sum is the same either way round.
+    # and one D forward is live at a time. backward adds into p.grad, so
+    # each parameter gets the same two contributions as on one tape, and
+    # their float sum is the same either way round.
     ad.zero_grad(d_params)
-    gx_const = gx.data.copy()
     tape_d = Tape()
-    loss_fake = ad.scale(ad.l1_mean(tape_d.leaf(gx_const),
-                                    d_net.forward(gx_const, tape_d, labels=labels).output),
+    loss_fake = ad.scale(ad.l1_mean(tape_d.leaf(gx),
+                                    d_net.forward(gx, tape_d, labels=labels).output),
                          -config.lambda_adv)
     ad.backward(tape_d, loss_fake, params=d_params)
     tape_d = Tape()
@@ -219,12 +224,20 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     ad.zero_grad(d_net.params.tensors())
 
     # ---- G update: gradient flows through the updated D, whose
-    # parameters are not in the list and so stay constant for this step
-    loss_adv = ad.l1_mean(gx, d_net.forward(gx, tape, labels=labels).output)
-    loss_rec = ad.l1_mean(gx, tape.leaf(y))
+    # parameters are not in the list and so stay constant for this step.
+    # D's pass runs on its own tape from a leaf holding G(x), which
+    # collects dL_G/dG(x) in the one-tape order; then G's forward runs
+    # again, on G's tape, and backpropagates from that gradient.
+    tape_d = Tape()
+    gx_leaf = tape_d.leaf(gx)
+    loss_adv = ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, tape_d, labels=labels).output)
+    loss_rec = ad.l1_mean(gx_leaf, tape_d.leaf(y))
     l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
+    ad.backward(tape_d, l_g, params=[gx_leaf])
+    tape = Tape()
     ad.zero_grad(g_params)
-    ad.backward(tape, l_g, params=g_params)
+    ad.backward(tape, g_net.forward(x, tape, labels=labels).output, params=g_params,
+                grad=gx_leaf.grad)
     ad.adam_step(g_params, adam_g, lr)
     return float(l_d), float(l_g.data), float(loss_rec.data)
 

@@ -13,7 +13,7 @@ from facegan3d import autodiff as ad
 from facegan3d.errors import NonFiniteError, ShapeError
 from facegan3d.model import NetParams
 
-from oracles import (naive_avg_pool2, naive_conv2d, naive_l1_mean,
+from oracles import (check_gradients, naive_avg_pool2, naive_conv2d, naive_l1_mean,
                      naive_matmul_affine, naive_upsample2, reference_adam,
                      reference_conv_raw, reference_conv_weight_grad)
 
@@ -394,6 +394,27 @@ def test_backward_rejects_non_scalar_loss():
         ad.backward(tape, y, params=[x])
 
 
+def test_backward_from_a_seeded_conv_output_gives_its_weight_grad():
+    # seeded with c, the conv's own output starts the walk, so w's grad is
+    # the weight gradient of the sum of c times the output
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((3, 2, 5, 6))
+    w, b = t64(rng.standard_normal((4, 2, 3, 3))), t64(rng.standard_normal(4))
+    c = rng.standard_normal((3, 4, 5, 6))
+    tape = ad.Tape()
+    out = ad.conv2d(tape.leaf(x), w, b)
+    ad.backward(tape, out, params=[w], grad=c)
+    np.testing.assert_allclose(w.grad, reference_conv_weight_grad(x, c), rtol=1e-12)
+
+
+def test_backward_rejects_a_seed_shaped_unlike_its_output():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((2, 3)))
+    y = ad.scale(x, 2.0)
+    with pytest.raises(ShapeError):
+        ad.backward(tape, y, params=[x], grad=np.ones((3, 2)))
+
+
 def test_tape_is_topologically_ordered():
     tape = ad.Tape()
     x = tape.leaf(np.ones((1, 1, 2, 2)))
@@ -536,7 +557,7 @@ def test_operator_gradients_match_finite_differences(op, seed):
             return tape, out
         return tape, ad.l1_mean(out, tape.leaf(np.full_like(out.data, 5.0)))
 
-    err = ad.check_gradients(build, params, eps=1e-4)
+    err = check_gradients(build, params, eps=1e-4)
     assert err < 1e-4, f"{op} seed {seed}: max rel err {err}"
 
 
@@ -562,7 +583,7 @@ def test_composite_net_gradients():
         out = ad.fully_connected(h, w2, b2)
         return tape, ad.scale(ad.sum_all(out), 0.25)
 
-    err = ad.check_gradients(build, params, eps=1e-4)
+    err = check_gradients(build, params, eps=1e-4)
     assert err < 1e-4
 
 
