@@ -8,7 +8,8 @@ or a ``--grid`` below 2), 2 data/format error (e.g. a labelled model on
 unlabelled maps, an unknown ``--label``, an input mesh with a NaN or
 infinite coordinate, a training split too small to fit a Gaussian or PCA
 on, ``evaluate`` on an empty test split, or ``evaluate --task translate``
-on a set that is labelled or has no noisy companions), 3 numerical
+on a set that is labelled, has no noisy companions, lacks a landmark the
+3DRMSE reads or has coinciding outer-eye landmarks), 3 numerical
 failure (a NaN abort, naming the training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units,
@@ -299,18 +300,12 @@ def cmd_evaluate(args) -> int:
         crop = args.crop_radius / meta["scale"]   # input units -> normalised
 
         def rmse(meshes):
-            # per-mesh 3DRMSE, and how many ICP alignments ran out of iterations
-            res = [evaluation.rmse3d_translation(p, g, crop_radius=crop)
-                   for p, g in zip(meshes, test_meshes)]
-            return np.array([r for r, _ in res]), sum(not c for _, c in res)
+            return np.array([evaluation.rmse3d_translation(p, g, crop_radius=crop)
+                             for p, g in zip(meshes, test_meshes)])
 
-        model_rmse, model_unconverged = rmse(preds)
-        ident_rmse, ident_unconverged = rmse(identities)
         summary, curve = _ced_summary(
-            "rmse3d_translation", evaluation.ErrorDistribution(model_rmse), args)
-        summary.update(identity_mean=float(np.mean(ident_rmse)),
-                       icp_unconverged=model_unconverged,
-                       identity_icp_unconverged=ident_unconverged)
+            "rmse3d_translation", evaluation.ErrorDistribution(rmse(preds)), args)
+        summary["identity_mean"] = float(np.mean(rmse(identities)))
         io.write_metric_report(out, "translate", summary, curve)
         print(json.dumps(summary, sort_keys=True))
         return EXIT_OK
@@ -405,7 +400,7 @@ def build_parser() -> _Parser:
     s.add_argument("--task", required=True, choices=["represent", "translate", "specificity"])
     s.add_argument("--data", required=True)
     s.add_argument("--model", required=True,
-                   help="checkpoint path, or 'identity' for the pass-through model")
+                   help="checkpoint path, or 'identity' for the pass-through (represent only)")
     s.add_argument("--label", default=None,
                    help="specificity: the label to encode the training maps under "
                         "before fitting the Gaussian to sample, as in generate")

@@ -8,6 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import DataFormatError
 from .geometry import Mesh, icp_point_to_plane
 
 
@@ -56,30 +57,29 @@ def ced_auc_fr(errs: ErrorDistribution, x_max: float,
     return curve, auc, fr
 
 
-def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf,
-                       icp_max_iter: int = 50) -> tuple[float, bool]:
+def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf) -> float:
     """Root-mean-square point-to-plane distance between a predicted mesh
     and ground truth, after rigid ICP alignment, restricted to gt vertices
     within ``crop_radius`` of the nose tip (all of them by default),
-    normalized by the outer-eye (inter-ocular) distance; and whether the
-    ICP converged within ``icp_max_iter`` iterations. The ICP pairs
+    normalized by the outer-eye (inter-ocular) distance. The ICP pairs
     predicted vertex *i* with gt vertex *i* (both share the template's
-    vertex order), so the alignment minimises the uncropped residual this
-    reports; the ``icp`` name stays until the ``geometry.icp_*`` benchmark
-    metrics are retired."""
+    vertex order), so the alignment (a fixed step budget, no convergence
+    flag) minimises the uncropped residual this reports. A missing or
+    coinciding landmark is a ``DataFormatError``. The ``icp`` name stays
+    until the ``geometry.icp_*`` benchmark metrics are retired."""
     le = gt.landmark_point("left-eye-outer")
     re = gt.landmark_point("right-eye-outer")
     iod = float(np.linalg.norm(le - re))
     if iod < 1e-12:
-        raise ValueError("degenerate inter-ocular distance")
-    transform, converged = icp_point_to_plane(pred, gt, max_iter=icp_max_iter)
-    p = transform.apply(pred.vertices)
+        raise DataFormatError("degenerate inter-ocular distance: landmarks "
+                              "'left-eye-outer' and 'right-eye-outer' coincide")
+    p = icp_point_to_plane(pred, gt).apply(pred.vertices)
     keep = np.linalg.norm(gt.vertices - gt.landmark_point("nose-tip"), axis=1) <= crop_radius
     if not keep.any():
         raise ValueError("crop radius excludes every vertex")
     normals = gt.vertex_normals()
     d = np.einsum("ij,ij->i", (p - gt.vertices)[keep], normals[keep])
-    return float(np.sqrt(np.mean(d * d)) / iod), converged
+    return float(np.sqrt(np.mean(d * d)) / iod)
 
 
 def specificity(samples: Iterable[Mesh],

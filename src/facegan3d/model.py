@@ -94,9 +94,6 @@ class NetParams:
     def group_of(self, name: str) -> str:
         return self._groups[name]
 
-    def num_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors())
-
     def checksum(self, group: str | None = None) -> str:
         h = hashlib.sha256()
         for n, t in self._tensors.items():

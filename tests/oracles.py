@@ -312,3 +312,18 @@ def expected_parameter_count(config):
         c_enc = (int(np.log2(lv)) + 1) * n
         total += n * c_enc + n
     return total
+
+
+def bbox_diagonal(mesh):
+    """Length of the diagonal of a mesh's axis-aligned bounding box."""
+    return float(np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
+
+
+def num_parameters(params):
+    """Scalar count of every tensor of a ``model.NetParams``."""
+    return sum(t.data.size for t in params.tensors())
+
+
+def latent_covariance(g):
+    """Covariance of a ``generation.LatentGaussian``: factor @ factor.T."""
+    return g.factor @ g.factor.T

@@ -14,8 +14,9 @@ import pytest
 
 from facegan3d import autodiff as ad
 from facegan3d import cli, evaluation, generation, io, pipeline
-from facegan3d.geometry import (UVLayout, centroid_size, cylindrical_unwrap, load_obj,
-                                procrustes_points, save_obj)
+from facegan3d.geometry import (UVLayout, centroid_size, cylindrical_unwrap,
+                                load_landmarks, load_obj, procrustes_points,
+                                save_landmarks, save_obj)
 from facegan3d.model import NetConfig, Network
 from facegan3d.training import ADVERSARIAL_GROUPS
 
@@ -591,13 +592,34 @@ def test_resumable_state_holds_one_adam_state_per_checkpoint(work, tmp_path):
             assert set(adam.m) == {p.node_id for p in net.params.tensors(*groups)}
 
 
-def test_translate_report_counts_unconverged_icp(work):
+def test_translate_report_has_exactly_its_summary_keys(work):
     assert run("evaluate", "--task", "translate", "--data", work / "pre",
-               "--model", work / "model.ckpt", "--out", work / "eval_icp") == 0
-    report = json.loads((work / "eval_icp" / "translate.json").read_text())
-    n_test = len(pipeline.load_meta(work / "pre")["test"])
-    for key in ("icp_unconverged", "identity_icp_unconverged"):
-        assert type(report[key]) is int and 0 <= report[key] <= n_test
+               "--model", work / "model.ckpt", "--out", work / "eval_keys") == 0
+    keys = {"metric", "mean", "std", "auc", "fr", "x_max", "threshold", "seed",
+            "identity_mean"}
+    report = json.loads((work / "eval_keys" / "translate.json").read_text())
+    assert set(report) == keys
+    header = (work / "eval_keys" / "translate.csv").read_text().splitlines()[0]
+    assert set(header.split(",")) == keys
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda lms: lms.pop("nose-tip"), "nose-tip"),
+    (lambda lms: lms.update({"right-eye-outer": lms["left-eye-outer"]}), "right-eye-outer"),
+], ids=["missing-nose-tip", "coinciding-eye-corners"])
+def test_translate_bad_landmarks_exit_data_error(work, tmp_path, edit, named, capsys):
+    raw = work / "raw"
+    landmarks = load_landmarks(raw / "landmarks.txt")
+    edit(landmarks)
+    save_landmarks(tmp_path / "landmarks.txt", landmarks)
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", tmp_path / "landmarks.txt", "--res", 32,
+               "--out", tmp_path / "pre") == 0
+    capsys.readouterr()
+    assert run("evaluate", "--task", "translate", "--data", tmp_path / "pre",
+               "--model", work / "model.ckpt", "--out", tmp_path / "eval") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
 
 
 def test_translate_rmse_default_crop_keeps_whole_face(work, capsys):

@@ -8,6 +8,7 @@ import pytest
 from facegan3d.evaluation import (ErrorDistribution, ced_auc_fr,
                                   generalization_errors, rmse3d_translation,
                                   specificity)
+from facegan3d.geometry import icp_point_to_plane
 from facegan3d.pca import pca_fit, pca_project, pca_reconstruct
 from facegan3d.synthetic import make_template, synth_dataset
 
@@ -91,9 +92,7 @@ def test_ced_empty_errors():
 
 def test_rmse3d_identical_is_zero():
     tpl = make_template(13)
-    rmse, converged = rmse3d_translation(tpl, tpl)
-    assert rmse == pytest.approx(0.0, abs=1e-12)
-    assert converged is True
+    assert rmse3d_translation(tpl, tpl) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rmse3d_rigid_motion_removed():
@@ -105,9 +104,7 @@ def test_rmse3d_rigid_motion_removed():
     K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
     R = np.eye(3) + np.sin(ang) * K + (1 - np.cos(ang)) * (K @ K)
     moved = tpl.with_vertices(tpl.vertices @ R.T + [0.05, -0.02, 0.01])
-    rmse, converged = rmse3d_translation(moved, tpl)
-    assert rmse < 1e-6
-    assert converged
+    assert rmse3d_translation(moved, tpl) < 1e-6
 
 
 def test_rmse3d_crop_restricts_to_nose_region():
@@ -118,10 +115,15 @@ def test_rmse3d_crop_restricts_to_nose_region():
     d = np.linalg.norm(tpl.vertices - tip, axis=1)
     far[np.argmax(d)] += 0.5
     pred = tpl.with_vertices(far)
-    small_crop, converged = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)),
-                                               icp_max_iter=0)
-    assert small_crop == pytest.approx(0.0, abs=1e-9)
-    assert converged is False   # no ICP iteration ran
+    radius = float(np.median(d))
+    small_crop = rmse3d_translation(pred, tpl, crop_radius=radius)
+    # the fit sees every pair; the crop only picks the residuals scored
+    p = icp_point_to_plane(pred, tpl).apply(far)
+    r = np.einsum("ij,ij->i", p - tpl.vertices, tpl.vertex_normals())[d <= radius]
+    iod = np.linalg.norm(tpl.landmark_point("left-eye-outer")
+                         - tpl.landmark_point("right-eye-outer"))
+    assert small_crop == pytest.approx(np.sqrt(np.mean(r * r)) / iod, abs=1e-9)
+    assert small_crop < rmse3d_translation(pred, tpl)
 
 
 def test_rmse3d_default_keeps_whole_face():
@@ -129,17 +131,16 @@ def test_rmse3d_default_keeps_whole_face():
     pred = tpl.with_vertices(tpl.vertices + np.random.default_rng(24).normal(
         0, 0.01, tpl.vertices.shape))
     d = np.linalg.norm(tpl.vertices - tpl.vertices[tpl.landmarks["nose-tip"]], axis=1)
-    whole, _ = rmse3d_translation(pred, tpl, icp_max_iter=0)
-    assert rmse3d_translation(pred, tpl, crop_radius=1e9, icp_max_iter=0)[0] == whole
-    cropped, _ = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)),
-                                    icp_max_iter=0)
+    whole = rmse3d_translation(pred, tpl)
+    assert rmse3d_translation(pred, tpl, crop_radius=1e9) == whole
+    cropped = rmse3d_translation(pred, tpl, crop_radius=float(np.median(d)))
     assert cropped != whole
 
 
 def test_rmse3d_normalized_by_interocular():
     tpl = make_template(13)
     pred = tpl.with_vertices(tpl.vertices + tpl.vertex_normals() * 0.01)
-    base, _ = rmse3d_translation(pred, tpl, icp_max_iter=0)
+    base = rmse3d_translation(pred, tpl)
     # synthetic landmark pair twice as far apart halves the metric
     v = tpl.vertices.copy()
     le, re = tpl.landmarks["left-eye-outer"], tpl.landmarks["right-eye-outer"]
@@ -148,8 +149,7 @@ def test_rmse3d_normalized_by_interocular():
     v[re] = mid + (v[re] - mid) * 2
     wide = tpl.with_vertices(v)
     pred2 = wide.with_vertices(wide.vertices + wide.vertex_normals() * 0.01)
-    assert rmse3d_translation(pred2, wide, icp_max_iter=0)[0] == pytest.approx(
-        base * 0.5, rel=0.2)
+    assert rmse3d_translation(pred2, wide) == pytest.approx(base * 0.5, rel=0.2)
 
 
 def test_rmse3d_degenerate_interocular_errors():

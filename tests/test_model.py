@@ -14,7 +14,7 @@ from facegan3d.generation import collect_bottlenecks, decode_batch
 from facegan3d.model import NetConfig, Network, batches, translate_map
 from facegan3d.training import ADVERSARIAL_GROUPS, PairedDataset, reconstruction_l1
 
-from oracles import expected_parameter_count
+from oracles import expected_parameter_count, num_parameters
 
 CFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
@@ -45,14 +45,14 @@ def test_parameter_count_matches_layer_arithmetic():
     # encoder 56 + 224 + 552 + 1024 + 1640 + 2400 + 2616, bottlenecks 52 + 10,
     # decoder blocks 456 + head 57, skip projections 22 + 18
     assert expected_parameter_count(CFG) == 9127
-    assert small_net().params.num_parameters() == 9127
+    assert num_parameters(small_net().params) == 9127
 
 
 def test_parameter_count_other_config():
     cfg = NetConfig(resolution=64, base_filters=3, latent_dim=5, label_channels=2,
                     skip_levels=(16,))
     net = Network.build(cfg, np.random.default_rng(2))
-    assert net.params.num_parameters() == expected_parameter_count(cfg)
+    assert num_parameters(net.params) == expected_parameter_count(cfg)
 
 
 def test_output_strictly_inside_tanh_range():
