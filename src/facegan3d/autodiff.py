@@ -405,11 +405,13 @@ def _elu_inplace(z: np.ndarray) -> np.ndarray:
 
 def _elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     # The slope from the output: out >= 0 iff z >= 0, where the slope is 1,
-    # and for z < 0 the slope e^z equals out + 1. So min(out + 1, 1).
+    # and for z < 0 the slope e^z equals out + 1. So min(out + 1, 1). It is
+    # multiplied into g in place, so the slope is freed before the conv's
+    # backward runs; no other record reads g, the output's grad.
     slope = out + 1
     np.minimum(slope, 1, out=slope)
-    slope *= g
-    return slope
+    g *= slope
+    return g
 
 
 def elu(x: Tensor, inplace: bool = False) -> Tensor:

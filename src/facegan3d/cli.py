@@ -292,6 +292,8 @@ def cmd_evaluate(args) -> int:
         if meta["label_names"] or not meta["noisy"]:
             raise DataFormatError(f"{data_dir}: evaluating translation needs an unlabelled "
                                   "set with noisy companions")
+        for gt in test_meshes:   # refuse bad landmarks before the model's forward
+            evaluation.rmse3d_landmarks(gt)
         net = io.load_checkpoint(args.model)[0]
         x, _ = pipeline.load_inputs(data_dir, meta, meta["test"])
         preds = [pipeline.map_to_mesh(m, layout, landmarks) for m in translate_map(net, x)]

@@ -57,6 +57,19 @@ def ced_auc_fr(errs: ErrorDistribution, x_max: float,
     return curve, auc, fr
 
 
+def rmse3d_landmarks(gt: Mesh) -> tuple[np.ndarray, float]:
+    """The nose tip and the outer-eye (inter-ocular) distance of ``gt``,
+    the two landmark readings of its 3DRMSE. A missing landmark, or
+    coinciding outer-eye landmarks, is a ``DataFormatError``."""
+    nose = gt.landmark_point("nose-tip")
+    iod = float(np.linalg.norm(gt.landmark_point("left-eye-outer")
+                               - gt.landmark_point("right-eye-outer")))
+    if iod < 1e-12:
+        raise DataFormatError("degenerate inter-ocular distance: landmarks "
+                              "'left-eye-outer' and 'right-eye-outer' coincide")
+    return nose, iod
+
+
 def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf) -> float:
     """Root-mean-square point-to-plane distance between a predicted mesh
     and ground truth, after rigid ICP alignment, restricted to gt vertices
@@ -64,17 +77,12 @@ def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf) -> flo
     normalized by the outer-eye (inter-ocular) distance. The ICP pairs
     predicted vertex *i* with gt vertex *i* (both share the template's
     vertex order), so the alignment (a fixed step budget, no convergence
-    flag) minimises the uncropped residual this reports. A missing or
-    coinciding landmark is a ``DataFormatError``. The ``icp`` name stays
-    until the ``geometry.icp_*`` benchmark metrics are retired."""
-    le = gt.landmark_point("left-eye-outer")
-    re = gt.landmark_point("right-eye-outer")
-    iod = float(np.linalg.norm(le - re))
-    if iod < 1e-12:
-        raise DataFormatError("degenerate inter-ocular distance: landmarks "
-                              "'left-eye-outer' and 'right-eye-outer' coincide")
+    flag) minimises the uncropped residual this reports. The landmarks
+    are read by :func:`rmse3d_landmarks`. The ``icp`` name stays until
+    the ``geometry.icp_*`` benchmark metrics are retired."""
+    nose, iod = rmse3d_landmarks(gt)
     p = icp_point_to_plane(pred, gt).apply(pred.vertices)
-    keep = np.linalg.norm(gt.vertices - gt.landmark_point("nose-tip"), axis=1) <= crop_radius
+    keep = np.linalg.norm(gt.vertices - nose, axis=1) <= crop_radius
     if not keep.any():
         raise ValueError("crop radius excludes every vertex")
     normals = gt.vertex_normals()

@@ -146,11 +146,12 @@ def _uniform(rng, shape, fan_in, dtype, gain=2.0):
 _CHUNK = 2
 
 
-def batches(n: int) -> list[slice]:
-    """Slices of range(n), at most _CHUNK (2) long and as even as can be:
-    the one split of every forward-only run over a stack. The largest slice
-    sets the peak activations, so even slices keep it lowest."""
-    k = -(-n // _CHUNK)
+def batches(n: int, cap: int = _CHUNK) -> list[slice]:
+    """Slices of range(n), at most ``cap`` long and as even as can be: the
+    one split of every run over a stack, forward-only at the default _CHUNK
+    (2), and on a tape in training. The largest slice sets the peak
+    activations, so even slices keep it lowest."""
+    k = -(-n // cap)
     return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 

@@ -19,18 +19,29 @@ With L(v) = ||v - D(v)||_1 (elementwise mean):
 During the D update the generator output is a constant; during the G
 update the gradient flows through all of D but D's parameters are not in
 the G update's list (each update trains its own net's
-``ADVERSARIAL_GROUPS``). So that at most one net's forward is live on a
-tape at a time, G runs twice per step: once off any tape, for the output
-that the D update reads, and once more on its own tape for the G update.
-The two terms of L_D are backpropagated on separate tapes, one after the
-other. The G update's pass through the updated D has its own tape too,
-from a leaf that holds G(x): its backward yields dL_G/dG(x), and G's
-second forward backpropagates from that gradient. Each D parameter's
-gradient is the same two contributions as on one tape, and a two-term
-float sum does not depend on its order; dL_G/dG(x) is summed in the
-one-tape order. So the step is bitwise the one-tape step, which
+``ADVERSARIAL_GROUPS``).
+
+A tape holds its pass's activations, so its size grows with the number
+of maps on it. Every pass on a tape therefore runs on the even slices of
+the batch that ``model.batches(n, _TAPE_MAPS)`` gives, one tape per
+slice, and each slice's loss is scaled by its share of the batch, so the
+gradients that the slices add into ``p.grad`` sum to the gradient of the
+batch mean before each Adam step. The reported losses are the scaled
+slice losses, summed in float32 in slice order. One net's tape is live
+at a time: G runs once off any tape, on the whole batch, for the output
+that the D update reads, and once more per slice on its own tape for the
+G update. The two terms of L_D are backpropagated on separate tapes, one
+after the other. The G update's pass through the updated D has its own
+tape too, from a leaf that holds the slice of G(x): its backward yields
+dL_G/dG(x), and G's forward on that slice backpropagates from that
+gradient. A batch of at most ``_TAPE_MAPS`` maps is one slice, whose
+share is exactly 1; each D parameter's gradient is then the same two
+contributions as on one tape, a two-term float sum does not depend on
+its order, and dL_G/dG(x) is summed in the one-tape order. So such a
+step is bitwise the one-tape step, which
 ``test_two_tape_d_update_is_the_one_tape_update_bitwise`` pins with and
-without labels.
+without labels. A larger batch's step matches the one-tape step up to
+float association: each dW is summed slice by slice.
 """
 
 from __future__ import annotations
@@ -42,11 +53,25 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
 from .errors import NonFiniteError, NumericalError, ShapeError
-from .model import NetConfig, Network, translate_map
+from .model import NetConfig, Network, batches, translate_map
 
 # The parameter groups of D and G that the adversarial phase trains; both
 # decoders (with the skip projections) stay as pretrained.
 ADVERSARIAL_GROUPS = ("encoder", "bottleneck1", "bottleneck2")
+
+# Most maps on one tape. One map's tape is about 0.78 MB at res 32 and
+# filters 16, and scales to about 0.4 GB at the default res 256 and
+# filters 128. Smaller slices cost time, as more, thinner GEMMs and more
+# per-op overhead, and below 4 maps the tape no longer sets the RSS peak. On
+# the benchmark's train workload (res 32, filters 16, batch 16), where the
+# whole batch on one tape read 80.1 MB and 1.49 s, medians over
+# alternating pairs of runs:
+#
+#   slice size | train peak_rss_mb | train phase_s
+#   8          | 69.3 MB           | no resolvable change (+1.0%, 30 pairs)
+#   4          | 66.4 MB           | +0.5% to +8% against 8 (10 pairs)
+#   2          | 66.2 MB           | +30% to +51% against 8 (10 pairs)
+_TAPE_MAPS = 8
 
 
 @dataclass
@@ -178,28 +203,48 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
 
     def step(batch, adams, lr):
         _, y, labels = batch
-        tape = Tape()
-        fp = network.forward(y, tape, labels=labels)
-        loss = ad.l1_mean(tape.leaf(y), fp.output)
         ad.zero_grad(params)
-        ad.backward(tape, loss, params=params)
+        loss = np.float32(0)
+        for s, share in _slices(len(y)):
+            tape = Tape()
+            part = ad.scale(ad.l1_mean(tape.leaf(y[s]),
+                                       network.forward(y[s], tape, labels=_rows(labels, s)).output),
+                            share)
+            ad.backward(tape, part, params=params)
+            loss += part.data
         ad.adam_step(params, adams[0], lr)
-        return float(loss.data)
+        return float(loss)
 
     history = _run_phase("pretrain", dataset, config, config.pretrain_batch,
                          config.pretrain_epochs, rng, (network,), state, step, checkpoint_fn)
     return network, history
 
 
+def _slices(n: int) -> list[tuple[slice, float]]:
+    """The tape slices of a batch of ``n`` maps, each with its share of
+    the batch."""
+    return [(s, (s.stop - s.start) / n) for s in batches(n, _TAPE_MAPS)]
+
+
+def _rows(labels: np.ndarray | None, s: slice) -> np.ndarray | None:
+    return None if labels is None else labels[s]
+
+
 def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
                      d_net: Network, g_net: Network,
                      adam_d: AdamState, adam_g: AdamState,
                      lr: float, config: TrainConfig) -> tuple[float, float, float]:
-    """One D update followed by one G update on a batch. Returns (L_D, L_G,
-    L_rec) as floats."""
+    """One D update followed by one G update on a batch, each pass on a
+    tape run on slices of at most ``_TAPE_MAPS`` maps whose scaled
+    gradients add up to the batch's. Returns (L_D, L_G, L_rec) as
+    floats."""
     x, y, labels = batch
     d_params = d_net.params.tensors(*ADVERSARIAL_GROUPS)
     g_params = g_net.params.tensors(*ADVERSARIAL_GROUPS)
+    # the previous step's G grads are not read again: drop them before D's
+    # passes, so they are not live under D's tapes
+    ad.zero_grad(g_params)
+    slices = _slices(len(x))
 
     # generator forward off any tape: only the D update reads its output
     gx = g_net.forward(x, labels=labels).output.data
@@ -207,39 +252,50 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     # ---- D update: generator output is a constant here. The two terms
     # share only D's parameters, so each is backpropagated on its own tape,
     # and one D forward is live at a time. backward adds into p.grad, so
-    # each parameter gets the same two contributions as on one tape, and
-    # their float sum is the same either way round.
+    # each parameter gets the same contributions as on one tape.
     ad.zero_grad(d_params)
-    tape_d = Tape()
-    loss_fake = ad.scale(ad.l1_mean(tape_d.leaf(gx),
-                                    d_net.forward(gx, tape_d, labels=labels).output),
-                         -config.lambda_adv)
-    ad.backward(tape_d, loss_fake, params=d_params)
-    tape_d = Tape()
-    loss_real = ad.l1_mean(tape_d.leaf(y), d_net.forward(y, tape_d, labels=labels).output)
-    ad.backward(tape_d, loss_real, params=d_params)
+    loss_fake = loss_real = np.float32(0)
+    for s, share in slices:
+        lab = _rows(labels, s)
+        tape_d = Tape()
+        fake = ad.scale(ad.l1_mean(tape_d.leaf(gx[s]),
+                                   d_net.forward(gx[s], tape_d, labels=lab).output),
+                        -config.lambda_adv * share)
+        ad.backward(tape_d, fake, params=d_params)
+        tape_d = Tape()
+        real = ad.scale(ad.l1_mean(tape_d.leaf(y[s]),
+                                   d_net.forward(y[s], tape_d, labels=lab).output), share)
+        ad.backward(tape_d, real, params=d_params)
+        loss_fake += fake.data
+        loss_real += real.data
     ad.adam_step(d_params, adam_d, lr)
-    l_d = loss_real.data + loss_fake.data   # the float32 add of ad.add
+    l_d = loss_real + loss_fake   # the float32 add of ad.add
     # all of D, decoder too, so the G update's isolation shows
     ad.zero_grad(d_net.params.tensors())
 
     # ---- G update: gradient flows through the updated D, whose
     # parameters are not in the list and so stay constant for this step.
-    # D's pass runs on its own tape from a leaf holding G(x), which
-    # collects dL_G/dG(x) in the one-tape order; then G's forward runs
-    # again, on G's tape, and backpropagates from that gradient.
-    tape_d = Tape()
-    gx_leaf = tape_d.leaf(gx)
-    loss_adv = ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, tape_d, labels=labels).output)
-    loss_rec = ad.l1_mean(gx_leaf, tape_d.leaf(y))
-    l_g = ad.add(loss_adv, ad.scale(loss_rec, config.lambda_rec))
-    ad.backward(tape_d, l_g, params=[gx_leaf])
-    tape = Tape()
-    ad.zero_grad(g_params)
-    ad.backward(tape, g_net.forward(x, tape, labels=labels).output, params=g_params,
-                grad=gx_leaf.grad)
+    # Per slice, D's pass runs on its own tape from a leaf holding that
+    # slice of G(x), which collects dL_G/dG(x) in the one-tape order; then
+    # G's forward on the slice runs again, on G's tape, and backpropagates
+    # from that gradient.
+    l_g = l_rec = np.float32(0)
+    for s, share in slices:
+        lab = _rows(labels, s)
+        tape_d = Tape()
+        gx_leaf = tape_d.leaf(gx[s])
+        adv = ad.scale(ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, tape_d, labels=lab).output),
+                       share)
+        rec = ad.scale(ad.l1_mean(gx_leaf, tape_d.leaf(y[s])), share)
+        part = ad.add(adv, ad.scale(rec, config.lambda_rec))
+        ad.backward(tape_d, part, params=[gx_leaf])
+        tape = Tape()
+        ad.backward(tape, g_net.forward(x[s], tape, labels=lab).output, params=g_params,
+                    grad=gx_leaf.grad)
+        l_g += part.data
+        l_rec += rec.data
     ad.adam_step(g_params, adam_g, lr)
-    return float(l_d), float(l_g.data), float(loss_rec.data)
+    return float(l_d), float(l_g), float(l_rec)
 
 
 @dataclass

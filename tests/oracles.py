@@ -6,6 +6,8 @@ its own mirror image. ``check_gradients`` runs the engine's backward only
 to hold it against central finite differences.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from facegan3d import autodiff as ad
@@ -284,6 +286,18 @@ def check_gradients(build, params, eps=1e-4):
             a = float(aflat[i])
             worst = max(worst, abs(a - num) / max(abs(a), abs(num), 1e-6))
     return worst
+
+
+def traced_peak(fn):
+    """The highest memory, in bytes, that tracemalloc traces while ``fn()``
+    runs, above what it traced when the call started: only blocks
+    allocated during the call count."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def expected_parameter_count(config):

@@ -603,23 +603,44 @@ def test_translate_report_has_exactly_its_summary_keys(work):
     assert set(header.split(",")) == keys
 
 
-@pytest.mark.parametrize("edit, named", [
+BAD_LANDMARKS = pytest.mark.parametrize("edit, named", [
     (lambda lms: lms.pop("nose-tip"), "nose-tip"),
     (lambda lms: lms.update({"right-eye-outer": lms["left-eye-outer"]}), "right-eye-outer"),
 ], ids=["missing-nose-tip", "coinciding-eye-corners"])
-def test_translate_bad_landmarks_exit_data_error(work, tmp_path, edit, named, capsys):
+
+
+def preprocess_with_landmarks(work, out, edit):
+    """Preprocess the shared raw set into ``out``/pre with its landmark
+    file changed by ``edit``."""
     raw = work / "raw"
     landmarks = load_landmarks(raw / "landmarks.txt")
     edit(landmarks)
-    save_landmarks(tmp_path / "landmarks.txt", landmarks)
+    save_landmarks(out / "landmarks.txt", landmarks)
     assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
-               "--landmarks", tmp_path / "landmarks.txt", "--res", 32,
-               "--out", tmp_path / "pre") == 0
+               "--landmarks", out / "landmarks.txt", "--res", 32,
+               "--out", out / "pre") == 0
+    return out / "pre"
+
+
+@BAD_LANDMARKS
+def test_translate_bad_landmarks_exit_data_error(work, tmp_path, edit, named, capsys):
+    pre = preprocess_with_landmarks(work, tmp_path, edit)
     capsys.readouterr()
-    assert run("evaluate", "--task", "translate", "--data", tmp_path / "pre",
+    assert run("evaluate", "--task", "translate", "--data", pre,
                "--model", work / "model.ckpt", "--out", tmp_path / "eval") == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and named in err
+
+
+@BAD_LANDMARKS
+def test_translate_bad_landmarks_are_refused_before_the_model_loads(work, tmp_path, edit,
+                                                                     named, capsys):
+    pre = preprocess_with_landmarks(work, tmp_path, edit)
+    capsys.readouterr()
+    assert run("evaluate", "--task", "translate", "--data", pre,
+               "--model", tmp_path / "absent.ckpt", "--out", tmp_path / "eval") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err and "absent.ckpt" not in err
 
 
 def test_translate_rmse_default_crop_keeps_whole_face(work, capsys):

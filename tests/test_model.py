@@ -247,12 +247,14 @@ def test_different_seed_different_init():
 
 
 def test_batches_tile_the_range_in_even_slices():
-    for n in range(5 * model._CHUNK + 2):
-        cuts = batches(n)
-        sizes = [c.stop - c.start for c in cuts]
-        assert [i for c in cuts for i in range(n)[c]] == list(range(n))
-        assert max(sizes, default=0) <= model._CHUNK
-        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    for cap in (model._CHUNK, 3, 8):
+        for n in range(5 * cap + 2):
+            cuts = batches(n) if cap == model._CHUNK else batches(n, cap)
+            sizes = [c.stop - c.start for c in cuts]
+            assert [i for c in cuts for i in range(n)[c]] == list(range(n))
+            assert max(sizes, default=0) <= cap
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            assert len(cuts) == -(-n // cap)
 
 
 @pytest.mark.parametrize("labels", [0, 2])

@@ -1,7 +1,8 @@
 """Training protocol: conditioning, the lr schedule, pretraining
 convergence, the adversarial step against a straight-line loss
-recomputation, gradient isolation, the freeze contract, and that a step
-leaves no tape alive."""
+recomputation and against the whole batch on one tape, gradient
+isolation, the freeze contract, and that a step leaves no tape alive and
+peaks at one tape slice."""
 
 import gc
 import tracemalloc
@@ -15,6 +16,8 @@ from facegan3d.model import NetConfig, Network
 from facegan3d.training import (ADVERSARIAL_GROUPS, PairedDataset, TrainConfig,
                                 adversarial_step, lr_at, pretrain_discriminator,
                                 reconstruction_l1, train)
+
+from oracles import traced_peak
 
 NCFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
@@ -148,11 +151,16 @@ def test_pretrain_empty_dataset_errors():
 # adversarial step
 
 
-def _pair(seed=4, label_channels=0):
-    labels = None
-    if label_channels:
-        labels = np.eye(label_channels, dtype=np.float32)[np.arange(8) % label_channels]
-    ds = toy_dataset(seed=seed, labels=labels)
+def cycled_labels(n, label_channels):
+    """``n`` one-hot labels cycling through ``label_channels`` classes, or
+    None for none."""
+    if not label_channels:
+        return None
+    return np.eye(label_channels, dtype=np.float32)[np.arange(n) % label_channels]
+
+
+def _pair(seed=4, label_channels=0, n=8):
+    ds = toy_dataset(n=n, seed=seed, labels=cycled_labels(n, label_channels))
     ncfg = NetConfig(resolution=32, base_filters=2, latent_dim=4, label_channels=label_channels)
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=5, pretrain_batch=4, seed=seed)
     d_net, _ = pretrain_discriminator(ds, ncfg, cfg)
@@ -295,6 +303,58 @@ def test_two_tape_d_update_is_the_one_tape_update_bitwise(label_channels):
                     assert moments[p.node_id].tobytes() == ref_moments[q.node_id].tobytes()
 
 
+def first_moments(net, adam):
+    """The Adam first moments of ``net``'s parameters, by name."""
+    return {name: adam.m[net.params[name].node_id] for name in net.params.names()
+            if net.params[name].node_id in adam.m}
+
+
+def assert_moments_close(got, ref):
+    """One step from fresh moments makes m = (1 - beta1) g, so this holds two
+    gradients to float association: to rel 1e-5, and per tensor to 1e-6 of
+    its largest entry, where a sum cancels to near 0."""
+    assert got.keys() == ref.keys()
+    for name, m in ref.items():
+        np.testing.assert_allclose(got[name], m, rtol=1e-5, atol=1e-6 * np.abs(m).max(),
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("label_channels", [0, 2], ids=["unlabelled", "labelled"])
+def test_sliced_adversarial_step_matches_the_one_tape_step(label_channels):
+    """A 16-map step runs each pass on two tapes of 8 maps; the scaled
+    slice gradients add up to the whole batch's on one tape, up to float
+    association."""
+    ds, d_net, g_net, cfg = _pair(15, label_channels, n=16)
+    nets = (d_net, g_net)
+    ref_nets = tuple(Network(n.config, n.params.clone()) for n in nets)
+    adams, ref_adams = (ad.AdamState(), ad.AdamState()), (ad.AdamState(), ad.AdamState())
+    got = adversarial_step(ds.batch(slice(0, 16)), *nets, *adams, 1e-3, cfg)
+    expect = one_tape_step(ds.batch(slice(0, 16)), *ref_nets, *ref_adams, 1e-3, cfg)
+    np.testing.assert_allclose(got, expect, rtol=1e-5)
+    for net, ref, adam, ref_adam in zip(nets, ref_nets, adams, ref_adams):
+        assert_moments_close(first_moments(net, adam), first_moments(ref, ref_adam))
+
+
+@pytest.mark.parametrize("label_channels", [0, 2], ids=["unlabelled", "labelled"])
+def test_sliced_pretrain_step_matches_the_one_tape_step(label_channels):
+    ds = toy_dataset(n=16, seed=16, labels=cycled_labels(16, label_channels))
+    ncfg = NetConfig(resolution=32, base_filters=4, latent_dim=4, label_channels=label_channels)
+    cfg = TrainConfig(lr=1e-3, pretrain_epochs=1, pretrain_batch=16, seed=16)
+    net = Network.build(ncfg, np.random.default_rng(16))
+    ref = Network(ncfg, net.params.clone())
+    states = []
+    _, history = pretrain_discriminator(ds, ncfg, cfg, network=net,
+                                        checkpoint_fn=lambda state, _: states.append(state))
+    params = ref.params.tensors()
+    tape = ad.Tape()
+    loss = ad.l1_mean(tape.leaf(ds.y), ref.forward(ds.y, tape, labels=ds.labels).output)
+    ad.backward(tape, loss, params=params)
+    ref_adam = ad.AdamState()
+    ad.adam_step(params, ref_adam, 1e-3)
+    assert history == [pytest.approx(float(loss.data), rel=1e-5)]
+    assert_moments_close(first_moments(net, states[0].adams[0]), first_moments(ref, ref_adam))
+
+
 def test_adversarial_step_peak_stays_near_a_pretrain_step():
     """One net's forward tape is live at a time: G's first forward runs off
     any tape, so D's forwards do not sit on top of G's activations. So the
@@ -322,13 +382,29 @@ def test_adversarial_step_peak_stays_near_a_pretrain_step():
     peaks = []
     for step in (pretrain_step, adv_step):
         step()   # warm-up: the Adam moments exist from here on
-        tracemalloc.start()
-        try:
-            step()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(step))
     assert peaks[1] < 1.4 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("ncfg", [NetConfig(32, 8, 4), NetConfig(32, 16, 16)],
+                         ids=["filters8", "filters16"])
+def test_adversarial_step_peak_does_not_grow_with_the_batch(ncfg):
+    """Each pass runs on tapes of at most 8 maps, so a 16-map step peaks
+    near an 8-map step: 1.03-1.05x, where one tape for the whole batch
+    read 1.60-1.67x."""
+    ds = toy_dataset(n=16, seed=17)
+    cfg = TrainConfig(lr=1e-3)
+    d_net = Network.build(ncfg, np.random.default_rng(17))
+    g_net = Network(ncfg, d_net.params.clone())
+    adam_d, adam_g = ad.AdamState(), ad.AdamState()
+    peaks = []
+    for n in (8, 16):
+        def step():
+            adversarial_step(ds.batch(slice(0, n)), d_net, g_net, adam_d, adam_g, 1e-3, cfg)
+
+        step()   # warm-up: the Adam moments exist from here on
+        peaks.append(traced_peak(step))
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_gradient_isolation():
