@@ -37,15 +37,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "name", "node_id", "_tape")
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
+            raise NonFiniteError("non-finite values in a tensor")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.name = name
+        self.name: str | None = None    # NetParams.add names parameters
         self.node_id = next(_node_ids)
         self._tape: Tape | None = None
 
@@ -77,8 +77,8 @@ class Tape:
         self._produced: set[int] = set()
         self.consumed = False
 
-    def leaf(self, data, name: str | None = None) -> Tensor:
-        t = data if isinstance(data, Tensor) else Tensor(data, name)
+    def leaf(self, data) -> Tensor:
+        t = data if isinstance(data, Tensor) else Tensor(data)
         t._tape = self
         return t
 
@@ -123,15 +123,17 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
-def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor],
+def backward(loss: Tensor, params: Sequence[Tensor],
              grad: np.ndarray | None = None) -> None:
-    """Accumulate d loss / d p into ``p.grad`` for each ``p`` in ``params``.
+    """Accumulate d loss / d p into ``p.grad`` for each ``p`` in ``params``,
+    walking the tape that ``loss`` lives on.
 
     ``grad`` is the gradient the walk starts from at ``loss``. When it is
     omitted, ``loss`` must be a scalar and the gradient is 1. When it is
-    given, ``loss`` may be any output on the tape and ``grad`` must have its
+    given, ``loss`` may be any output on a tape and ``grad`` must have its
     shape; this continues a backward that another tape took as far as
-    ``loss``. The walk may write into ``grad``.
+    ``loss``. The walk may write into ``grad``. A ``loss`` on no tape is a
+    ValueError.
 
     Walks the tape once, in reverse, and consumes it: each record is
     dropped once its backward has run, which frees that op's saved inputs
@@ -140,6 +142,9 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor],
     intermediates get gradients, so each op computes only the input
     gradients in that set. Unreachable params get zero grads.
     """
+    tape = loss._tape
+    if tape is None:
+        raise ValueError("loss does not live on a tape")
     tape._check_open()
     if grad is None:
         if loss.data.size != 1:
@@ -148,8 +153,6 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor],
     elif grad.shape != loss.data.shape:
         raise ShapeError(f"backward's grad has shape {grad.shape}, "
                          f"its output {loss.data.shape}")
-    if tape is not loss._tape:
-        raise ValueError("loss does not live on this tape")
     tape.consumed = True
     wanted = {p.node_id for p in params}
     loss.grad = grad

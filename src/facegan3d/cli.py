@@ -6,11 +6,12 @@ e.g. a negative ``--seed``, a ``synth`` ``--noise`` or ``--amplitude``
 or an ``evaluate`` ``--fail-threshold`` that is negative or not finite,
 or a ``--grid`` below 2), 2 data/format error (e.g. a labelled model on
 unlabelled maps, an unknown ``--label``, an input mesh with a NaN or
-infinite coordinate, a training split too small to fit a Gaussian or PCA
-on, ``evaluate`` on an empty test split, or ``evaluate --task translate``
-on a set that is labelled, has no noisy companions, lacks a landmark the
-3DRMSE reads or has coinciding outer-eye landmarks), 3 numerical
-failure (a NaN abort, naming the training phase and epoch).
+infinite coordinate, a noisy companion without its clean mesh, a training
+split too small to fit a Gaussian or PCA on, ``evaluate`` on an empty test
+split, or ``evaluate --task translate`` on a set that is labelled, has no
+noisy companions, lacks a landmark the 3DRMSE reads or has coinciding
+outer-eye landmarks), 3 numerical failure (a NaN abort, naming the
+training phase and epoch).
 
 Output meshes (``generate``, ``translate``) are in the raw input's units,
 and a subject's translation does not depend on ``--split`` (a map's output
@@ -183,10 +184,10 @@ def cmd_train(args) -> int:
     elif d_net is None:
         d_net = _pretrain(data["train"], ncfg, tcfg, out / "pretrained.ckpt")
     out.mkdir(parents=True, exist_ok=True)
-    result = train(data["train"], tcfg, d_net, g_net, state,
-                   checkpoint_fn=_checkpoint_writer(paths))
-    io.write_loss_csv(out / "loss.csv", result.history)
-    test_l1 = reconstruction_l1(result.generator, data["test"]) if len(data["test"]) else float("nan")
+    g_net, history = train(data["train"], tcfg, d_net, g_net, state,
+                           checkpoint_fn=_checkpoint_writer(paths))
+    io.write_loss_csv(out / "loss.csv", history)
+    test_l1 = reconstruction_l1(g_net, data["test"]) if len(data["test"]) else float("nan")
     print(f"trained; final test reconstruction L1 = {test_l1:.6f}")
     return EXIT_OK
 

@@ -110,12 +110,6 @@ class NetParams:
         return out
 
 
-@dataclass
-class ForwardPass:
-    output: Tensor
-    bottleneck: Tensor
-
-
 def _leaf(arr: np.ndarray, tape: Tape | None) -> Tensor:
     return tape.leaf(arr) if tape is not None else Tensor(arr)
 
@@ -160,8 +154,10 @@ def translate_map(net: Network, maps: np.ndarray,
     """The net's outputs for the (N, 3, H, W) ``maps``, under the (N, L)
     ``onehots`` when given, run in :func:`batches` slices of at most 2
     maps; an empty stack gives an empty stack. A map's output does not
-    depend on its batch-mates."""
-    outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).output.data
+    depend on its batch-mates. This is the one forward-only pass of the
+    whole net: inference, ``training.reconstruction_l1`` and the G(x) that
+    the adversarial step's D update reads all run through it."""
+    outs = [net.forward(maps[c], labels=None if onehots is None else onehots[c]).data
             for c in batches(len(maps))]
     return np.concatenate(outs) if outs else np.zeros(maps.shape, dtype=np.float32)
 
@@ -292,9 +288,9 @@ class Network:
         h = self._block(h, "dec.block6")
         return ad.tanh(self._conv(ad.conv2d, h, "dec.out"))
 
-    def forward(self, x, tape: Tape | None = None, labels=None) -> ForwardPass:
+    def forward(self, x, tape: Tape | None = None, labels=None) -> Tensor:
         """Full autoencoding pass of the (N, 3, H, W) maps ``x`` conditioned
-        on the (N, L) one-hot ``labels``."""
+        on the (N, L) one-hot ``labels``: the output maps."""
         z, feats = self.encode(x, tape, labels=labels)
-        return ForwardPass(self.decode(z, tape, skips=feats), z)
+        return self.decode(z, tape, skips=feats)
 

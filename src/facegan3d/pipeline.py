@@ -14,9 +14,10 @@ Units: maps and ``aligned/*.obj`` are in normalised units, where
 of the first subject, at its size. :func:`map_to_mesh` is the one way
 back from a map to a mesh; given ``meta`` it returns input units.
 :func:`translate_map` (from ``model``) is the one forward-only path over
-maps: translate, every evaluate task that runs the net's full pass and
-``training.reconstruction_l1`` go through it. A map's output does not
-depend on its split or on the other maps run with it.
+maps: translate, every evaluate task that runs the net's full pass,
+``training.reconstruction_l1`` and the G(x) that the adversarial step's D
+update reads go through it. A map's output does not depend on its split
+or on the other maps run with it.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def _scan_raw(in_dir: Path):
             subjects.append((stem, p))
     if not subjects:
         raise DataFormatError(f"no subject meshes in {mesh_dir}")
+    stems = {stem for stem, _ in subjects}
+    for stem, p in noisy.items():
+        if stem not in stems:
+            raise DataFormatError(f"{p}: noisy companion of {stem}.obj, which is missing "
+                                  "or listed in labels.csv")
     return subjects, noisy, labeled
 
 
@@ -113,9 +119,9 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
     (out / "maps").mkdir(parents=True, exist_ok=True)
     (out / "aligned").mkdir(parents=True, exist_ok=True)
 
+    subjects, noisy, labeled = _scan_raw(in_dir)
     landmarks = load_landmarks(landmarks_path)
     template = _load_finite(template_path, landmarks)
-    subjects, noisy, labeled = _scan_raw(in_dir)
     label_names = sorted(labeled.keys())
 
     # one flat list of clean meshes to align together

@@ -28,20 +28,22 @@ slice, and each slice's loss is scaled by its share of the batch, so the
 gradients that the slices add into ``p.grad`` sum to the gradient of the
 batch mean before each Adam step. The reported losses are the scaled
 slice losses, summed in float32 in slice order. One net's tape is live
-at a time: G runs once off any tape, on the whole batch, for the output
+at a time: G runs once off any tape, through ``model.translate_map`` (the
+one forward-only path, in slices of ``model._CHUNK`` maps), for the output
 that the D update reads, and once more per slice on its own tape for the
-G update. The two terms of L_D are backpropagated on separate tapes, one
-after the other. The G update's pass through the updated D has its own
-tape too, from a leaf that holds the slice of G(x): its backward yields
-dL_G/dG(x), and G's forward on that slice backpropagates from that
-gradient. A batch of at most ``_TAPE_MAPS`` maps is one slice, whose
-share is exactly 1; each D parameter's gradient is then the same two
-contributions as on one tape, a two-term float sum does not depend on
-its order, and dL_G/dG(x) is summed in the one-tape order. So such a
-step is bitwise the one-tape step, which
-``test_two_tape_d_update_is_the_one_tape_update_bitwise`` pins with and
-without labels. A larger batch's step matches the one-tape step up to
-float association: each dW is summed slice by slice.
+G update. ``_l1_pass`` runs one weighted L(v) on a tape of its own and
+backpropagates it: the pretrain step calls it once per slice, and the D
+update twice, L_D's fake term and then its real term, one tape after the
+other. The G update's pass through the updated D has its own tape too,
+from a leaf that holds the slice of G(x): its backward yields dL_G/dG(x),
+and G's forward on that slice backpropagates from that gradient. A batch
+of at most ``_TAPE_MAPS`` maps is one slice, whose share is exactly 1;
+each D parameter's gradient is then the same two contributions as on one
+tape, a two-term float sum does not depend on its order, and dL_G/dG(x)
+is summed in the one-tape order. So such a step is bitwise the one-tape
+step, which ``test_two_tape_d_update_is_the_one_tape_update_bitwise``
+pins with and without labels. A larger batch's step matches the one-tape
+step up to float association: each dW is summed slice by slice.
 """
 
 from __future__ import annotations
@@ -206,12 +208,7 @@ def pretrain_discriminator(dataset: PairedDataset, net_config: NetConfig,
         ad.zero_grad(params)
         loss = np.float32(0)
         for s, share in _slices(len(y)):
-            tape = Tape()
-            part = ad.scale(ad.l1_mean(tape.leaf(y[s]),
-                                       network.forward(y[s], tape, labels=_rows(labels, s)).output),
-                            share)
-            ad.backward(tape, part, params=params)
-            loss += part.data
+            loss += _l1_pass(network, y[s], _rows(labels, s), share, params)
         ad.adam_step(params, adams[0], lr)
         return float(loss)
 
@@ -228,6 +225,16 @@ def _slices(n: int) -> list[tuple[slice, float]]:
 
 def _rows(labels: np.ndarray | None, s: slice) -> np.ndarray | None:
     return None if labels is None else labels[s]
+
+
+def _l1_pass(net: Network, v: np.ndarray, labels: np.ndarray | None, weight: float,
+             params: list) -> np.ndarray:
+    """``weight`` * L(v), with L(v) = ||v - net(v)||_1, on a tape of its
+    own, backpropagated into ``params``. Returns the loss value."""
+    tape = Tape()
+    loss = ad.scale(ad.l1_mean(tape.leaf(v), net.forward(v, tape, labels=labels)), weight)
+    ad.backward(loss, params=params)
+    return loss.data
 
 
 def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
@@ -247,7 +254,7 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     slices = _slices(len(x))
 
     # generator forward off any tape: only the D update reads its output
-    gx = g_net.forward(x, labels=labels).output.data
+    gx = translate_map(g_net, x, labels)
 
     # ---- D update: generator output is a constant here. The two terms
     # share only D's parameters, so each is backpropagated on its own tape,
@@ -257,17 +264,8 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     loss_fake = loss_real = np.float32(0)
     for s, share in slices:
         lab = _rows(labels, s)
-        tape_d = Tape()
-        fake = ad.scale(ad.l1_mean(tape_d.leaf(gx[s]),
-                                   d_net.forward(gx[s], tape_d, labels=lab).output),
-                        -config.lambda_adv * share)
-        ad.backward(tape_d, fake, params=d_params)
-        tape_d = Tape()
-        real = ad.scale(ad.l1_mean(tape_d.leaf(y[s]),
-                                   d_net.forward(y[s], tape_d, labels=lab).output), share)
-        ad.backward(tape_d, real, params=d_params)
-        loss_fake += fake.data
-        loss_real += real.data
+        loss_fake += _l1_pass(d_net, gx[s], lab, -config.lambda_adv * share, d_params)
+        loss_real += _l1_pass(d_net, y[s], lab, share, d_params)
     ad.adam_step(d_params, adam_d, lr)
     l_d = loss_real + loss_fake   # the float32 add of ad.add
     # all of D, decoder too, so the G update's isolation shows
@@ -284,13 +282,11 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
         lab = _rows(labels, s)
         tape_d = Tape()
         gx_leaf = tape_d.leaf(gx[s])
-        adv = ad.scale(ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, tape_d, labels=lab).output),
-                       share)
+        adv = ad.scale(ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, tape_d, labels=lab)), share)
         rec = ad.scale(ad.l1_mean(gx_leaf, tape_d.leaf(y[s])), share)
         part = ad.add(adv, ad.scale(rec, config.lambda_rec))
-        ad.backward(tape_d, part, params=[gx_leaf])
-        tape = Tape()
-        ad.backward(tape, g_net.forward(x[s], tape, labels=lab).output, params=g_params,
+        ad.backward(part, params=[gx_leaf])
+        ad.backward(g_net.forward(x[s], Tape(), labels=lab), params=g_params,
                     grad=gx_leaf.grad)
         l_g += part.data
         l_rec += rec.data
@@ -298,21 +294,14 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     return float(l_d), float(l_g), float(l_rec)
 
 
-@dataclass
-class TrainResult:
-    discriminator: Network
-    generator: Network
-    history: list[list[float]]   # [L_D, L_G, L_rec] per epoch
-
-
 def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
           g_net: Network | None = None, state: TrainState | None = None,
-          checkpoint_fn=None) -> TrainResult:
+          checkpoint_fn=None) -> tuple[Network, list[list[float]]]:
     """The adversarial phase, which trains ``ADVERSARIAL_GROUPS`` of D and
-    G. Without ``g_net``, G is a copy of the pretrained ``d_net``; with
-    ``g_net`` and ``state`` a checkpointed run resumes. ``history`` covers
-    every epoch so far. On a due epoch it calls
-    ``checkpoint_fn(state, d_net, g_net)``."""
+    G; ``d_net`` is trained in place. Without ``g_net``, G is a copy of the
+    pretrained ``d_net``; with ``g_net`` and ``state`` a checkpointed run
+    resumes. Returns G and the per-epoch [L_D, L_G, L_rec] of every epoch so
+    far. On a due epoch it calls ``checkpoint_fn(state, d_net, g_net)``."""
     if g_net is None:
         g_net = Network(d_net.config, d_net.params.clone())
 
@@ -322,7 +311,7 @@ def train(dataset: PairedDataset, config: TrainConfig, d_net: Network,
     history = _run_phase("adversarial", dataset, config, config.batch, config.epochs,
                          np.random.default_rng(config.seed + 1), (d_net, g_net), state,
                          step, checkpoint_fn)
-    return TrainResult(d_net, g_net, history)
+    return g_net, history
 
 
 def reconstruction_l1(net: Network, dataset: PairedDataset) -> float:

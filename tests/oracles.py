@@ -269,7 +269,7 @@ def check_gradients(build, params, eps=1e-4):
     """
     tape, loss = build()
     ad.zero_grad(params)
-    ad.backward(tape, loss, params=params)
+    ad.backward(loss, params=params)
     analytic = {p.node_id: np.array(p.grad, copy=True) for p in params}
     worst = 0.0
     for p in params:

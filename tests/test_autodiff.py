@@ -2,7 +2,6 @@
 central finite differences, tape semantics, Adam, and the freeze contract."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +14,11 @@ from facegan3d.model import NetParams
 
 from oracles import (check_gradients, naive_avg_pool2, naive_conv2d, naive_l1_mean,
                      naive_matmul_affine, naive_upsample2, reference_adam,
-                     reference_conv_raw, reference_conv_weight_grad)
+                     reference_conv_raw, reference_conv_weight_grad, traced_peak)
 
 
-def t64(arr, **kw):
-    return ad.Tensor(np.asarray(arr, dtype=np.float64), **kw)
+def t64(arr):
+    return ad.Tensor(np.asarray(arr, dtype=np.float64))
 
 
 def rand_away_from_zero(rng, shape, low=0.1, high=1.0):
@@ -134,15 +133,6 @@ def test_conv_weight_grad_is_bitwise_the_one_gemm_oracle(dtype, hw, monkeypatch)
             np.testing.assert_allclose(got, naive, rtol=1e-12)
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
     # the one-shot im2col of this input alone is 9x its 8.4 MB, in the
     # forward and in the weight gradient alike
@@ -152,9 +142,13 @@ def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
     tape = ad.Tape()
     leaves = tape.leaf(x), tape.leaf(w), tape.leaf(np.zeros(16, dtype=np.float32))
     g = rng.standard_normal(x.shape).astype(np.float32)
-    out, peak = _traced_peak(ad.conv2d, *leaves)
+    peak = traced_peak(lambda: ad.conv2d(*leaves))
+    out = tape.records[-1].output
     assert peak < out.data.nbytes + 2 * ad._IM2COL_CHUNK
-    (_, dw, _), peak = _traced_peak(tape.records[-1].backward_fn, g, (False, True, False))
+    grads = []
+    backward_fn = tape.records[-1].backward_fn
+    peak = traced_peak(lambda: grads.extend(backward_fn(g, (False, True, False))))
+    dw = grads[1]
     g_chunk = g[:ad._im2col_step(x)].nbytes
     assert peak < dw.nbytes + g_chunk + 2 * ad._IM2COL_CHUNK
 
@@ -223,7 +217,7 @@ def test_activation_zero_points():
     x = tape.leaf(np.array([0.0, -0.0]))
     out = ad.elu(x)
     assert out.data.tolist() == [0.0, 0.0] and not np.signbit(out.data).any()
-    ad.backward(tape, ad.sum_all(out), params=[x])
+    ad.backward(ad.sum_all(out), params=[x])
     np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
 
@@ -255,7 +249,7 @@ def test_conv_elu_is_bitwise_elu_of_conv2d(dtype):
         tape = ad.Tape()
         xt, wt, bt = (tape.leaf(a) for a in (x, w, b))
         out = ad.conv_elu(xt, wt, bt) if fused else ad.elu(ad.conv2d(xt, wt, bt))
-        ad.backward(tape, ad.l1_mean(out, tape.leaf(target)), params=[xt, wt, bt])
+        ad.backward(ad.l1_mean(out, tape.leaf(target)), params=[xt, wt, bt])
         results.append([out.data, xt.grad, wt.grad, bt.grad])
     assert np.all(results[0][0][:, 0] == 0)
     for fused, plain in zip(*results):
@@ -306,12 +300,7 @@ def test_chunked_elu_refuses_a_strided_view():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_chunked_elu_allocates_at_most_one_chunk(dtype):
     z = np.random.default_rng(12).standard_normal(4 * ad._ELU_CHUNK).astype(dtype)
-    tracemalloc.start()
-    try:
-        ad._elu_inplace(z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: ad._elu_inplace(z))
     assert peak <= ad._ELU_CHUNK * z.itemsize + 4096, peak
 
 
@@ -373,7 +362,7 @@ def test_backward_sum_gives_ones():
     tape = ad.Tape()
     x = tape.leaf(np.arange(6, dtype=np.float64).reshape(2, 3))
     loss = ad.sum_all(x)
-    ad.backward(tape, loss, params=[x])
+    ad.backward(loss, params=[x])
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
@@ -382,7 +371,7 @@ def test_backward_unused_param_gets_zero_grad():
     x = tape.leaf(np.ones(3))
     p = ad.Tensor(np.ones(4))
     loss = ad.sum_all(x)
-    ad.backward(tape, loss, params=[x, p])
+    ad.backward(loss, params=[x, p])
     np.testing.assert_array_equal(p.grad, np.zeros(4))
 
 
@@ -391,7 +380,13 @@ def test_backward_rejects_non_scalar_loss():
     x = tape.leaf(np.ones(3))
     y = ad.scale(x, 2.0)
     with pytest.raises(ShapeError):
-        ad.backward(tape, y, params=[x])
+        ad.backward(y, params=[x])
+
+
+def test_backward_rejects_a_loss_on_no_tape():
+    x = ad.Tensor(np.ones(3))
+    with pytest.raises(ValueError, match="tape"):
+        ad.backward(ad.sum_all(x), params=[x])
 
 
 def test_backward_from_a_seeded_conv_output_gives_its_weight_grad():
@@ -403,7 +398,7 @@ def test_backward_from_a_seeded_conv_output_gives_its_weight_grad():
     c = rng.standard_normal((3, 4, 5, 6))
     tape = ad.Tape()
     out = ad.conv2d(tape.leaf(x), w, b)
-    ad.backward(tape, out, params=[w], grad=c)
+    ad.backward(out, params=[w], grad=c)
     np.testing.assert_allclose(w.grad, reference_conv_weight_grad(x, c), rtol=1e-12)
 
 
@@ -412,7 +407,7 @@ def test_backward_rejects_a_seed_shaped_unlike_its_output():
     x = tape.leaf(np.ones((2, 3)))
     y = ad.scale(x, 2.0)
     with pytest.raises(ShapeError):
-        ad.backward(tape, y, params=[x], grad=np.ones((3, 2)))
+        ad.backward(y, params=[x], grad=np.ones((3, 2)))
 
 
 def test_tape_is_topologically_ordered():
@@ -429,7 +424,7 @@ def test_tape_is_topologically_ordered():
             if tape.is_intermediate(t):
                 assert t.node_id in seen
         seen.add(rec.output.node_id)
-    ad.backward(tape, loss, params=[x])
+    ad.backward(loss, params=[x])
     assert tape.records == [] and tape.consumed
     assert not tape.is_intermediate(y)
 
@@ -439,10 +434,10 @@ def test_consumed_tape_refuses_a_second_backward_and_new_ops():
     x = tape.leaf(np.ones(3))
     y = ad.scale(x, 2.0)
     loss = ad.sum_all(y)
-    ad.backward(tape, loss, params=[x])
+    ad.backward(loss, params=[x])
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="consumed"):
-        ad.backward(tape, loss, params=[x])
+        ad.backward(loss, params=[x])
     with pytest.raises(ValueError, match="consumed"):
         ad.scale(y, 3.0)
     with pytest.raises(ValueError, match="consumed"):
@@ -465,7 +460,7 @@ def test_backward_drops_each_record_once_processed():
         return fn(g, needs)
 
     first.backward_fn = spy
-    ad.backward(tape, loss, params=[x])
+    ad.backward(loss, params=[x])
     assert left_on_tape == [0]
 
 

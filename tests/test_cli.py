@@ -786,3 +786,21 @@ def test_non_finite_input_mesh_exits_data_error(tmp_path, name, capsys):
                "--out", tmp_path / "pre") == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert f"{bad}: non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", ["removed", "labelled"])
+def test_orphan_noisy_companion_exits_data_error(tmp_path, how, capsys):
+    """A noisy companion whose clean mesh is missing, or is a labelled
+    target, has no subject to align to: a data error that names it, raised
+    before any mesh loads."""
+    raw = tmp_path / "raw"
+    assert run("synth", "--subjects", 2, "--grid", 5, "--noise", 0.01, "--out", raw) == 0
+    if how == "removed":
+        (raw / "meshes" / "subj_0001.obj").unlink()
+    else:
+        (raw / "labels.csv").write_text("file,label\nsubj_0001.obj,smile\n")
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", raw / "landmarks.txt", "--res", 8,
+               "--out", tmp_path / "pre") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(raw / "meshes" / "subj_0001.noisy.obj") in err and "Traceback" not in err

@@ -154,15 +154,15 @@ def test_decoder_only_path_consistency(net):
     # decoding a collected bottleneck equals the full forward when the skip
     # features are substituted; with no skip features it is the decoder-only path
     x = maps(1, seed=6)
-    fp = net.forward(x)
-    dec = decode_batch(net, fp.bottleneck.data.T)
+    out = net.forward(x)
+    z, feats = net.encode(x)
+    dec = decode_batch(net, z.data.T)
     assert dec.shape == (1, 3, 32, 32)
-    assert not np.array_equal(dec, fp.output.data)  # skips do contribute
+    assert not np.array_equal(dec, out.data)  # skips do contribute
     import facegan3d.autodiff as ad
-    _, feats = net.encode(x)
     skips = {lv: ad.Tensor(feats[lv].data) for lv in net.config.skip_levels}
-    again = net.decode(fp.bottleneck.data, skips=skips)
-    np.testing.assert_array_equal(again.data, fp.output.data)
+    again = net.decode(z.data, skips=skips)
+    np.testing.assert_array_equal(again.data, out.data)
 
 
 # ---------------------------------------------------------------------------

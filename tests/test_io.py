@@ -5,7 +5,6 @@ magics and versions, malformed headers, and atomic writes."""
 import json
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from facegan3d.errors import DataFormatError
 from facegan3d.geometry import UVLayout, UVMap
 from facegan3d.model import NetConfig, Network
 from facegan3d.training import ADVERSARIAL_GROUPS
+
+from oracles import traced_peak
 
 
 def tiny_checkpoint():
@@ -181,12 +182,7 @@ def test_checkpoint_load_holds_no_copy_of_the_file(tmp_path):
         adam.v[t.node_id] = rng.random(t.shape).astype(np.float32)
     io.save_checkpoint(tmp_path / "a.ckpt", net, adam=adam)
     size = (tmp_path / "a.ckpt").stat().st_size
-    tracemalloc.start()
-    try:
-        io.load_checkpoint(tmp_path / "a.ckpt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: io.load_checkpoint(tmp_path / "a.ckpt"))
     assert peak <= size + (1 << 20), (peak, size)
 
 

@@ -2,8 +2,6 @@
 groups each training phase updates, the bottleneck factorization, init
 determinism, and the batched forward-only path over map stacks."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from facegan3d.generation import collect_bottlenecks, decode_batch
 from facegan3d.model import NetConfig, Network, batches, translate_map
 from facegan3d.training import ADVERSARIAL_GROUPS, PairedDataset, reconstruction_l1
 
-from oracles import expected_parameter_count, num_parameters
+from oracles import expected_parameter_count, num_parameters, traced_peak
 
 CFG = NetConfig(resolution=32, base_filters=2, latent_dim=4)
 
@@ -26,9 +24,8 @@ def small_net(seed=0, cfg=CFG):
 def test_forward_shape_contract():
     net = small_net()
     x = np.random.default_rng(1).standard_normal((1, 3, 32, 32)).astype(np.float32)
-    fp = net.forward(x)
-    assert fp.output.data.shape == (1, 3, 32, 32)
-    assert fp.bottleneck.data.shape == (1, 4)
+    assert net.forward(x).data.shape == (1, 3, 32, 32)
+    assert net.encode(x)[0].data.shape == (1, 4)
 
 
 @pytest.mark.parametrize("labels", [0, 2])
@@ -37,7 +34,7 @@ def test_forward_shapes_with_labels(labels):
     net = Network.build(cfg, np.random.default_rng(0))
     x = np.zeros((2, 3, 32, 32), dtype=np.float32)
     onehot = np.eye(labels, dtype=np.float32)[[0, labels - 1]] if labels else None
-    assert net.forward(x, labels=onehot).output.data.shape == (2, 3, 32, 32)
+    assert net.forward(x, labels=onehot).data.shape == (2, 3, 32, 32)
 
 
 def test_parameter_count_matches_layer_arithmetic():
@@ -58,7 +55,7 @@ def test_parameter_count_other_config():
 def test_output_strictly_inside_tanh_range():
     net = small_net()
     rng = np.random.default_rng(3)
-    out = net.forward(rng.uniform(-1, 1, (4, 3, 32, 32)).astype(np.float32)).output.data
+    out = net.forward(rng.uniform(-1, 1, (4, 3, 32, 32)).astype(np.float32)).data
     assert np.all(out > -1.0) and np.all(out < 1.0)
 
 
@@ -67,7 +64,7 @@ def test_output_strictly_inside_tanh_range_across_seeds():
     for seed in range(20):
         net = small_net(seed)
         x = np.random.default_rng(seed).uniform(-1, 1, (4, 3, 32, 32)).astype(np.float32)
-        if np.any(np.abs(net.forward(x).output.data) >= 1.0):
+        if np.any(np.abs(net.forward(x).data) >= 1.0):
             saturated.append(seed)
     assert saturated == []
 
@@ -91,7 +88,7 @@ def test_clone_outputs_bit_identical():
     d = small_net(5)
     g = Network(d.config, d.params.clone())
     x = np.random.default_rng(6).uniform(-1, 1, (2, 3, 32, 32)).astype(np.float32)
-    assert g.forward(x).output.data.tobytes() == d.forward(x).output.data.tobytes()
+    assert g.forward(x).data.tobytes() == d.forward(x).data.tobytes()
     assert g.params.checksum() == d.params.checksum()
 
 
@@ -112,11 +109,10 @@ def _one_step(net, x, groups=(), lr=1e-3, state=None):
     """One autoencoder step training the tensors of ``groups`` (all when
     empty)."""
     tape = ad.Tape()
-    fp = net.forward(tape.leaf(x), tape)
-    loss = ad.l1_mean(tape.leaf(x), fp.output)
+    loss = ad.l1_mean(tape.leaf(x), net.forward(tape.leaf(x), tape))
     params = net.params.tensors(*groups)
     ad.zero_grad(params)
-    ad.backward(tape, loss, params=params)
+    ad.backward(loss, params=params)
     ad.adam_step(params, state or ad.AdamState(), lr)
 
 
@@ -172,22 +168,23 @@ def test_bottleneck_factorization_structural():
     net = small_net(13)
     tape = ad.Tape()
     x = tape.leaf(np.random.default_rng(14).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32))
-    fp = net.forward(x, tape)
+    z, feats = net.encode(x, tape)
+    out = net.decode(z, tape, skips=feats)
 
     projections = {rec.output.node_id for rec in tape.records if rec.op == "conv1x1"}
     assert len(projections) == len(net.config.skip_levels)
     cut = set()
     for rec in tape.records:
         for t in rec.inputs:
-            if t.node_id == fp.bottleneck.node_id or t.node_id in projections:
+            if t.node_id == z.node_id or t.node_id in projections:
                 cut.add((t.node_id, id(rec)))
     assert len(cut) >= 1 + len(net.config.skip_levels)
 
     reach_full = _reachable_excluding(tape, x.node_id, set())
-    assert fp.output.node_id in reach_full
-    assert fp.bottleneck.node_id in reach_full
+    assert out.node_id in reach_full
+    assert z.node_id in reach_full
     reach_cut = _reachable_excluding(tape, x.node_id, cut)
-    assert fp.output.node_id not in reach_cut
+    assert out.node_id not in reach_cut
 
 
 def test_forward_records_one_conv_elu_per_conv_block_half():
@@ -215,14 +212,14 @@ def test_decode_never_touches_encoder_params():
 def test_decode_matches_forward_when_skips_substituted():
     net = small_net(16)
     x = np.random.default_rng(17).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
-    fp = net.forward(x)
-    _, feats = net.encode(x)
+    out = net.forward(x)
+    z, feats = net.encode(x)
     skips = {lv: ad.Tensor(feats[lv].data) for lv in net.config.skip_levels}
-    again = net.decode(fp.bottleneck.data, skips=skips)
-    np.testing.assert_array_equal(again.data, fp.output.data)
+    again = net.decode(z.data, skips=skips)
+    np.testing.assert_array_equal(again.data, out.data)
     # the decoder-only path (no skip features) is deterministic
-    d1 = net.decode(fp.bottleneck.data)
-    d2 = net.decode(fp.bottleneck.data)
+    d1 = net.decode(z.data)
+    d2 = net.decode(z.data)
     assert d1.data.tobytes() == d2.data.tobytes()
 
 
@@ -235,7 +232,7 @@ def test_same_seed_same_init_and_forward():
     b = small_net(21)
     assert a.params.checksum() == b.params.checksum()
     x = np.random.default_rng(22).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32)
-    assert a.forward(x).output.data.tobytes() == b.forward(x).output.data.tobytes()
+    assert a.forward(x).data.tobytes() == b.forward(x).data.tobytes()
 
 
 def test_different_seed_different_init():
@@ -300,12 +297,7 @@ def test_translate_map_peak_is_two_maps_widest_activation_and_one_im2col():
     widest = 2 * (2 * n) * res * res * 4
     im2col = (2 * n) * 9 * res * res * 4
     bound = 2 * widest + im2col + 2 * x.nbytes + (1 << 19)
-    tracemalloc.start()
-    try:
-        translate_map(net, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: translate_map(net, x))
     assert peak <= bound, (peak, bound)
 
 

@@ -1,8 +1,8 @@
 """Training protocol: conditioning, the lr schedule, pretraining
 convergence, the adversarial step against a straight-line loss
 recomputation and against the whole batch on one tape, gradient
-isolation, the freeze contract, and that a step leaves no tape alive and
-peaks at one tape slice."""
+isolation, the freeze contract, and that a step leaves no tape alive,
+peaks at one tape slice and runs no forward on more maps than its cap."""
 
 import gc
 import tracemalloc
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from facegan3d import autodiff as ad
+from facegan3d import model, training
 from facegan3d.errors import ShapeError
 from facegan3d.model import NetConfig, Network
 from facegan3d.training import (ADVERSARIAL_GROUPS, PairedDataset, TrainConfig,
@@ -205,11 +206,10 @@ def test_step_with_zero_lambda_adv_is_pure_autoencoder_update():
 
     ref = Network(d_net.config, d_net.params.clone())
     tape = ad.Tape()
-    fp = ref.forward(tape.leaf(ds.y[:2]), tape)
-    loss = ad.l1_mean(tape.leaf(ds.y[:2]), fp.output)
+    loss = ad.l1_mean(tape.leaf(ds.y[:2]), ref.forward(tape.leaf(ds.y[:2]), tape))
     params = ref.params.tensors(*ADVERSARIAL_GROUPS)
     ad.zero_grad(params)
-    ad.backward(tape, loss, params=params)
+    ad.backward(loss, params=params)
     ad.adam_step(params, ad.AdamState(), 1e-3)
 
     adversarial_step(batch, d_net, g_net, ad.AdamState(), ad.AdamState(), 1e-3, cfg0)
@@ -224,12 +224,12 @@ def step_with_recomputed_outputs(seed):
     ds, d_net, g_net, cfg = _pair(seed)
     x, y = ds.x[:2], ds.y[:2]
     d_pre = Network(d_net.config, d_net.params.clone())
-    gx = g_net.forward(x).output.data
+    gx = g_net.forward(x).data
     vals = adversarial_step((x, y, None), d_net, g_net, ad.AdamState(), ad.AdamState(),
                             1e-3, cfg)
-    outputs = {"y": y, "gx": gx, "d_y": d_pre.forward(y).output.data,
-               "d_gx_pre": d_pre.forward(gx).output.data,
-               "d_gx_post": d_net.forward(gx).output.data}
+    outputs = {"y": y, "gx": gx, "d_y": d_pre.forward(y).data,
+               "d_gx_pre": d_pre.forward(gx).data,
+               "d_gx_post": d_net.forward(gx).data}
     return vals, outputs, cfg
 
 
@@ -260,23 +260,23 @@ def one_tape_step(batch, d_net, g_net, adam_d, adam_g, lr, cfg):
     d_params = d_net.params.tensors(*ADVERSARIAL_GROUPS)
     g_params = g_net.params.tensors(*ADVERSARIAL_GROUPS)
     tape = ad.Tape()
-    gx = g_net.forward(x, tape, labels=labels).output
+    gx = g_net.forward(x, tape, labels=labels)
     tape_d = ad.Tape()
     gx_const = gx.data.copy()
-    dy = d_net.forward(y, tape_d, labels=labels).output
-    dgx = d_net.forward(gx_const, tape_d, labels=labels).output
+    dy = d_net.forward(y, tape_d, labels=labels)
+    dgx = d_net.forward(gx_const, tape_d, labels=labels)
     loss_real = ad.l1_mean(tape_d.leaf(y), dy)
     loss_fake = ad.l1_mean(tape_d.leaf(gx_const), dgx)
     l_d = ad.add(loss_real, ad.scale(loss_fake, -cfg.lambda_adv))
     ad.zero_grad(d_params)
-    ad.backward(tape_d, l_d, params=d_params)
+    ad.backward(l_d, params=d_params)
     ad.adam_step(d_params, adam_d, lr)
     ad.zero_grad(d_net.params.tensors())
-    loss_adv = ad.l1_mean(gx, d_net.forward(gx, tape, labels=labels).output)
+    loss_adv = ad.l1_mean(gx, d_net.forward(gx, tape, labels=labels))
     loss_rec = ad.l1_mean(gx, tape.leaf(y))
     l_g = ad.add(loss_adv, ad.scale(loss_rec, cfg.lambda_rec))
     ad.zero_grad(g_params)
-    ad.backward(tape, l_g, params=g_params)
+    ad.backward(l_g, params=g_params)
     ad.adam_step(g_params, adam_g, lr)
     return float(l_d.data), float(l_g.data), float(loss_rec.data)
 
@@ -347,8 +347,8 @@ def test_sliced_pretrain_step_matches_the_one_tape_step(label_channels):
                                         checkpoint_fn=lambda state, _: states.append(state))
     params = ref.params.tensors()
     tape = ad.Tape()
-    loss = ad.l1_mean(tape.leaf(ds.y), ref.forward(ds.y, tape, labels=ds.labels).output)
-    ad.backward(tape, loss, params=params)
+    loss = ad.l1_mean(tape.leaf(ds.y), ref.forward(ds.y, tape, labels=ds.labels))
+    ad.backward(loss, params=params)
     ref_adam = ad.AdamState()
     ad.adam_step(params, ref_adam, 1e-3)
     assert history == [pytest.approx(float(loss.data), rel=1e-5)]
@@ -371,9 +371,9 @@ def test_adversarial_step_peak_stays_near_a_pretrain_step():
     def pretrain_step():
         params = ae_net.params.tensors()
         tape = ad.Tape()
-        loss = ad.l1_mean(tape.leaf(ds.y), ae_net.forward(ds.y, tape).output)
+        loss = ad.l1_mean(tape.leaf(ds.y), ae_net.forward(ds.y, tape))
         ad.zero_grad(params)
-        ad.backward(tape, loss, params=params)
+        ad.backward(loss, params=params)
         ad.adam_step(params, adam_ae, 1e-3)
 
     def adv_step():
@@ -405,6 +405,31 @@ def test_adversarial_step_peak_does_not_grow_with_the_batch(ncfg):
         step()   # warm-up: the Adam moments exist from here on
         peaks.append(traced_peak(step))
     assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+def test_no_training_forward_runs_more_maps_than_its_cap(monkeypatch):
+    """In a 16-map pretrain step and a 16-map adversarial step, every
+    forward off a tape runs at most ``model._CHUNK`` maps and every forward
+    on a tape at most ``training._TAPE_MAPS``."""
+    ds = toy_dataset(n=16, seed=18)
+    cfg = TrainConfig(lr=1e-3, pretrain_epochs=1, pretrain_batch=16, seed=18)
+    calls = []
+    forward = Network.forward
+
+    def counted(self, x, tape=None, labels=None):
+        calls.append((len(x.data if isinstance(x, ad.Tensor) else x), tape is not None))
+        return forward(self, x, tape, labels=labels)
+
+    monkeypatch.setattr(Network, "forward", counted)
+    d_net, _ = pretrain_discriminator(ds, NCFG, cfg)
+    g_net = Network(d_net.config, d_net.params.clone())
+    adversarial_step(ds.batch(slice(0, 16)), d_net, g_net, ad.AdamState(), ad.AdamState(),
+                     1e-3, cfg)
+    on_tape = [n for n, taped in calls if taped]
+    off_tape = [n for n, taped in calls if not taped]
+    assert on_tape and off_tape and sum(off_tape) == 16
+    assert max(on_tape) <= training._TAPE_MAPS, calls
+    assert max(off_tape) <= model._CHUNK, calls
 
 
 def test_gradient_isolation():
@@ -446,11 +471,12 @@ def test_decoders_bit_identical_through_training():
     pretrained, _ = pretrain_discriminator(ds, NCFG, cfg)
     pre_dec = pretrained.params.checksum("decoder")
     pre_enc = pretrained.params.checksum("encoder")
-    result = train(ds, cfg, pretrained)
-    assert result.discriminator.params.checksum("decoder") == pre_dec
-    assert result.generator.params.checksum("decoder") == pre_dec
+    g_net, _ = train(ds, cfg, pretrained)
+    # train updates the pretrained D in place
+    assert pretrained.params.checksum("decoder") == pre_dec
+    assert g_net.params.checksum("decoder") == pre_dec
     # encoders did move
-    assert result.generator.params.checksum("encoder") != pre_enc
+    assert g_net.params.checksum("encoder") != pre_enc
 
 
 def test_adversarial_phase_does_not_destroy_reconstruction():
@@ -460,8 +486,8 @@ def test_adversarial_phase_does_not_destroy_reconstruction():
                       batch=4, epochs=20, seed=9)
     pretrained, _ = pretrain_discriminator(ds, NCFG, cfg)
     pre = reconstruction_l1(pretrained, test)
-    result = train(ds, cfg, pretrained)
-    fin = reconstruction_l1(result.generator, test)
+    g_net, _ = train(ds, cfg, pretrained)
+    fin = reconstruction_l1(g_net, test)
     assert fin <= 1.05 * pre
 
 
@@ -470,9 +496,9 @@ def test_training_histories_finite():
     cfg = TrainConfig(lr=1e-3, pretrain_epochs=3, pretrain_batch=4,
                       batch=4, epochs=3, seed=11)
     pretrained, pretrain_history = pretrain_discriminator(ds, NCFG, cfg)
-    result = train(ds, cfg, pretrained)
+    _, history = train(ds, cfg, pretrained)
     assert np.all(np.isfinite(pretrain_history))
-    assert np.all(np.isfinite(np.asarray(result.history)))
+    assert np.all(np.isfinite(np.asarray(history)))
 
 
 def test_labeled_step_runs_and_swaps_only_label_channels():
