@@ -18,13 +18,20 @@ from ..errors import DataFormatError
 
 @dataclass
 class Mesh:
+    """A triangle mesh. ``faces`` is a read-only int32 array: an int32
+    input is kept as a read-only view, never copied, so meshes built on one
+    triangulation share it and none of them can change it for the others."""
     vertices: np.ndarray                       # (V, 3) float64
-    faces: np.ndarray                          # (F, 3) int32, 0-based
+    faces: np.ndarray                          # (F, 3) int32, 0-based, read-only
     landmarks: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
-        self.faces = np.asarray(self.faces, dtype=np.int32)
+        faces = np.asarray(self.faces, dtype=np.int32)
+        if faces.flags.writeable:
+            faces = faces.view()
+            faces.flags.writeable = False
+        self.faces = faces
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise DataFormatError(f"vertices must be (V, 3), got {self.vertices.shape}")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
@@ -99,11 +106,12 @@ def load_obj(path: str | os.PathLike, landmarks: dict[str, int] | None = None) -
     their vertex index. A file in the subset ``save_obj`` writes is parsed by
     numpy in one pass: at least one ``v `` line, every line a ``v `` line up
     to the first ``f `` line and an ``f `` line after it, each face exactly
-    three plain integer indices in range. Every other file goes through the
-    line loop, which alone raises the line-numbered ``DataFormatError``s.
-    Each distinct face block is parsed once per process: the parsed indices
-    are kept in a bounded cache keyed on the block's text, and every call
-    returns its own writable faces array."""
+    three plain integer indices. Every other file goes through the line
+    loop, which alone raises the line-numbered ``DataFormatError``s. An
+    index out of range, like any other mesh defect, is a DataFormatError
+    naming the file. Each distinct face block is parsed once per process:
+    every load of it returns the same read-only faces array (see
+    ``_face_rows``), so the meshes of a dataset share one triangulation."""
     try:
         fh = open(path)
     except FileNotFoundError:
@@ -112,13 +120,16 @@ def load_obj(path: str | os.PathLike, landmarks: dict[str, int] | None = None) -
         text = fh.read()
     arrays = _parse_regular_obj(text)
     verts, faces = arrays if arrays is not None else _parse_obj_lines(path, text)
-    return Mesh(verts, faces, dict(landmarks or {}))
+    try:
+        return Mesh(verts, faces, dict(landmarks or {}))
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
 # a face line is the tag plus exactly three indices: with this dtype loadtxt
 # itself rejects any other token count, where ``usecols`` would drop a quad's
 # fourth index without a word
-_FACE_ROW = np.dtype([("tag", "U1"), ("idx", np.int64, (3,))])
+_FACE_ROW = np.dtype([("tag", "U1"), ("idx", np.int32, (3,))])
 
 
 def _parse_regular_obj(text: str):
@@ -138,20 +149,19 @@ def _parse_regular_obj(text: str):
                            comments=None, ndmin=2)
     except ValueError:
         return None
-    if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
-        return None  # the line loop reports it as it always has
-    return verts, faces - 1
+    return verts, faces
 
 
 @functools.lru_cache(maxsize=_FACE_BLOCKS)
 def _face_rows(fblock: str):
-    """The read-only (F, 3) 1-based indices of a face block in which every
-    line starts with "f " and holds three integers, or None."""
+    """The (F, 3) 0-based int32 indices of a face block in which every line
+    starts with "f " and holds three integers, or None. The array is
+    read-only and cached: every mesh loaded with this block shares it."""
     if fblock.count("\n") != fblock.count("\nf ") + fblock.endswith("\n"):
         return None
     try:
         faces = (np.loadtxt(io.StringIO(fblock), dtype=_FACE_ROW, comments=None,
-                            ndmin=1)["idx"] if fblock else np.empty((0, 3), np.int64))
+                            ndmin=1)["idx"] - 1 if fblock else np.empty((0, 3), np.int32))
     except ValueError:
         return None
     faces.flags.writeable = False
@@ -176,8 +186,11 @@ def _parse_obj_lines(path, text: str):
             faces.append(idx)
     if not verts:
         raise DataFormatError(f"{path}: no vertices")
-    return (np.array(verts, dtype=np.float64),
-            np.array(faces, dtype=np.int32).reshape(-1, 3))
+    try:
+        faces = np.array(faces, dtype=np.int32).reshape(-1, 3)
+    except OverflowError:
+        raise DataFormatError(f"{path}: face indices out of range") from None
+    return np.array(verts, dtype=np.float64), faces
 
 
 def save_landmarks(path: str | os.PathLike, landmarks: dict[str, int]) -> None:

@@ -33,7 +33,7 @@ from .geometry import (Mesh, UVLayout, UVMap, cylindrical_unwrap,
                        generalized_procrustes, load_landmarks, load_obj,
                        normalize_dataset, procrustes_points, rasterize_uv,
                        sample_mesh_from_uv, save_landmarks, save_obj)
-from .io import load_layout, load_uvmap, save_layout, save_uvmap
+from .io import atomic_open, load_layout, load_uvmap, save_layout, save_uvmap
 # re-exported: bench/spans.py traces it as pipeline.translate_map
 from .model import translate_map
 from .parallel import thread_map
@@ -103,37 +103,44 @@ def _scan_raw(in_dir: Path):
     return subjects, noisy, labeled
 
 
-def _load_finite(path, landmarks) -> Mesh:
-    """``load_obj``, refusing a mesh with a NaN or infinite coordinate."""
+def _load_checked(path, landmarks, template: Mesh | None = None) -> Mesh:
+    """``load_obj``, refusing a mesh with a NaN or infinite coordinate or,
+    given ``template``, one whose vertex count is not the template's."""
     mesh = load_obj(path, landmarks)
     if not np.isfinite(mesh.vertices).all():
         raise DataFormatError(f"{path}: non-finite vertex coordinates")
+    if template is not None and mesh.num_vertices != template.num_vertices:
+        raise DataFormatError(f"{path}: {mesh.num_vertices} vertices do not match the "
+                              f"template topology ({template.num_vertices})")
     return mesh
 
 
 def preprocess(in_dir, template_path, landmarks_path, resolution: int,
                out_dir, seed: int = 0, layout_path=None) -> dict:
-    """GPA-align, center, normalize, unwrap and rasterize a raw dataset."""
+    """GPA-align, center, normalize, unwrap and rasterize a raw dataset.
+    Every input is read and checked before the first write, so a refused
+    set leaves no output behind, and ``meta.json`` is written last and
+    atomically: a tree without it is not a preprocessed set."""
     in_dir = Path(in_dir)
     out = Path(out_dir)
-    (out / "maps").mkdir(parents=True, exist_ok=True)
-    (out / "aligned").mkdir(parents=True, exist_ok=True)
 
     subjects, noisy, labeled = _scan_raw(in_dir)
     landmarks = load_landmarks(landmarks_path)
-    template = _load_finite(template_path, landmarks)
+    template = _load_checked(template_path, landmarks)
     label_names = sorted(labeled.keys())
 
     # one flat list of clean meshes to align together
-    entries = []   # (key, path)
-    for stem, p in subjects:
-        entries.append((stem, p))
+    entries = list(subjects)   # (key, path)
     for name in label_names:
         for fname, p in sorted(labeled[name].items()):
             entries.append((Path(fname).stem, p))
-    meshes = [_load_finite(p, landmarks) for _, p in entries]
-    if any(m.num_vertices != template.num_vertices for m in meshes):
-        raise DataFormatError("dataset meshes do not match the template topology")
+    meshes = [_load_checked(p, landmarks, template) for _, p in entries]
+    if layout_path is not None:
+        layout = load_layout(layout_path)
+        if layout.num_vertices != template.num_vertices:
+            raise DataFormatError(f"{layout_path}: layout override does not match the template")
+    else:
+        layout = cylindrical_unwrap(template)
 
     aligned, mean = generalized_procrustes(meshes)
     center = mean.centroid()
@@ -141,19 +148,16 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
     aligned, scale = normalize_dataset(aligned)
     by_key = {key: m for (key, _), m in zip(entries, aligned)}
 
+    # each noisy companion is read and checked here, after GPA but still
+    # before the first write, so the raw noisy meshes are never all live
     noisy_aligned = {}
-    for stem, p in noisy.items():
-        raw = _load_finite(p, landmarks)
-        tgt = by_key[stem]
-        t = procrustes_points(raw.vertices, tgt.vertices)
+    for stem, p in sorted(noisy.items()):
+        raw = _load_checked(p, landmarks, template)
+        t = procrustes_points(raw.vertices, by_key[stem].vertices)
         noisy_aligned[stem] = raw.with_vertices(t.apply(raw.vertices))
 
-    if layout_path is not None:
-        layout = load_layout(layout_path)
-        if layout.num_vertices != template.num_vertices:
-            raise DataFormatError("layout override does not match the template")
-    else:
-        layout = cylindrical_unwrap(template)
+    (out / "maps").mkdir(parents=True, exist_ok=True)
+    (out / "aligned").mkdir(parents=True, exist_ok=True)
     save_layout(out / "layout.uvl", layout)
 
     def _raster(item):
@@ -165,7 +169,7 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
 
     layout.rasterization(resolution)  # build the cache once, not per worker
     work = [(key, by_key[key]) for key in by_key] + \
-           [(f"{stem}.noisy", m) for stem, m in sorted(noisy_aligned.items())]
+           [(f"{stem}.noisy", m) for stem, m in noisy_aligned.items()]
     thread_map(_raster, work)
 
     rng = np.random.default_rng(seed)
@@ -184,10 +188,10 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
         "subjects": stems,
         "train": train_set,
         "test": test_set,
-        "noisy": sorted(noisy_aligned.keys()),
+        "noisy": list(noisy_aligned),
         "seed": seed,
     }
-    with open(out / "meta.json", "w") as fh:
+    with atomic_open(out / "meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return meta

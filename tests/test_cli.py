@@ -804,3 +804,96 @@ def test_orphan_noisy_companion_exits_data_error(tmp_path, how, capsys):
                "--out", tmp_path / "pre") == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert str(raw / "meshes" / "subj_0001.noisy.obj") in err and "Traceback" not in err
+
+
+def _drop_first_vertex(path):
+    path.write_text(path.read_text().split("\n", 1)[1])
+
+
+def _add_a_vertex(path):
+    path.write_text("v 0 0 0\n" + path.read_text())
+
+
+def _nan_vertex(path):
+    path.write_text("v 1 1 nan\n" + path.read_text().split("\n", 1)[1])
+
+
+# defect -> (the mesh file the refusal names, the mesh file edited, the edit)
+REFUSED_SETS = {
+    "orphan_noisy_companion": ("subj_0001.noisy.obj", "subj_0001.obj", Path.unlink),
+    "nan_clean_mesh": ("subj_0001.obj", "subj_0001.obj", _nan_vertex),
+    "nan_noisy_mesh": ("subj_0001.noisy.obj", "subj_0001.noisy.obj", _nan_vertex),
+    "clean_mesh_missing_a_vertex": ("subj_0001.obj", "subj_0001.obj", _drop_first_vertex),
+    "noisy_mesh_with_an_extra_vertex": ("subj_0001.noisy.obj", "subj_0001.noisy.obj",
+                                        _add_a_vertex),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(REFUSED_SETS))
+def test_refused_preprocess_leaves_nothing_behind(tmp_path, defect, capsys):
+    """Every input is read and checked before the first write: a refused
+    set exits 2 with one line naming the file, and no output path."""
+    raw = tmp_path / "raw"
+    assert run("synth", "--subjects", 2, "--grid", 5, "--noise", 0.01, "--out", raw) == 0
+    named, edited, edit = REFUSED_SETS[defect]
+    edit(raw / "meshes" / edited)
+    capsys.readouterr()
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", raw / "landmarks.txt", "--res", 8,
+               "--out", tmp_path / "pre") == cli.EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(raw / "meshes" / named) in err[0], err
+    assert "Traceback" not in err[0]
+    assert not (tmp_path / "pre").exists()
+
+
+def _preprocessed_tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_preprocess_shares_one_triangulation_and_is_the_same_on_two_workers(
+        tmp_path, monkeypatch):
+    """Every mesh that preprocess aligns, clean or noisy, and the layout
+    hold one faces array; THREADS=2 writes the default's tree byte for
+    byte."""
+    raw = tmp_path / "raw"
+    assert run("synth", "--subjects", 4, "--grid", 9, "--noise", 0.01, "--out", raw) == 0
+    seen = []
+
+    def rasterize(mesh, layout, res):
+        seen.append((mesh.faces, layout.faces))
+        return rasterize_uv(mesh, layout, res)
+
+    rasterize_uv = pipeline.rasterize_uv
+    monkeypatch.setattr(pipeline, "rasterize_uv", rasterize)
+    monkeypatch.delenv("THREADS", raising=False)
+    trees = []
+    for out in ("pre", "pre_threads"):
+        assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+                   "--landmarks", raw / "landmarks.txt", "--res", 16,
+                   "--out", tmp_path / out) == 0
+        trees.append(_preprocessed_tree(tmp_path / out))
+        monkeypatch.setenv("THREADS", "2")   # for the second run
+    assert len(seen) == 2 * 8
+    one = seen[0][1]
+    assert all(np.shares_memory(f, one) and np.shares_memory(lf, one) for f, lf in seen)
+    assert trees[0] == trees[1] and len(trees[0]) == 2 + 2 * 8
+
+
+def test_one_worker_unless_threads_asks_for_more(monkeypatch):
+    from facegan3d import parallel
+    monkeypatch.delenv("THREADS", raising=False)
+    assert parallel.worker_count() == 1
+    monkeypatch.setenv("THREADS", "3")
+    assert parallel.worker_count() == 3
+
+
+def test_truncated_adam_moments_make_translate_exit_data_error(work, tmp_path, capsys):
+    """translate skips the moments but still checks them: a checkpoint cut
+    inside its Adam section is refused, naming the file."""
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((work / "model.ckpt").read_bytes()[:-1])
+    assert run("translate", "--model", cut, "--in", work / "pre",
+               "--out", tmp_path / "tr") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{cut}: truncated in array 'adam_" in err and "Traceback" not in err

@@ -640,17 +640,31 @@ def test_load_obj_files_differing_in_one_face_index_load_their_own(tmp_path):
         np.testing.assert_array_equal(load_obj(tmp_path / f"{name}.obj").faces, mesh.faces)
 
 
-def test_load_obj_faces_are_writable_and_not_shared(tmp_path):
+def test_load_obj_faces_are_shared_and_read_only(tmp_path):
+    """Every load of one face block returns one read-only array, so a
+    change to one loaded mesh can never reach another load."""
     mesh = make_template(9)
     save_obj(tmp_path / "m.obj", mesh)
     first, second = load_obj(tmp_path / "m.obj"), load_obj(tmp_path / "m.obj")
-    assert first.faces.flags.writeable and second.faces.flags.writeable
-    assert not np.shares_memory(first.faces, second.faces)
-    first.faces[:] = 0
+    assert first.faces is second.faces and not first.faces.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.faces[:] = 0
     np.testing.assert_array_equal(load_obj(tmp_path / "m.obj").faces, mesh.faces)
 
 
-@pytest.mark.parametrize("case", ["index_past_the_vertices", "same_faces_fewer_vertices"])
+def test_mesh_keeps_int32_faces_as_a_read_only_view(tmp_path):
+    faces = np.array([[0, 1, 2]], dtype=np.int32)
+    mesh = Mesh(np.eye(3), faces)
+    assert np.shares_memory(mesh.faces, faces) and not mesh.faces.flags.writeable
+    assert mesh.with_vertices(2 * np.eye(3)).faces is mesh.faces
+    # a file only the line loop reads gives the same contract
+    (tmp_path / "c.obj").write_text("# comment\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n")
+    loaded = load_obj(tmp_path / "c.obj").faces
+    assert loaded.dtype == np.int32 and not loaded.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["index_past_the_vertices", "same_faces_fewer_vertices",
+                                  "index_past_int32"])
 def test_load_obj_out_of_range_face_after_a_good_file_errors(tmp_path, case):
     mesh = make_template(9)
     save_obj(tmp_path / "good.obj", mesh)
@@ -660,6 +674,8 @@ def test_load_obj_out_of_range_face_after_a_good_file_errors(tmp_path, case):
     vblock, fblock = text[:cut], text[cut:]
     if case == "index_past_the_vertices":
         fblock = re.sub(r"^f \d+", f"f {mesh.num_vertices + 1}", fblock, count=1)
+    elif case == "index_past_int32":
+        fblock = re.sub(r"^f \d+", f"f {2 ** 40}", fblock, count=1)
     else:
         vblock = vblock.split("\n", 1)[1]   # one vertex fewer, the same face block
     (tmp_path / "bad.obj").write_text(vblock + fblock)
