@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
         (d_net, g_net), state = io.load_resumable(*(Path(args.resume) / p.name for p in paths))
     _check_epochs_left(state, tcfg.epochs, "epochs")
     if args.pretrained:
-        d_net = io.load_checkpoint(args.pretrained, moments=False)[0]
+        d_net = io.load_checkpoint(args.pretrained)[0]
     elif d_net is None:
         d_net = _pretrain(data["train"], ncfg, tcfg, out / "pretrained.ckpt")
     out.mkdir(parents=True, exist_ok=True)
@@ -211,7 +211,7 @@ def _sample_maps(args, net, data_dir, meta) -> np.ndarray:
 
 
 def cmd_generate(args) -> int:
-    net = io.load_checkpoint(args.model, moments=False)[0]
+    net = io.load_checkpoint(args.model)[0]
     data_dir = Path(args.data)
     meta = pipeline.load_meta(data_dir)
     layout = io.load_layout(data_dir / "layout.uvl")
@@ -226,7 +226,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    net = io.load_checkpoint(args.model, moments=False)[0]
+    net = io.load_checkpoint(args.model)[0]
     data_dir = Path(args.in_dir)
     meta = pipeline.load_meta(data_dir)
     layout = io.load_layout(data_dir / "layout.uvl")
@@ -268,7 +268,7 @@ def cmd_evaluate(args) -> int:
         if args.model == "identity":
             recs = targets
         else:
-            net = io.load_checkpoint(args.model, moments=False)[0]
+            net = io.load_checkpoint(args.model)[0]
             maps = translate_map(net, pipeline.load_maps(data_dir, meta, keys), onehots)
             recs = [pipeline.map_to_mesh(m, layout, landmarks) for m in maps]
         errs = evaluation.generalization_errors(recs, targets)
@@ -295,7 +295,7 @@ def cmd_evaluate(args) -> int:
                                   "set with noisy companions")
         for gt in test_meshes:   # refuse bad landmarks before the model's forward
             evaluation.rmse3d_landmarks(gt)
-        net = io.load_checkpoint(args.model, moments=False)[0]
+        net = io.load_checkpoint(args.model)[0]
         x, _ = pipeline.load_inputs(data_dir, meta, meta["test"])
         preds = [pipeline.map_to_mesh(m, layout, landmarks) for m in translate_map(net, x)]
         identities = pipeline.load_aligned_meshes(
@@ -314,7 +314,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     # specificity
-    net = io.load_checkpoint(args.model, moments=False)[0]
+    net = io.load_checkpoint(args.model)[0]
     maps = _sample_maps(args, net, data_dir, meta)
     mean, std, _ = evaluation.specificity(
         (pipeline.map_to_mesh(m, layout, landmarks) for m in maps), test_meshes)

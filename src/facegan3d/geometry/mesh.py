@@ -20,7 +20,10 @@ from ..errors import DataFormatError
 class Mesh:
     """A triangle mesh. ``faces`` is a read-only int32 array: an int32
     input is kept as a read-only view, never copied, so meshes built on one
-    triangulation share it and none of them can change it for the others."""
+    triangulation share it and no write through a mesh can change it. A
+    caller that passes a writable int32 array still owns it and must not
+    write to it afterwards: that write would reach every mesh sharing it.
+    ``load_obj``'s arrays are read-only throughout."""
     vertices: np.ndarray                       # (V, 3) float64
     faces: np.ndarray                          # (F, 3) int32, 0-based, read-only
     landmarks: dict[str, int] = field(default_factory=dict)

@@ -165,7 +165,7 @@ def rasterize_uv(mesh: Mesh, layout: UVLayout, resolution: int) -> UVMap:
 
 
 # (uncovered, boundary) pixel pairs compared at once: bounds the transient
-# distance matrix, of which two fills run at once only with THREADS >= 2
+# distance matrix; one fill runs at a time
 _FILL_CHUNK = 1 << 18
 
 

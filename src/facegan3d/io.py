@@ -68,27 +68,23 @@ def _save(path, magic: bytes, meta: dict, arrays: list) -> None:
             _write_arr(fh, arr, dtype)
 
 
-def _load(path, magic: bytes, decode, skip: tuple[str, ...] = ()):
-    """``decode(meta, arrays)`` of the container at ``path``, with the
-    arrays whose names start with a prefix in ``skip`` left unread (see
-    ``_parse``). A defect that the reader, ``decode`` or the constructors
-    it calls find is a DataFormatError naming the file."""
+def _load(path, magic: bytes, decode):
+    """``decode(meta, arrays)`` of the container at ``path``. A defect that
+    the reader, ``decode`` or the constructors it calls find is a
+    DataFormatError naming the file."""
     with open(path, "rb") as fh:
         try:
-            return decode(*_parse(fh, magic, skip))
+            return decode(*_parse(fh, magic))
         except DataFormatError as e:
             raise DataFormatError(f"{path}: {e}") from e
         except (ValueError, KeyError, TypeError, ArithmeticError) as e:  # NonFiniteError too
             raise DataFormatError(f"{path}: {type(e).__name__}: {e}") from e
 
 
-def _parse(fh, magic: bytes, skip: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
+def _parse(fh, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta and arrays of the container in the binary file ``fh``, read
     from its start. Each array's size is checked against what is left of
-    the file before its buffer is allocated. An array whose name starts
-    with a prefix in ``skip`` is checked the same way and then seeked past:
-    it comes back as a read-only placeholder of its dtype and shape that
-    holds no data."""
+    the file before its buffer is allocated."""
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
     preamble = fh.read(_PREAMBLE.size)
@@ -111,10 +107,6 @@ def _parse(fh, magic: bytes, skip: tuple[str, ...] = ()) -> tuple[dict, dict[str
         nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
         if nbytes > size - fh.tell():
             raise DataFormatError(f"truncated in array {name!r}")
-        if name.startswith(skip):
-            arrays[name] = np.broadcast_to(np.empty((), _DTYPES[dtype]), shape)
-            fh.seek(nbytes, os.SEEK_CUR)
-            continue
         arrays[name] = np.empty(shape, _DTYPES[dtype])
         if fh.readinto(arrays[name]) != nbytes:
             raise DataFormatError(f"truncated in array {name!r}")
@@ -170,16 +162,10 @@ def _decode_checkpoint(meta: dict, arrays: dict) -> tuple[Network, dict]:
     return Network(cfg, params), out
 
 
-def load_checkpoint(path, moments: bool = True) -> tuple[Network, dict]:
+def load_checkpoint(path) -> tuple[Network, dict]:
     """Returns (network, meta) where meta may hold 'adam', 'rng_state',
-    'epoch' and 'history'. With ``moments=False`` the Adam moments are
-    checked (dtype, shape, size) but not read, and meta has no 'adam': the
-    read for a command that only runs the network."""
-    if moments:
-        return _load(path, CHECKPOINT_MAGIC, _decode_checkpoint)
-    net, meta = _load(path, CHECKPOINT_MAGIC, _decode_checkpoint, skip=("adam_m/", "adam_v/"))
-    meta.pop("adam", None)
-    return net, meta
+    'epoch' and 'history'."""
+    return _load(path, CHECKPOINT_MAGIC, _decode_checkpoint)
 
 
 def load_resumable(*paths) -> tuple[list[Network], TrainState]:

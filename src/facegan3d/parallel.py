@@ -1,23 +1,14 @@
-"""Order-preserving map for per-mesh work. It runs on one worker unless
-the THREADS env var asks for more: a second thread bought preprocessing
-no time and cost it RSS. ``pipeline.preprocess`` still calls
-``thread_map`` because the benchmark's tracer times its work under that
-span; the module goes once the benchmark no longer reads it."""
+"""Order-preserving map for per-mesh work, on one worker: a second thread
+bought preprocessing no time and cost it RSS. ``pipeline.preprocess``
+still calls ``thread_map`` because the benchmark's tracer times its work
+under that span; the module goes once the benchmark no longer reads it."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 
 def worker_count() -> int:
-    return max(1, int(os.environ.get("THREADS") or 1))
+    return 1
 
 
 def thread_map(fn, items):
-    items = list(items)
-    workers = min(worker_count(), max(1, len(items)))
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(it) for it in items]

@@ -167,7 +167,6 @@ def preprocess(in_dir, template_path, landmarks_path, resolution: int,
         save_obj(out / "aligned" / f"{key}.obj", mesh)
         return key
 
-    layout.rasterization(resolution)  # build the cache once, not per worker
     work = [(key, by_key[key]) for key in by_key] + \
            [(f"{stem}.noisy", m) for stem, m in noisy_aligned.items()]
     thread_map(_raster, work)

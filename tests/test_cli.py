@@ -847,15 +847,9 @@ def test_refused_preprocess_leaves_nothing_behind(tmp_path, defect, capsys):
     assert not (tmp_path / "pre").exists()
 
 
-def _preprocessed_tree(root: Path) -> dict:
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-def test_preprocess_shares_one_triangulation_and_is_the_same_on_two_workers(
-        tmp_path, monkeypatch):
+def test_preprocess_shares_one_triangulation(tmp_path, monkeypatch):
     """Every mesh that preprocess aligns, clean or noisy, and the layout
-    hold one faces array; THREADS=2 writes the default's tree byte for
-    byte."""
+    hold one faces array."""
     raw = tmp_path / "raw"
     assert run("synth", "--subjects", 4, "--grid", 9, "--noise", 0.01, "--out", raw) == 0
     seen = []
@@ -866,34 +860,9 @@ def test_preprocess_shares_one_triangulation_and_is_the_same_on_two_workers(
 
     rasterize_uv = pipeline.rasterize_uv
     monkeypatch.setattr(pipeline, "rasterize_uv", rasterize)
-    monkeypatch.delenv("THREADS", raising=False)
-    trees = []
-    for out in ("pre", "pre_threads"):
-        assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
-                   "--landmarks", raw / "landmarks.txt", "--res", 16,
-                   "--out", tmp_path / out) == 0
-        trees.append(_preprocessed_tree(tmp_path / out))
-        monkeypatch.setenv("THREADS", "2")   # for the second run
-    assert len(seen) == 2 * 8
+    assert run("preprocess", "--in", raw, "--template", raw / "template.obj",
+               "--landmarks", raw / "landmarks.txt", "--res", 16,
+               "--out", tmp_path / "pre") == 0
+    assert len(seen) == 8
     one = seen[0][1]
     assert all(np.shares_memory(f, one) and np.shares_memory(lf, one) for f, lf in seen)
-    assert trees[0] == trees[1] and len(trees[0]) == 2 + 2 * 8
-
-
-def test_one_worker_unless_threads_asks_for_more(monkeypatch):
-    from facegan3d import parallel
-    monkeypatch.delenv("THREADS", raising=False)
-    assert parallel.worker_count() == 1
-    monkeypatch.setenv("THREADS", "3")
-    assert parallel.worker_count() == 3
-
-
-def test_truncated_adam_moments_make_translate_exit_data_error(work, tmp_path, capsys):
-    """translate skips the moments but still checks them: a checkpoint cut
-    inside its Adam section is refused, naming the file."""
-    cut = tmp_path / "cut.ckpt"
-    cut.write_bytes((work / "model.ckpt").read_bytes()[:-1])
-    assert run("translate", "--model", cut, "--in", work / "pre",
-               "--out", tmp_path / "tr") == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"{cut}: truncated in array 'adam_" in err and "Traceback" not in err

@@ -186,56 +186,6 @@ def test_checkpoint_load_holds_no_copy_of_the_file(tmp_path):
     assert peak <= size + (1 << 20), (peak, size)
 
 
-def test_parameters_only_load_reads_the_parameters_and_skips_the_moments(tmp_path):
-    """The read of a command that only runs the net: the same parameter
-    bytes and meta as a full load, no Adam state, and a traced peak of the
-    parameters alone on a file that is two thirds moments."""
-    save_tiny_checkpoint(tmp_path / "a.ckpt")
-    full, full_meta = io.load_checkpoint(tmp_path / "a.ckpt")
-    lean, lean_meta = io.load_checkpoint(tmp_path / "a.ckpt", moments=False)
-    assert lean.config == full.config and lean.params.names() == full.params.names()
-    for name in full.params.names():
-        assert lean.params[name].data.tobytes() == full.params[name].data.tobytes()
-    assert "adam" not in lean_meta and lean_meta == {k: v for k, v in full_meta.items()
-                                                     if k != "adam"}
-
-    rng = np.random.default_rng(0)
-    net = Network.build(NetConfig(32, 16, 16), rng)
-    adam = AdamState()
-    for t in net.params.tensors():
-        adam.m[t.node_id] = adam.v[t.node_id] = np.zeros(t.shape, np.float32)
-    io.save_checkpoint(tmp_path / "b.ckpt", net, adam=adam)
-    params = sum(t.data.nbytes for t in net.params.tensors())
-    peak = traced_peak(lambda: io.load_checkpoint(tmp_path / "b.ckpt", moments=False))
-    assert peak <= params + (1 << 20), (peak, params)
-
-
-def test_parameters_only_load_still_checks_the_moments(tmp_path):
-    """Skipped moments are checked as read ones are: each cut inside them
-    is a truncation, bytes after them trail, and a moment whose shape is
-    not its parameter's is refused."""
-    save_tiny_checkpoint(tmp_path / "a.ckpt")
-    blob = (tmp_path / "a.ckpt").read_bytes()
-    offset, header = header_of(blob)
-    for entry in header["arrays"]:
-        size = np.dtype(entry["dtype"]).itemsize * int(np.prod(entry["shape"]))
-        offset += size
-        if entry["name"].startswith("adam_"):
-            (tmp_path / "cut").write_bytes(blob[:offset - 1])
-            with pytest.raises(DataFormatError, match="truncated in array 'adam_"):
-                io.load_checkpoint(tmp_path / "cut", moments=False)
-    (tmp_path / "cut").write_bytes(blob + b"\0")
-    with pytest.raises(DataFormatError, match="1 trailing bytes"):
-        io.load_checkpoint(tmp_path / "cut", moments=False)
-
-    net, adam, _ = tiny_checkpoint()
-    node = next(iter(adam.m))
-    adam.m[node] = adam.v[node] = np.zeros(3, np.float32)
-    io.save_checkpoint(tmp_path / "b.ckpt", net, adam=adam)
-    with pytest.raises(DataFormatError, match="Adam moments of .* do not match"):
-        io.load_checkpoint(tmp_path / "b.ckpt", moments=False)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_trailing_bytes_foreign_magic_and_old_version_are_data_errors(tmp_path, kind):
     save, load = KINDS[kind]
