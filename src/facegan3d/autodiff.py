@@ -9,7 +9,9 @@ elementwise-mean L1 loss, plus a handful of scalar glue ops. ELU has
 alpha = 1 throughout. Forward values are plain ndarrays held by
 :class:`Tensor`; executing an op with any input attached to a
 :class:`Tape` records the op so that :func:`backward` can replay the tape
-in reverse. :func:`backward` consumes the tape: it drops each record once
+in reverse. Gradients flow only along paths that start at the ``params``
+of :func:`backward`; a param that the loss does not depend on gets a zero
+grad. :func:`backward` consumes the tape: it drops each record once
 that record's backward has run, so a tape takes one :func:`backward`, and
 a step's activations are freed by refcount when the step ends, not when
 the cyclic garbage collector next runs.
@@ -74,7 +76,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
-        self._produced: set[int] = set()
         self.consumed = False
 
     def leaf(self, data) -> Tensor:
@@ -89,11 +90,7 @@ class Tape:
     def _add(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
         self._check_open()
         output._tape = self
-        self._produced.add(output.node_id)
         self.records.append(_Record(op, inputs, output, backward_fn))
-
-    def is_intermediate(self, t: Tensor) -> bool:
-        return t.node_id in self._produced
 
 
 def _tape_of(inputs: Sequence[Tensor]) -> Tape | None:
@@ -138,9 +135,11 @@ def backward(loss: Tensor, params: Sequence[Tensor],
     Walks the tape once, in reverse, and consumes it: each record is
     dropped once its backward has run, which frees that op's saved inputs
     and its output grad, and the tape is left empty and marked consumed, so
-    a tape takes one ``backward``. Only ``params`` and the tape's own
-    intermediates get gradients, so each op computes only the input
-    gradients in that set. Unreachable params get zero grads.
+    a tape takes one ``backward``. Gradients flow only along paths that
+    start at ``params``: one sweep over the records, in order, marks every
+    output that depends on a param, and each op computes only the input
+    gradients of params and marked outputs. Unreachable params get zero
+    grads.
     """
     tape = loss._tape
     if tape is None:
@@ -155,16 +154,17 @@ def backward(loss: Tensor, params: Sequence[Tensor],
                          f"its output {loss.data.shape}")
     tape.consumed = True
     wanted = {p.node_id for p in params}
-    loss.grad = grad
     records = tape.records
+    for rec in records:
+        if any(t.node_id in wanted for t in rec.inputs):
+            wanted.add(rec.output.node_id)
+    loss.grad = grad
     while records:
         rec = records.pop()
         g = rec.output.grad
         if g is None:
             continue
-        needs = tuple(
-            t.node_id in wanted or tape.is_intermediate(t) for t in rec.inputs
-        )
+        needs = tuple(t.node_id in wanted for t in rec.inputs)
         gins = rec.backward_fn(g, needs)
         for t, gi in zip(rec.inputs, gins):
             if gi is None:
@@ -174,7 +174,6 @@ def backward(loss: Tensor, params: Sequence[Tensor],
             else:
                 t.grad += gi
         rec.output.grad = None
-    tape._produced.clear()
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -189,7 +188,7 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 # convolution
 
 
-def _im2col(x: np.ndarray, cols: np.ndarray, border: bool) -> None:
+def _im2col(x: np.ndarray, cols: np.ndarray) -> None:
     # Writes the im2col of x (N, C, H, W) into cols (N, C, 9, H*W), whose
     # last axis is contiguous: cols[n, c, 3i + j, h*W + w] is
     # x[n, c, h + i - 1, w + j - 1], zero outside x. Tap (i, j) is one flat
@@ -197,9 +196,9 @@ def _im2col(x: np.ndarray, cols: np.ndarray, border: bool) -> None:
     # of up to H*W elements, where a 2-D slice would give runs W long. The
     # flat shift wraps column w = 0 (j = 0) or w = W - 1 (j = 2) round to
     # the neighbouring row, so that column is zeroed after the copy, while
-    # the tap is still in cache. The elements the shift leaves uncovered,
-    # the border rows, are written by no copy: they are zeroed only when
-    # border is set, so a buffer reused for the next chunk keeps them.
+    # the tap is still in cache. The at most W + 1 elements the shift leaves
+    # uncovered, at the front for s < 0 and at the back for s > 0, are
+    # zeroed first, so any reused buffer may be passed.
     N, C, H, W = x.shape
     L = H * W
     xf = x.reshape(N, C, L)
@@ -207,9 +206,9 @@ def _im2col(x: np.ndarray, cols: np.ndarray, border: bool) -> None:
         i, j = divmod(k, 3)
         s = (i - 1) * W + j - 1
         lo, hi = min(L, max(0, -s)), max(0, min(L, L - s))
-        if border and s < 0:
+        if s < 0:
             cols[:, :, k, :lo] = 0
-        elif border and s > 0:
+        elif s > 0:
             cols[:, :, k, hi:] = 0
         if lo < hi:
             cols[:, :, k, lo:hi] = xf[:, :, lo + s:hi + s]
@@ -242,7 +241,7 @@ def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
     for i in range(0, N, step):
         xs = x[i:i + step]
         cols = buf[:len(xs)]
-        _im2col(xs, cols, border=i == 0)
+        _im2col(xs, cols)
         np.matmul(w2, cols.reshape(-1, C1 * 9, H * W), out=out[i:i + step])
     return out.reshape(N, w2.shape[0], H, W)
 
@@ -253,8 +252,7 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     # written by _im2col through an (n, C1, 9, H*W) view of the front of
     # one reused buffer: only g's chunk, with C2 channels, needs a
     # transpose, not the 9*C1-row im2col. The chunk products are added in
-    # chunk order into the first; a shorter last chunk moves the border
-    # rows within the buffer, so it zeroes them again.
+    # chunk order into the first.
     N, C1, H, W = x.shape
     C2, L = g.shape[1], H * W
     step = _im2col_step(x)
@@ -264,7 +262,7 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     for i in range(0, N, step):
         n = min(step, N - i)
         cols = buf[:C1 * 9 * n * L].reshape(C1, 9, n, L)
-        _im2col(x[i:i + n], cols.transpose(2, 0, 1, 3), border=i == 0 or n < step)
+        _im2col(x[i:i + n], cols.transpose(2, 0, 1, 3))
         part = gt[:, i:i + n].reshape(C2, n * L) @ cols.reshape(C1 * 9, n * L).T
         if dw is None:
             dw = part

@@ -413,8 +413,9 @@ def build_parser() -> _Parser:
     s.add_argument("--crop-radius", type=_non_negative, default=np.inf,
                    help="3DRMSE radius around the nose tip, in input units "
                         "(default: the whole face)")
-    s.add_argument("--pca-k", type=_positive_int, default=None)
-    s.add_argument("--pca-var", type=_fraction, default=None)
+    pca = s.add_mutually_exclusive_group()
+    pca.add_argument("--pca-k", type=_positive_int, default=None)
+    pca.add_argument("--pca-var", type=_fraction, default=None)
     s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_evaluate)

@@ -5,6 +5,10 @@ The net's input is the 3 position channels of a UV map. With L labels
 the net itself appends one constant plane per entry of each sample's
 one-hot label vector, so its first conv sees 3+L channels.
 
+No pass takes a tape: each op records on the tape of its inputs. A pass
+of a leaf made by ``Tape.leaf`` records on that leaf's tape, and a pass
+of an array or of an off-tape Tensor records nothing.
+
 Layout for input resolution H (divisible by 32) and base filter count n:
 
 * encoder: 3x3 conv (3+L -> n) + ELU, then five conv blocks growing the
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ShapeError
 
 GROUPS = ("encoder", "bottleneck1", "bottleneck2", "decoder")
@@ -56,9 +60,10 @@ class NetConfig:
             raise ShapeError(f"resolution must be divisible by 32, got {self.resolution}")
         if self.base_filters < 1 or self.latent_dim < 1:
             raise ShapeError("base_filters and latent_dim must be >= 1")
-        for lv in self.skip_levels:
-            if lv not in (2, 4, 8, 16, 32):
-                raise ShapeError(f"skip level must be one of 2/4/8/16/32, got {lv}")
+        lvs = self.skip_levels
+        if len(set(lvs)) != len(lvs) or not set(lvs) <= {2, 4, 8, 16, 32}:
+            raise ShapeError(f"skip_levels must be distinct, each one of 2/4/8/16/32, "
+                             f"got {lvs}")
 
     @property
     def in_channels(self) -> int:
@@ -108,10 +113,6 @@ class NetParams:
         for n, t in self._tensors.items():
             out.add(n, Tensor(t.data.copy()), self._groups[n])
         return out
-
-
-def _leaf(arr: np.ndarray, tape: Tape | None) -> Tensor:
-    return tape.leaf(arr) if tape is not None else Tensor(arr)
 
 
 def _uniform(rng, shape, fan_in, dtype, gain=2.0):
@@ -165,7 +166,8 @@ def translate_map(net: Network, maps: np.ndarray,
 class Network:
     """A built network: immutable architecture description plus parameters.
     Forward passes on shared params are pure; updates belong to exactly one
-    training loop."""
+    training loop. A pass records on the tape of its input: a tape leaf's
+    pass is recorded there, and an array's is recorded nowhere."""
 
     def __init__(self, config: NetConfig, params: NetParams):
         self.config = config
@@ -219,40 +221,35 @@ class Network:
         t = self._conv(ad.conv_elu, t, f"{name}.conv1")
         return self._conv(ad.conv_elu, t, f"{name}.conv2")
 
-    def _input(self, x, tape: Tape | None, labels) -> Tensor:
-        """The encoder input: the (N, 3, H, W) maps ``x`` followed by one
-        constant plane per entry of the (N, L) one-hot ``labels``. An array
-        becomes one tape leaf; a Tensor on a tape stays on it."""
+    def _input(self, x, labels) -> Tensor:
+        """The encoder input: the (N, 3, H, W) maps ``x``, an array or a
+        Tensor, followed by one constant plane per entry of the (N, L)
+        one-hot ``labels``."""
         cfg = self.config
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if data.ndim != 4 or data.shape[1:] != (3, cfg.resolution, cfg.resolution):
+        t = x if isinstance(x, Tensor) else Tensor(np.ascontiguousarray(x))
+        if t.data.ndim != 4 or t.data.shape[1:] != (3, cfg.resolution, cfg.resolution):
             raise ShapeError(f"expected maps (N, 3, {cfg.resolution}, {cfg.resolution}), "
-                             f"got {data.shape}")
+                             f"got {t.data.shape}")
         L = cfg.label_channels
         if labels is None:
             if L:
                 raise ShapeError(f"the net takes {L} one-hot labels per map, got none")
-            return x if isinstance(x, Tensor) else _leaf(np.ascontiguousarray(data), tape)
+            return t
         labels = np.asarray(labels, dtype=np.float32)
-        if not L or labels.shape != (len(data), L):
+        if not L or labels.shape != (len(t.data), L):
             raise ShapeError(f"the net takes {L} one-hot labels per map, got labels "
-                             f"{labels.shape} for {len(data)} maps")
+                             f"{labels.shape} for {len(t.data)} maps")
         if np.any((np.abs(labels) > 1e-6) & (np.abs(labels - 1) > 1e-6)) \
                 or np.any(np.abs(labels.sum(axis=1) - 1.0) > 1e-6):
             raise ValueError(f"labels are not one-hot: {labels}")
-        planes = np.broadcast_to(labels[:, :, None, None],
-                                 labels.shape + data.shape[2:]).astype(np.float32)
-        if isinstance(x, Tensor):
-            return ad.concat_channels(x, _leaf(planes, tape))
-        return _leaf(np.concatenate([data.astype(np.float32, copy=False), planes], axis=1),
-                     tape)
+        planes = np.broadcast_to(labels[:, :, None, None], labels.shape + t.data.shape[2:])
+        return ad.concat_channels(t, Tensor(planes.astype(np.float32)))
 
-    def encode(self, x, tape: Tape | None = None,
-               labels=None) -> tuple[Tensor, dict[int, Tensor]]:
+    def encode(self, x, labels=None) -> tuple[Tensor, dict[int, Tensor]]:
         """Run the encoder + bottleneck1 on the maps ``x`` conditioned on
         ``labels``. Returns (latent, encoder features keyed by downsample
         level)."""
-        h = self._conv(ad.conv_elu, self._input(x, tape, labels), "enc.in")
+        h = self._conv(ad.conv_elu, self._input(x, labels), "enc.in")
         feats: dict[int, Tensor] = {}
         for k in range(1, 6):
             h = self._block(h, f"enc.block{k}")
@@ -264,15 +261,14 @@ class Network:
         z = ad.fully_connected(flat, self.params["b1.w"], self.params["b1.b"])
         return z, feats
 
-    def decode(self, z, tape: Tape | None = None,
-               skips: dict[int, Tensor] | None = None) -> Tensor:
+    def decode(self, z, skips: dict[int, Tensor] | None = None) -> Tensor:
         """Run bottleneck2 + decoder only. ``skips`` maps level -> raw
         encoder feature; only the configured skip levels are projected and
         added, and without ``skips`` no skip feature is added at all (the
         convention for latent-only generation, where no encoder features
         exist)."""
         cfg = self.config
-        zt = z if isinstance(z, Tensor) else _leaf(np.atleast_2d(np.ascontiguousarray(z)), tape)
+        zt = z if isinstance(z, Tensor) else Tensor(np.atleast_2d(np.ascontiguousarray(z)))
         if zt.data.ndim != 2 or zt.data.shape[1] != cfg.latent_dim:
             raise ShapeError(f"latent must be (N, {cfg.latent_dim}), got {zt.data.shape}")
         n, h32 = cfg.base_filters, cfg.resolution // 32
@@ -288,9 +284,9 @@ class Network:
         h = self._block(h, "dec.block6")
         return ad.tanh(self._conv(ad.conv2d, h, "dec.out"))
 
-    def forward(self, x, tape: Tape | None = None, labels=None) -> Tensor:
+    def forward(self, x, labels=None) -> Tensor:
         """Full autoencoding pass of the (N, 3, H, W) maps ``x`` conditioned
         on the (N, L) one-hot ``labels``: the output maps."""
-        z, feats = self.encode(x, tape, labels=labels)
-        return self.decode(z, tape, skips=feats)
+        z, feats = self.encode(x, labels=labels)
+        return self.decode(z, skips=feats)
 

@@ -21,10 +21,13 @@ update the gradient flows through all of D but D's parameters are not in
 the G update's list (each update trains its own net's
 ``ADVERSARIAL_GROUPS``).
 
-A tape holds its pass's activations, so its size grows with the number
-of maps on it. Every pass on a tape therefore runs on the even slices of
-the batch that ``model.batches(n, _TAPE_MAPS)`` gives, one tape per
-slice, and each slice's loss is scaled by its share of the batch, so the
+A pass records on the tape of its input: a pass on a tape starts from a
+``Tape().leaf`` of its maps, and backward follows only the paths from the
+params it is given, so a leaf that is no param gets no gradient. A tape
+holds its pass's activations, so its size grows with the number of maps
+on it. Every pass on a tape therefore runs on the even slices of the batch
+that ``model.batches(n, _TAPE_MAPS)`` gives, one tape per slice, and
+each slice's loss is scaled by its share of the batch, so the
 gradients that the slices add into ``p.grad`` sum to the gradient of the
 batch mean before each Adam step. The reported losses are the scaled
 slice losses, summed in float32 in slice order. One net's tape is live
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, Tape
+from .autodiff import AdamState, Tape, Tensor
 from .errors import NonFiniteError, NumericalError, ShapeError
 from .model import NetConfig, Network, batches, translate_map
 
@@ -94,8 +97,9 @@ class TrainConfig:
         for name, low in (("lambda_adv", 0), ("lambda_rec", 0), ("lr", 0), ("lr_decay", 0),
                           ("batch", 1), ("pretrain_batch", 1), ("lr_decay_every", 1),
                           ("checkpoint_every", 0), ("seed", 0)):
-            if not getattr(self, name) >= low:   # NaN fails too
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            if not low <= getattr(self, name) < np.inf:   # NaN fails too
+                raise ValueError(f"{name} must be finite and >= {low}, "
+                                 f"got {getattr(self, name)}")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -231,8 +235,8 @@ def _l1_pass(net: Network, v: np.ndarray, labels: np.ndarray | None, weight: flo
              params: list) -> np.ndarray:
     """``weight`` * L(v), with L(v) = ||v - net(v)||_1, on a tape of its
     own, backpropagated into ``params``. Returns the loss value."""
-    tape = Tape()
-    loss = ad.scale(ad.l1_mean(tape.leaf(v), net.forward(v, tape, labels=labels)), weight)
+    leaf = Tape().leaf(v)
+    loss = ad.scale(ad.l1_mean(leaf, net.forward(leaf, labels=labels)), weight)
     ad.backward(loss, params=params)
     return loss.data
 
@@ -280,13 +284,12 @@ def adversarial_step(batch: tuple[np.ndarray, np.ndarray, np.ndarray | None],
     l_g = l_rec = np.float32(0)
     for s, share in slices:
         lab = _rows(labels, s)
-        tape_d = Tape()
-        gx_leaf = tape_d.leaf(gx[s])
-        adv = ad.scale(ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, tape_d, labels=lab)), share)
-        rec = ad.scale(ad.l1_mean(gx_leaf, tape_d.leaf(y[s])), share)
+        gx_leaf = Tape().leaf(gx[s])
+        adv = ad.scale(ad.l1_mean(gx_leaf, d_net.forward(gx_leaf, labels=lab)), share)
+        rec = ad.scale(ad.l1_mean(gx_leaf, Tensor(y[s])), share)
         part = ad.add(adv, ad.scale(rec, config.lambda_rec))
         ad.backward(part, params=[gx_leaf])
-        ad.backward(g_net.forward(x[s], Tape(), labels=lab), params=g_params,
+        ad.backward(g_net.forward(Tape().leaf(x[s]), labels=lab), params=g_params,
                     grad=gx_leaf.grad)
         l_g += part.data
         l_rec += rec.data

@@ -82,8 +82,8 @@ SMALL_MAPS = [(5, 6), (1, 1), (1, 4), (4, 1), (2, 2)]
 def test_conv2d_im2col_chunks_are_bitwise_the_one_shot_gemm(dtype, samples, monkeypatch):
     # budgets of 1 byte, one sample's im2col and three samples' (N = 7
     # leaves a partial last chunk); the forward and the backward's dx both
-    # run the chunked im2col, whose one buffer has its border rows zeroed
-    # for the first chunk only
+    # run the chunked im2col, which zeroes the border rows of its one
+    # reused buffer for every chunk
     rng = np.random.default_rng(11)
     N, C1, C2 = 7, 3, 4
     for H, W in SMALL_MAPS:
@@ -110,7 +110,8 @@ def test_conv_weight_grad_is_bitwise_the_one_gemm_oracle(dtype, hw, monkeypatch)
     # dW is the one-GEMM oracle of each sample chunk, summed in chunk order.
     # Budgets of 1 byte, one sample's im2col and three samples' (N = 7
     # leaves a partial last chunk, whose border rows sit elsewhere in the
-    # reused buffer), and the whole batch's: one chunk, the oracle itself
+    # reused buffer, zeroed like every chunk's), and the whole batch's: one
+    # chunk, the oracle itself
     rng = np.random.default_rng(13)
     N, C1, C2 = 7, 3, 4
     H, W = hw
@@ -418,15 +419,32 @@ def test_tape_is_topologically_ordered():
     loss = ad.sum_all(z)
     # the order is fixed at construction; backward then consumes the records
     assert [rec.op for rec in tape.records] == ["upsample_nearest2", "avg_pool2", "sum_all"]
+    outputs = {rec.output.node_id for rec in tape.records}
     seen = set()
     for rec in tape.records:
         for t in rec.inputs:
-            if tape.is_intermediate(t):
+            if t.node_id in outputs:
                 assert t.node_id in seen
         seen.add(rec.output.node_id)
     ad.backward(loss, params=[x])
     assert tape.records == [] and tape.consumed
-    assert not tape.is_intermediate(y)
+
+
+def test_backward_computes_no_input_grad_off_the_paths_from_params():
+    # the conv's input is a leaf's concatenation with a constant: no param
+    # lies behind it, so the conv's backward is not asked for its dx
+    rng = np.random.default_rng(22)
+    tape = ad.Tape()
+    x = ad.concat_channels(tape.leaf(rng.standard_normal((1, 2, 4, 4))),
+                           ad.Tensor(np.ones((1, 1, 4, 4))))
+    w, b = t64(rng.standard_normal((2, 3, 3, 3))), t64(np.zeros(2))
+    out = ad.conv2d(x, w, b)
+    asked = []
+    conv_bwd = tape.records[-1].backward_fn
+    tape.records[-1].backward_fn = lambda g, needs: asked.append(needs) or conv_bwd(g, needs)
+    ad.backward(ad.sum_all(out), params=[w, b])
+    assert asked == [(False, True, True)]
+    np.testing.assert_allclose(b.grad, [16.0, 16.0])
 
 
 def test_consumed_tape_refuses_a_second_backward_and_new_ops():

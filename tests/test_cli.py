@@ -438,14 +438,15 @@ def test_n_below_one_is_a_usage_error(work, command, capsys):
 
 
 @pytest.mark.parametrize("option", [("--pca-k", -1), ("--pca-k", 0), ("--pca-var", 1.5),
-                                    ("--pca-var", -0.5), ("--pca-var", 0), ("--pca-var", "nan")])
+                                    ("--pca-var", -0.5), ("--pca-var", 0), ("--pca-var", "nan"),
+                                    ("--pca-k", 2, "--pca-var", 0.5)])
 def test_pca_option_out_of_range_is_a_usage_error(work, option, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run("evaluate", "--task", "represent", "--model", "identity", "--data", work / "pre",
             *option, "--out", work / "pca_bad")
     assert exit_info.value.code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert option[0] in err and "Traceback" not in err
+    assert all(flag in err for flag in option[::2]) and "Traceback" not in err
     assert not (work / "pca_bad").exists()
 
 
@@ -667,7 +668,8 @@ def test_unknown_config_key_exits_data_error(work, line, capsys):
 
 @pytest.mark.parametrize("line", ["lr = abc", "lr = -1", "lr = nan", "batch = 0",
                                   "lr_decay_every = 1.5", "lr_decay_every = 0",
-                                  "filters = two", "checkpoint_every = -1", "seed = -1"])
+                                  "filters = two", "checkpoint_every = -1", "seed = -1",
+                                  "skip_levels = 8,8", "lr = inf", "lambda_adv = inf"])
 def test_bad_config_value_exits_data_error(work, line, capsys):
     cfg = work / "bad.cfg"
     cfg.write_text(CONFIG.format(1) + line + "\n")

@@ -37,6 +37,24 @@ def test_forward_shapes_with_labels(labels):
     assert net.forward(x, labels=onehot).data.shape == (2, 3, 32, 32)
 
 
+@pytest.mark.parametrize("labels", [0, 2])
+def test_a_pass_records_only_on_the_tape_of_its_input(labels, monkeypatch):
+    cfg = NetConfig(resolution=32, base_filters=2, latent_dim=4, label_channels=labels)
+    net = Network.build(cfg, np.random.default_rng(0))
+    x = np.zeros((2, 3, 32, 32), dtype=np.float32)
+    onehot = np.eye(labels, dtype=np.float32)[[0, labels - 1]] if labels else None
+    taken = []
+    add = ad.Tape._add
+    monkeypatch.setattr(ad.Tape, "_add", lambda tape, *rec: taken.append(tape) or add(tape, *rec))
+    off = net.forward(x, labels=onehot)
+    assert off._tape is None and taken == []
+    tape = ad.Tape()
+    out = net.forward(tape.leaf(x), labels=onehot)
+    assert out._tape is tape and taken and all(t is tape for t in taken)
+    assert out.data.tobytes() == off.data.tobytes()
+    assert ("concat_channels" in [rec.op for rec in tape.records]) == bool(labels)
+
+
 def test_parameter_count_matches_layer_arithmetic():
     # hand count for (H=32, n=2, N_b=4, L=0), from the layer table:
     # encoder 56 + 224 + 552 + 1024 + 1640 + 2400 + 2616, bottlenecks 52 + 10,
@@ -108,8 +126,8 @@ def test_clone_never_aliases_storage():
 def _one_step(net, x, groups=(), lr=1e-3, state=None):
     """One autoencoder step training the tensors of ``groups`` (all when
     empty)."""
-    tape = ad.Tape()
-    loss = ad.l1_mean(tape.leaf(x), net.forward(tape.leaf(x), tape))
+    leaf = ad.Tape().leaf(x)
+    loss = ad.l1_mean(leaf, net.forward(leaf))
     params = net.params.tensors(*groups)
     ad.zero_grad(params)
     ad.backward(loss, params=params)
@@ -168,8 +186,8 @@ def test_bottleneck_factorization_structural():
     net = small_net(13)
     tape = ad.Tape()
     x = tape.leaf(np.random.default_rng(14).uniform(-1, 1, (1, 3, 32, 32)).astype(np.float32))
-    z, feats = net.encode(x, tape)
-    out = net.decode(z, tape, skips=feats)
+    z, feats = net.encode(x)
+    out = net.decode(z, skips=feats)
 
     projections = {rec.output.node_id for rec in tape.records if rec.op == "conv1x1"}
     assert len(projections) == len(net.config.skip_levels)
@@ -190,7 +208,7 @@ def test_bottleneck_factorization_structural():
 def test_forward_records_one_conv_elu_per_conv_block_half():
     tape = ad.Tape()
     x = tape.leaf(np.zeros((1, 3, 32, 32), dtype=np.float32))
-    small_net(18).forward(x, tape)
+    small_net(18).forward(x)
     ops = [rec.op for rec in tape.records]
     assert ops.count("conv_elu") == 25
     assert ops.count("conv2d") == 1
@@ -202,7 +220,7 @@ def test_decode_never_touches_encoder_params():
     net = small_net(15)
     tape = ad.Tape()
     z = tape.leaf(np.zeros((1, 4), dtype=np.float32))
-    net.decode(z, tape)
+    net.decode(z)
     touched = {t.name for rec in tape.records for t in rec.inputs if t.name}
     enc_names = {n for n in net.params.names()
                  if net.params.group_of(n) in ("encoder", "bottleneck1")}
