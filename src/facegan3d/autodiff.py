@@ -16,6 +16,12 @@ that record's backward has run, so a tape takes one :func:`backward`, and
 a step's activations are freed by refcount when the step ends, not when
 the cyclic garbage collector next runs.
 
+The 3x3 conv's forward and input gradient run as three GEMMs, one per
+kernel row, over the input's three horizontal taps, a third of the 9-tap
+im2col. The weight gradient keeps the 9-tap im2col: its one GEMM per chunk
+amortises on the small maps of the deep blocks, where per-sample row GEMMs
+do not.
+
 Training runs in float32; gradient checking should build the graph in
 float64 (see ``check_gradients`` in ``tests/oracles.py``).
 """
@@ -218,7 +224,29 @@ def _im2col(x: np.ndarray, cols: np.ndarray) -> None:
                 cols[:, :, k, W - 1::W] = 0
 
 
-# Byte budget of one chunk of a conv's im2col (at least one sample).
+def _row_taps(x: np.ndarray, taps: np.ndarray) -> None:
+    # Writes the 3 horizontal taps of x (N, C, H, W) into taps
+    # (N, 3, C, (H+2)*W): plane j is x shifted by j - 1 columns, with one
+    # zero row above and one below, so taps[n, j, c, (h + 1)*W + w] is
+    # x[n, c, h, w + j - 1], zero outside x. Each plane is one flat copy,
+    # like _im2col's taps; the column that the flat shift wraps round to
+    # the neighbouring row is zeroed after it, and every element that the
+    # copy does not cover is zeroed, so any reused buffer may be passed.
+    N, C, H, W = x.shape
+    L = H * W
+    xf = x.reshape(N, C, L)
+    for j in range(3):
+        s = W + 1 - j
+        taps[:, j, :, :s] = 0
+        taps[:, j, :, s:s + L] = xf
+        taps[:, j, :, s + L:] = 0
+    taps[:, 0, :, ::W] = 0
+    taps[:, 2, :, W - 1::W] = 0
+
+
+# Byte budget of one chunk of a conv's buffers (at least one sample): the
+# forward's row taps with one kernel row's product, and the weight
+# gradient's im2col.
 _IM2COL_CHUNK = 1 << 21
 
 
@@ -229,21 +257,32 @@ def _im2col_step(x: np.ndarray) -> int:
     return min(N, max(1, _IM2COL_CHUNK // (9 * C * H * W * x.itemsize)))
 
 
-def _conv_raw(x: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    # x: (N, C1, H, W), w2: (C2, C1*9) -> (N, C2, H, W). The N-major im2col
-    # (step, C1*9, H*W) is built _im2col_step samples at a time into one
-    # buffer, reused for every chunk. Stacked matmul runs one GEMM per
-    # sample, so the result is bitwise the one-shot im2col's.
+def _conv_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # x: (N, C1, H, W), w: (C2, C1, 3, 3), any view -> (N, C2, H, W). The
+    # conv is three GEMMs, one per kernel row i, added in row order:
+    # out = W0 @ B0 + W1 @ B1 + W2 @ B2. Wi (C2, 3*C1) is kernel row i in
+    # the (j, c) order of the row taps; Bi (3*C1, H*W) is the view of the
+    # row taps offset by i rows, which needs no copy. The taps and the
+    # product of rows 1 and 2 go into reused buffers, as many samples at a
+    # time as both fit in _IM2COL_CHUNK bytes; one sample's taps are a
+    # third of its 9-tap im2col. Stacked matmul runs one GEMM per sample and
+    # row, so the result does not depend on the chunking or on batch-mates.
     N, C1, H, W = x.shape
-    out = np.empty((N, w2.shape[0], H * W), dtype=np.result_type(w2, x))
-    step = _im2col_step(x)
-    buf = np.empty((step, C1, 9, H * W), dtype=x.dtype)
-    for i in range(0, N, step):
-        xs = x[i:i + step]
-        cols = buf[:len(xs)]
-        _im2col(xs, cols)
-        np.matmul(w2, cols.reshape(-1, C1 * 9, H * W), out=out[i:i + step])
-    return out.reshape(N, w2.shape[0], H, W)
+    C2, L = w.shape[0], H * W
+    rows = w.transpose(2, 0, 3, 1).reshape(3, C2, 3 * C1)
+    out = np.empty((N, C2, L), dtype=np.result_type(w, x))
+    step = min(N, max(1, _IM2COL_CHUNK // ((3 * C1 * (H + 2) * W + C2 * L) * x.itemsize)))
+    buf = np.empty((step, 3, C1, (H + 2) * W), dtype=x.dtype)
+    part = np.empty((step, C2, L), dtype=out.dtype)
+    for s in range(0, N, step):
+        n = min(step, N - s)
+        taps, o, p = buf[:n], out[s:s + n], part[:n]
+        _row_taps(x[s:s + n], taps)
+        np.matmul(rows[0], taps[..., :L].reshape(n, 3 * C1, L), out=o)
+        for i in (1, 2):
+            np.matmul(rows[i], taps[..., i * W:i * W + L].reshape(n, 3 * C1, L), out=p)
+            o += p
+    return out.reshape(N, C2, H, W)
 
 
 def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -252,7 +291,10 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     # written by _im2col through an (n, C1, 9, H*W) view of the front of
     # one reused buffer: only g's chunk, with C2 channels, needs a
     # transpose, not the 9*C1-row im2col. The chunk products are added in
-    # chunk order into the first.
+    # chunk order into the first. Row taps would take one GEMM per sample
+    # and kernel row here: unchunked, that took 0.59x this one's time on a
+    # (8, 16, 32, 32) input and 1.6-28x on the 8x8 to 1x1 maps of the deep
+    # blocks, where the per-sample GEMMs do not amortise.
     N, C1, H, W = x.shape
     C2, L = g.shape[1], H * W
     step = _im2col_step(x)
@@ -283,7 +325,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     C2 = w.data.shape[0]
     if b.data.shape != (C2,):
         raise ShapeError(f"conv2d bias must be ({C2},), got {b.shape}")
-    out = _conv_raw(x.data, w.data.reshape(C2, C1 * 9))
+    out = _conv_raw(x.data, w.data)
     out += b.data[:, None, None]
 
     def bwd(g, needs):
@@ -293,10 +335,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if needs[1]:
             dw = _conv_weight_grad(x.data, g)
         if needs[0]:
-            wt = np.ascontiguousarray(
-                w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            ).reshape(C1, C2 * 9)
-            dx = _conv_raw(g, wt)
+            dx = _conv_raw(g, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         return dx, dw, db
 
     return _emit("conv2d", (x, w, b), out, bwd)

@@ -261,8 +261,13 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
 
     if args.task == "represent":
+        train_keys = pipeline.target_keys(meta, meta["train"])[0]
         if args.pca_k or args.pca_var:
             _need_two_train_subjects(data_dir, meta, "PCA")
+        if args.pca_k and args.pca_k >= len(train_keys):
+            raise DataFormatError(f"{data_dir}: --pca-k {args.pca_k} is above the "
+                                  f"{len(train_keys) - 1} components that the "
+                                  f"{len(train_keys)} training meshes span")
         keys, onehots = pipeline.target_keys(meta, meta["test"])
         targets = pipeline.load_aligned_meshes(data_dir, keys, landmarks)
         if args.model == "identity":
@@ -276,8 +281,7 @@ def cmd_evaluate(args) -> int:
         io.write_metric_report(out, "represent", summary, curve)
         if args.pca_k or args.pca_var:
             from .pca import pca_fit, pca_reconstruct
-            train_meshes = pipeline.load_aligned_meshes(
-                data_dir, pipeline.target_keys(meta, meta["train"])[0], landmarks)
+            train_meshes = pipeline.load_aligned_meshes(data_dir, train_keys, landmarks)
             model = pca_fit(train_meshes, variance_target=args.pca_var or 0.98,
                             n_components=args.pca_k)
             perr = evaluation.generalization_errors(

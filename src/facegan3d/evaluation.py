@@ -81,11 +81,11 @@ def rmse3d_translation(pred: Mesh, gt: Mesh, crop_radius: float = np.inf) -> flo
     are read by :func:`rmse3d_landmarks`. The ``icp`` name stays until
     the ``geometry.icp_*`` benchmark metrics are retired."""
     nose, iod = rmse3d_landmarks(gt)
-    p = icp_point_to_plane(pred, gt).apply(pred.vertices)
+    normals = gt.vertex_normals()
+    p = icp_point_to_plane(pred, gt, normals).apply(pred.vertices)
     keep = np.linalg.norm(gt.vertices - nose, axis=1) <= crop_radius
     if not keep.any():
         raise ValueError("crop radius excludes every vertex")
-    normals = gt.vertex_normals()
     d = np.einsum("ij,ij->i", (p - gt.vertices)[keep], normals[keep])
     return float(np.sqrt(np.mean(d * d)) / iod)
 

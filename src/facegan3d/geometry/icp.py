@@ -37,20 +37,20 @@ def _rodrigues(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def icp_point_to_plane(source: Mesh, target: Mesh) -> SimilarityTransform:
+def icp_point_to_plane(source: Mesh, target: Mesh,
+                       normals: np.ndarray) -> SimilarityTransform:
     """Rigid transform (a similarity of scale 1) minimizing the
-    point-to-plane error of source vertex *i* against target vertex *i*
-    (normals from the target's area-weighted vertex normals), after at
-    most ``_MAX_ITER`` linearised steps. The pairing is the shared vertex
-    order, not a nearest-neighbour search, so the vertex counts must
-    match."""
+    point-to-plane error of source vertex *i* against target vertex *i*,
+    along ``normals``, the target's vertex normals (the caller scores the
+    residual on the same ones), after at most ``_MAX_ITER`` linearised
+    steps. The pairing is the shared vertex order, not a nearest-neighbour
+    search, so the vertex counts must match."""
     if source.num_vertices < 6:
         raise ValueError(f"need at least 6 correspondences, got {source.num_vertices}")
     if source.num_vertices != target.num_vertices:
         raise ValueError(f"source has {source.num_vertices} vertices, target "
                          f"{target.num_vertices}: the pairing is by vertex index")
-    c = target.vertices
-    n = target.vertex_normals()
+    c, n = target.vertices, normals
     R = np.eye(3)
     t = np.zeros(3)
     for _ in range(_MAX_ITER):

@@ -33,14 +33,16 @@ def pca_fit(meshes: list[Mesh], variance_target: float = 0.98,
             n_components: int | None = None) -> PCAModel:
     """Eigen-decomposition of the sample covariance of flattened vertices.
     Keeps the smallest component count reaching ``variance_target`` of the
-    total variance, or exactly ``n_components`` when given."""
+    total variance, or the first ``n_components`` when given; either way at
+    most n - 1 for n meshes, because n centred samples span at most n - 1
+    directions and any further one would be arbitrary."""
     if len(meshes) < 2:
         raise ValueError("PCA needs at least 2 meshes")
     X = _flatten(meshes)
     mu = X.mean(axis=0)
     Xc = (X - mu) / np.sqrt(len(meshes) - 1.0)
     _, s, vt = np.linalg.svd(Xc, full_matrices=False)
-    variances = s * s
+    variances = (s * s)[:len(meshes) - 1]
     if n_components is not None:
         k = min(n_components, len(variances))
     else:

@@ -46,6 +46,24 @@ def reference_conv_raw(x, w2):
     return np.matmul(w2, cols.reshape(N, C1 * 9, H * W)).reshape(N, -1, H, W)
 
 
+def reference_conv_rows(x, w):
+    """The row-tap lowering in one shot, (N, C1, H, W) x (C2, C1, 3, 3) ->
+    (N, C2, H, W): zero-pad the whole batch, stack each sample's three
+    column-shifted planes (N, 3*C1, H+2, W), and for kernel rows i = 0, 1, 2
+    run one stacked matmul of row i of the weight, (C2, 3*C1) in the planes'
+    (j, c) order, with the planes' rows i .. i+H-1, adding the three products
+    in kernel-row order."""
+    N, C1, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    planes = np.stack([xp[:, :, :, j:j + W] for j in range(3)], axis=1)  # (N, 3, C1, H+2, W)
+    out = None
+    for i in range(3):
+        wi = w[:, :, i, :].transpose(0, 2, 1).reshape(w.shape[0], 3 * C1)
+        p = np.matmul(wi, planes[:, :, :, i:i + H].reshape(N, 3 * C1, H * W))
+        out = p if out is None else out + p
+    return out.reshape(N, -1, H, W)
+
+
 def reference_conv_weight_grad(x, g):
     """The 3x3 conv's weight gradient as one GEMM, (N, C1, H, W) and
     (N, C2, H, W) -> (C2, C1, 3, 3): zero-pad the batch, stack its nine

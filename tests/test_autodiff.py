@@ -14,7 +14,8 @@ from facegan3d.model import NetParams
 
 from oracles import (check_gradients, naive_avg_pool2, naive_conv2d, naive_l1_mean,
                      naive_matmul_affine, naive_upsample2, reference_adam,
-                     reference_conv_raw, reference_conv_weight_grad, traced_peak)
+                     reference_conv_raw, reference_conv_rows, reference_conv_weight_grad,
+                     traced_peak)
 
 
 def t64(arr):
@@ -62,46 +63,63 @@ def test_conv2d_all_ones_2x2_frozen_value():
     np.testing.assert_allclose(out.data, oracle, rtol=1e-6)
 
 
+# map sizes whose taps are partly or wholly outside the map: every kernel
+# row's view of the row taps reads a zero padding row or a wrapped column
+SMALL_MAPS = [(5, 6), (1, 1), (1, 4), (4, 1), (2, 2)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_conv2d_matches_naive_oracle(seed):
+    # the forward, and the backward's dx, which is the conv of g with the
+    # flipped weight
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, 5, 4))
-    w = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
-    out = ad.conv2d(t64(x), t64(w), t64(b))
-    np.testing.assert_allclose(out.data, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
-
-
-# map sizes whose taps are partly or wholly outside the map: the im2col's
-# border rows and wrapped columns
-SMALL_MAPS = [(5, 6), (1, 1), (1, 4), (4, 1), (2, 2)]
+    for H, W in [(5, 4)] + SMALL_MAPS:
+        x = rng.standard_normal((2, 3, H, W))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        g = rng.standard_normal((2, 4, H, W))
+        tape = ad.Tape()
+        out = ad.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
+        np.testing.assert_allclose(out.data, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
+        dx, _, _ = tape.records[-1].backward_fn(g, (True, False, False))
+        w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        np.testing.assert_allclose(dx, naive_conv2d(g, w_flip, np.zeros(3)),
+                                   rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("samples", [0, 1, 3])
 def test_conv2d_im2col_chunks_are_bitwise_the_one_shot_gemm(dtype, samples, monkeypatch):
-    # budgets of 1 byte, one sample's im2col and three samples' (N = 7
-    # leaves a partial last chunk); the forward and the backward's dx both
-    # run the chunked im2col, which zeroes the border rows of its one
-    # reused buffer for every chunk
+    # budgets of 1 byte, one sample's row taps and row product and three
+    # samples' (N = 7 leaves a partial last chunk); the forward and the
+    # backward's dx both run the chunked row taps, which zero the padding
+    # rows and wrapped columns of their one reused buffer for every chunk.
+    # Each is bitwise the one-shot row GEMMs, and within rounding the
+    # one-shot 9-tap GEMM
     rng = np.random.default_rng(11)
     N, C1, C2 = 7, 3, 4
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
     for H, W in SMALL_MAPS:
         x = rng.standard_normal((N, C1, H, W)).astype(dtype)
         w = rng.standard_normal((C2, C1, 3, 3)).astype(dtype)
         b = rng.standard_normal(C2).astype(dtype)
         g = rng.standard_normal((N, C2, H, W)).astype(dtype)
         monkeypatch.setattr(ad, "_IM2COL_CHUNK",
-                            max(1, samples * 9 * C1 * H * W * x.itemsize))
+                            max(1, samples * (3 * C1 * (H + 2) + C2 * H) * W * x.itemsize))
         tape = ad.Tape()
         out = ad.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
         dx, _, _ = tape.records[-1].backward_fn(g, (True, False, False))
-        ref = reference_conv_raw(x, w.reshape(C2, C1 * 9))
-        ref += b[:, None, None]
-        w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C1, C2 * 9)
-        for got, want in ((out.data, ref), (dx, reference_conv_raw(g, w_flip))):
+        w_flip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        for got, want, gemm in (
+                (out.data, reference_conv_rows(x, w) + b[:, None, None],
+                 reference_conv_raw(x, w.reshape(C2, C1 * 9)) + b[:, None, None]),
+                (dx, reference_conv_rows(g, w_flip),
+                 reference_conv_raw(g, w_flip.reshape(C1, C2 * 9)))):
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes(), (H, W)
+            # float32 rounding is relative to the terms summed, not to an
+            # output that cancels to near zero
+            np.testing.assert_allclose(got, gemm, rtol=rtol, atol=rtol * np.abs(gemm).max())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

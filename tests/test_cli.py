@@ -516,6 +516,21 @@ def test_too_small_training_split_exits_data_error(two_subjects, command, capsys
     assert not (d / "out").exists()
 
 
+def test_pca_k_above_the_training_rank_exits_data_error(work, capsys):
+    """n centred training meshes span n - 1 directions: --pca-k n exits 2
+    naming the flag and the training count, before any report is written,
+    and --pca-k n - 1 keeps n - 1 components."""
+    n = len(pipeline.load_meta(work / "pre")["train"])
+    argv = ("evaluate", "--task", "represent", "--model", "identity", "--data", work / "pre")
+    assert run(*argv, "--pca-k", n, "--out", work / "pca_n") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"--pca-k {n}" in err and f"{n} training meshes" in err and "Traceback" not in err
+    assert not (work / "pca_n").exists()
+    assert run(*argv, "--pca-k", n - 1, "--out", work / "pca_rank") == cli.EXIT_OK
+    report = json.loads((work / "pca_rank" / "represent_pca.json").read_text())
+    assert report["pca_components"] == n - 1
+
+
 def test_empty_test_split_trains_and_evaluate_exits_data_error(tmp_path, capsys):
     """A 1-subject set has no test subject: both training commands run
     (train reports a NaN test L1), translating the test split writes no

@@ -95,6 +95,21 @@ def test_rmse3d_identical_is_zero():
     assert rmse3d_translation(tpl, tpl) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_rmse3d_of_fixed_meshes_is_frozen():
+    # the values before the fit took the ground truth's normals from
+    # rmse3d_translation instead of computing them a second time
+    tpl = make_template(13)
+    ang = np.deg2rad(5)
+    R = np.array([[np.cos(ang), -np.sin(ang), 0], [np.sin(ang), np.cos(ang), 0], [0, 0, 1]])
+    noise = np.random.default_rng(31).normal(0, 0.01, tpl.vertices.shape)
+    pred = tpl.with_vertices((tpl.vertices + noise) @ R.T + [0.03, -0.01, 0.02])
+    assert rmse3d_translation(pred, tpl) == 0.020265307205020767
+    assert rmse3d_translation(pred, tpl, crop_radius=0.5) == 0.022706009645803715
+    h = synth_dataset(4, 4, seed=20, grid=17).subjects
+    assert rmse3d_translation(h[0], h[1]) == 0.18737212008833007
+    assert rmse3d_translation(h[2], h[3], crop_radius=0.3) == 0.11531276756189242
+
+
 def test_rmse3d_rigid_motion_removed():
     tpl = make_template(13)
     rng = np.random.default_rng(23)
@@ -118,8 +133,9 @@ def test_rmse3d_crop_restricts_to_nose_region():
     radius = float(np.median(d))
     small_crop = rmse3d_translation(pred, tpl, crop_radius=radius)
     # the fit sees every pair; the crop only picks the residuals scored
-    p = icp_point_to_plane(pred, tpl).apply(far)
-    r = np.einsum("ij,ij->i", p - tpl.vertices, tpl.vertex_normals())[d <= radius]
+    normals = tpl.vertex_normals()
+    p = icp_point_to_plane(pred, tpl, normals).apply(far)
+    r = np.einsum("ij,ij->i", p - tpl.vertices, normals)[d <= radius]
     iod = np.linalg.norm(tpl.landmark_point("left-eye-outer")
                          - tpl.landmark_point("right-eye-outer"))
     assert small_crop == pytest.approx(np.sqrt(np.mean(r * r)) / iod, abs=1e-9)
@@ -263,6 +279,18 @@ def test_pca_reconstruction_error_non_increasing_in_k(heads):
         errs.append(sum(np.abs(pca_reconstruct(model, m).vertices - m.vertices).max()
                         for m in heads))
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+def test_pca_keeps_no_direction_the_data_do_not_span(heads):
+    # 5 centred meshes span 4 directions, whatever the vertex count; a 5th
+    # component would have a variance of rounding error and an arbitrary
+    # direction
+    five = list(heads[:5])
+    for model in (pca_fit(five, n_components=50), pca_fit(five, variance_target=1.0)):
+        assert model.num_components == 4
+        assert model.variances.min() > 1e-6 * model.variances.max()
+        for m in five:
+            assert np.abs(pca_reconstruct(model, m).vertices - m.vertices).max() < 1e-8
 
 
 def test_pca_needs_two(heads):

@@ -475,7 +475,7 @@ def test_uvmap_values_in_range_after_normalize(heads):
 
 def test_icp_identity():
     tpl = make_template(13)
-    t = icp_point_to_plane(tpl, tpl)
+    t = icp_point_to_plane(tpl, tpl, tpl.vertex_normals())
     np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-10)
     np.testing.assert_allclose(t.translation, 0.0, atol=1e-10)
 
@@ -486,7 +486,7 @@ def test_icp_recovers_small_rigid_motion():
     R = small_rotation(rng, 10.0)
     tv = np.array([0.02, -0.03, 0.04])
     moved = tpl.with_vertices(tpl.vertices @ R.T + tv)
-    t = icp_point_to_plane(moved, tpl)
+    t = icp_point_to_plane(moved, tpl, tpl.vertex_normals())
     recovered = t.apply(moved.vertices)
     np.testing.assert_allclose(recovered, tpl.vertices, atol=1e-6)
 
@@ -497,7 +497,7 @@ def test_icp_residual_not_worse_than_truth():
     R = small_rotation(rng, 8.0)
     tv = np.array([0.01, 0.02, -0.03])
     moved = tpl.with_vertices(tpl.vertices @ R.T + tv)
-    t = icp_point_to_plane(moved, tpl)
+    t = icp_point_to_plane(moved, tpl, tpl.vertex_normals())
     res_icp = point_to_plane_residual(t.apply(moved.vertices), tpl)
     res_truth = point_to_plane_residual((moved.vertices - tv) @ R, tpl)
     assert res_icp <= res_truth + 1e-8
@@ -512,7 +512,7 @@ def test_icp_hundred_seeded_trials():
         R = small_rotation(rng, 15.0)
         tv = rng.uniform(-0.1, 0.1, 3) * bbox
         moved = tpl.with_vertices(tpl.vertices @ R.T + tv)
-        t = icp_point_to_plane(moved, tpl)
+        t = icp_point_to_plane(moved, tpl, tpl.vertex_normals())
         err = np.abs(t.apply(moved.vertices) - tpl.vertices).max()
         assert err < 1e-6, f"seed {seed}: {err}"
 
@@ -532,7 +532,7 @@ def test_icp_pairs_by_vertex_index_not_nearest_neighbour():
         rng = np.random.default_rng(seed)
         noisy = tpl.vertices + 0.1 * bbox_diagonal(tpl) * rng.standard_normal(tpl.vertices.shape)
         moved = tpl.with_vertices(noisy @ small_rotation(rng, 5.0).T + [0.01, -0.02, 0.01])
-        t = icp_point_to_plane(moved, tpl)
+        t = icp_point_to_plane(moved, tpl, normals)
         R, tv = reference_kabsch(moved.vertices, tpl.vertices)
         kabsch = paired_rms(moved.vertices @ R.T + tv)
         assert paired_rms(t.apply(moved.vertices)) <= kabsch + 1e-9, f"seed {seed}"
@@ -541,13 +541,14 @@ def test_icp_pairs_by_vertex_index_not_nearest_neighbour():
 def test_icp_vertex_counts_must_match():
     tpl = make_template(13)
     with pytest.raises(ValueError, match="vertex index"):
-        icp_point_to_plane(tpl, make_template(12))
+        other = make_template(12)
+        icp_point_to_plane(tpl, other, other.vertex_normals())
 
 
 def test_icp_too_few_vertices():
     m = Mesh(np.random.default_rng(0).standard_normal((5, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(ValueError, match="6"):
-        icp_point_to_plane(m, m)
+        icp_point_to_plane(m, m, m.vertex_normals())
 
 
 # ---------------------------------------------------------------------------

@@ -303,18 +303,21 @@ def test_every_row_of_a_chunked_path_is_that_row_run_alone(res, labels):
         float(np.mean(np.mean(np.abs(alone - y), axis=(1, 2, 3))))
 
 
-def test_translate_map_peak_is_two_maps_widest_activation_and_one_im2col():
+def test_translate_map_peak_is_two_maps_widest_activation_and_one_row_tap_buffer():
     """16 res-64 maps at filters 16: the widest conv, enc.block1's 32-channel
     64x64 one, holds its input and output for a 2-map slice beside one
-    sample's im2col; the 16 outputs and their concatenation come on top,
-    with 0.5 MiB for the ELU chunk, the input leaf and small arrays. 4-map
-    slices read 10.1 MiB and 8-map ones 14.9 MiB against this 8.5 MiB."""
+    sample's row taps (3 column-shifted planes of its input, each with a
+    zero row above and below) and one kernel row's product; the 16 outputs
+    and their concatenation come on top, with 0.5 MiB for the ELU chunk,
+    the input leaf and small arrays. 4-map slices read 7.65 MiB and 8-map
+    ones 12.5 MiB against this 6.05 MiB."""
     res, n = 64, 16
     net = small_net(cfg=NetConfig(resolution=res, base_filters=n, latent_dim=16))
     x = np.random.default_rng(5).uniform(-1, 1, (16, 3, res, res)).astype(np.float32)
     widest = 2 * (2 * n) * res * res * 4
-    im2col = (2 * n) * 9 * res * res * 4
-    bound = 2 * widest + im2col + 2 * x.nbytes + (1 << 19)
+    row_taps = (2 * n) * 3 * (res + 2) * res * 4
+    row_product = (2 * n) * res * res * 4
+    bound = 2 * widest + row_taps + row_product + 2 * x.nbytes + (1 << 19)
     peak = traced_peak(lambda: translate_map(net, x))
     assert peak <= bound, (peak, bound)
 
