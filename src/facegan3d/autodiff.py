@@ -22,6 +22,13 @@ im2col. The weight gradient keeps the 9-tap im2col: its one GEMM per chunk
 amortises on the small maps of the deep blocks, where per-sample row GEMMs
 do not.
 
+Conv scratch (row taps, row product, dW's im2col chunk) is a view of one
+grow-only buffer per thread, of at most 2 x ``_IM2COL_CHUNK`` (4 MiB):
+fresh buffers per call land on fresh pages, whose faults cost inference
+about a tenth of its time. A larger request gets a fresh buffer, so none
+is held at the paper's scale. Writers zero what they do not copy, so no
+result depends on the buffer's old bytes or is a view of it.
+
 Training runs in float32; gradient checking should build the graph in
 float64 (see ``check_gradients`` in ``tests/oracles.py``).
 """
@@ -29,6 +36,7 @@ float64 (see ``check_gradients`` in ``tests/oracles.py``).
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -246,8 +254,20 @@ def _row_taps(x: np.ndarray, taps: np.ndarray) -> None:
 
 # Byte budget of one chunk of a conv's buffers (at least one sample): the
 # forward's row taps with one kernel row's product, and the weight
-# gradient's im2col.
+# gradient's im2col; _workspace keeps up to twice this.
 _IM2COL_CHUNK = 1 << 21
+_scratch = threading.local()
+
+
+def _workspace(nbytes: int) -> np.ndarray:
+    # nbytes of uint8 scratch, valid until this thread's next call: the
+    # front of its grow-only buffer, or fresh above 2 * _IM2COL_CHUNK.
+    if nbytes > 2 * _IM2COL_CHUNK:
+        return np.empty(nbytes, dtype=np.uint8)
+    if getattr(_scratch, "buf", None) is None or _scratch.buf.size < nbytes:
+        _scratch.buf = None   # free the old buffer before making the new
+        _scratch.buf = np.empty(nbytes, dtype=np.uint8)
+    return _scratch.buf[:nbytes]
 
 
 def _im2col_step(x: np.ndarray) -> int:
@@ -263,17 +283,21 @@ def _conv_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     # out = W0 @ B0 + W1 @ B1 + W2 @ B2. Wi (C2, 3*C1) is kernel row i in
     # the (j, c) order of the row taps; Bi (3*C1, H*W) is the view of the
     # row taps offset by i rows, which needs no copy. The taps and the
-    # product of rows 1 and 2 go into reused buffers, as many samples at a
-    # time as both fit in _IM2COL_CHUNK bytes; one sample's taps are a
-    # third of its 9-tap im2col. Stacked matmul runs one GEMM per sample and
-    # row, so the result does not depend on the chunking or on batch-mates.
+    # product of rows 1 and 2 are views of the _workspace, the product at
+    # the first 64-byte boundary after the taps, as many samples at a time
+    # as both fit in _IM2COL_CHUNK bytes; one sample's taps are a third of
+    # its 9-tap im2col. Stacked matmul runs one GEMM per sample and row, so
+    # the result does not depend on the chunking or on batch-mates.
     N, C1, H, W = x.shape
     C2, L = w.shape[0], H * W
     rows = w.transpose(2, 0, 3, 1).reshape(3, C2, 3 * C1)
     out = np.empty((N, C2, L), dtype=np.result_type(w, x))
     step = min(N, max(1, _IM2COL_CHUNK // ((3 * C1 * (H + 2) * W + C2 * L) * x.itemsize)))
-    buf = np.empty((step, 3, C1, (H + 2) * W), dtype=x.dtype)
-    part = np.empty((step, C2, L), dtype=out.dtype)
+    tap_bytes = step * 3 * C1 * (H + 2) * W * x.itemsize
+    at = -(-tap_bytes // 64) * 64
+    ws = _workspace(at + step * C2 * L * out.itemsize)
+    buf = ws[:tap_bytes].view(x.dtype).reshape(step, 3, C1, (H + 2) * W)
+    part = ws[at:].view(out.dtype).reshape(step, C2, L)
     for s in range(0, N, step):
         n = min(step, N - s)
         taps, o, p = buf[:n], out[s:s + n], part[:n]
@@ -289,16 +313,16 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     # dW = g (C2, N*H*W) @ cols^T, the K = N*H*W sum taken _im2col_step
     # samples at a time. Each chunk's channel-major im2col (C1*9, n*H*W) is
     # written by _im2col through an (n, C1, 9, H*W) view of the front of
-    # one reused buffer: only g's chunk, with C2 channels, needs a
-    # transpose, not the 9*C1-row im2col. The chunk products are added in
-    # chunk order into the first. Row taps would take one GEMM per sample
-    # and kernel row here: unchunked, that took 0.59x this one's time on a
-    # (8, 16, 32, 32) input and 1.6-28x on the 8x8 to 1x1 maps of the deep
-    # blocks, where the per-sample GEMMs do not amortise.
+    # the _workspace: only g's chunk, with C2 channels, needs a transpose,
+    # not the 9*C1-row im2col. The chunk products, fresh arrays from @, are
+    # added in chunk order into the first. Row taps would take one GEMM per
+    # sample and kernel row here: unchunked, that took 0.59x this one's time
+    # on a (8, 16, 32, 32) input and 1.6-28x on the 8x8 to 1x1 maps of the
+    # deep blocks, where the per-sample GEMMs do not amortise.
     N, C1, H, W = x.shape
     C2, L = g.shape[1], H * W
     step = _im2col_step(x)
-    buf = np.empty(C1 * 9 * step * L, dtype=x.dtype)
+    buf = _workspace(C1 * 9 * step * L * x.itemsize).view(x.dtype)
     gt = g.reshape(N, C2, L).transpose(1, 0, 2)
     dw = None
     for i in range(0, N, step):

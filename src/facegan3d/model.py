@@ -132,10 +132,12 @@ def _uniform(rng, shape, fan_in, dtype, gain=2.0):
 # once. A forward's peak is the widest conv's input and output for the
 # slice plus one sample's row taps and one kernel row's product: at res 64
 # and filters 16, 1 MB per map beside 1.6 MB of row taps and a 0.5 MB
-# product. Two maps cost no time: with the 9-tap im2col that the row taps
-# replaced, translate_map of 16 maps plus decode_batch of 32 latents
-# (res 64, filters 16) took 244 / 248 / 236 / 280 ms at 8 / 4 / 2 / 1 maps
-# per slice, medians of 8 alternating rounds in one process, and
+# product. The taps and the product are held between calls in autodiff's
+# per-thread conv workspace, not allocated per call. Two maps cost no
+# time: with the 9-tap im2col that the row taps replaced, translate_map of
+# 16 maps plus decode_batch of 32 latents (res 64, filters 16) took
+# 244 / 248 / 236 / 280 ms at 8 / 4 / 2 / 1 maps per slice, medians of 8
+# alternating rounds in one process, and
 # 183 / 191 / 169 / 204 ms in a 16-round re-run.
 # Only one map per slice is slower: its GEMMs and per-op overhead no
 # longer amortise.

@@ -2,6 +2,8 @@
 central finite differences, tape semantics, Adam, and the freeze contract."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -170,6 +172,74 @@ def test_conv2d_memory_peak_is_bounded_by_the_im2col_chunk():
     dw = grads[1]
     g_chunk = g[:ad._im2col_step(x)].nbytes
     assert peak < dw.nbytes + g_chunk + 2 * ad._IM2COL_CHUNK
+
+
+def test_conv_kernels_reuse_their_scratch_between_calls():
+    # On a warm workspace a repeated call allocates its result and one small
+    # copy: the kernel-row weight matrices in the forward, the transposed g
+    # chunk in dW. Fresh row taps and product would add 536 KiB, and a
+    # fresh im2col 1.1 MiB.
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((2, 16, 32, 32)).astype(np.float32)
+    w = rng.standard_normal((16, 16, 3, 3)).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    out = ad._conv_raw(x, w)
+    peak = traced_peak(lambda: ad._conv_raw(x, w))
+    assert peak <= out.nbytes + w.nbytes + 4096, peak
+    dw = ad._conv_weight_grad(x, g)
+    peak = traced_peak(lambda: ad._conv_weight_grad(x, g))
+    assert peak <= dw.nbytes + g.nbytes + 4096, peak
+
+
+def test_reused_conv_scratch_cannot_reach_a_result():
+    rng = np.random.default_rng(22)
+
+    def case(n, c1, c2, hw):
+        return (rng.standard_normal((n, c1, hw, hw)).astype(np.float32),
+                rng.standard_normal((c2, c1, 3, 3)).astype(np.float32),
+                rng.standard_normal((n, c2, hw, hw)).astype(np.float32))
+
+    def run(x, w, g):
+        return ad._conv_raw(x, w), ad._conv_weight_grad(x, g)
+
+    big, small = case(2, 32, 32, 32), case(3, 8, 8, 16)
+    before = run(*small)
+    run(*big)
+    held = ad._scratch.buf
+    held.fill(0xFF)   # all-ones bits are a NaN in float32 and float64
+    after = run(*small)
+    assert [r.tobytes() for r in after] == [r.tobytes() for r in before]
+    assert after[0].tobytes() == reference_conv_rows(*small[:2]).tobytes()
+    assert not any(np.shares_memory(r, held) for r in after)
+    # one sample of 4.3 MB of row taps and product, and 9.4 MB of im2col:
+    # above the cap, so a fresh buffer, which is not kept
+    x, w, g = case(1, 64, 64, 64)
+    out, dw = run(x, w, g)
+    assert out.tobytes() == reference_conv_rows(x, w).tobytes()
+    assert dw.tobytes() == reference_conv_weight_grad(x, g).tobytes()
+    assert ad._scratch.buf is held and held.nbytes <= 2 * ad._IM2COL_CHUNK
+    # each thread gets a buffer of its own: four threads switching often
+    # keep the one-thread bits and leave this thread's buffer as it was
+    snapshot, want, same, bufs = held.tobytes(), [r.tobytes() for r in before], [], []
+
+    def worker():
+        same.extend([r.tobytes() for r in run(*small)] == want for _ in range(5))
+        bufs.append(ad._scratch.buf)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and same == [True] * 20
+    assert ad._scratch.buf is held and held.tobytes() == snapshot
+    assert len({id(b) for b in bufs}) == 4
+    assert not any(np.shares_memory(b, held) for b in bufs)
 
 
 def test_conv2d_shape_errors_name_dimensions():

@@ -310,10 +310,12 @@ def test_translate_map_peak_is_two_maps_widest_activation_and_one_row_tap_buffer
     zero row above and below) and one kernel row's product; the 16 outputs
     and their concatenation come on top, with 0.5 MiB for the ELU chunk,
     the input leaf and small arrays. 4-map slices read 7.65 MiB and 8-map
-    ones 12.5 MiB against this 6.05 MiB."""
+    ones 12.5 MiB against this 6.05 MiB. The conv workspace starts empty,
+    so the row taps and the product are counted whatever ran before."""
     res, n = 64, 16
     net = small_net(cfg=NetConfig(resolution=res, base_filters=n, latent_dim=16))
     x = np.random.default_rng(5).uniform(-1, 1, (16, 3, res, res)).astype(np.float32)
+    ad._scratch.buf = None
     widest = 2 * (2 * n) * res * res * 4
     row_taps = (2 * n) * 3 * (res + 2) * res * 4
     row_product = (2 * n) * res * res * 4
